@@ -5,7 +5,7 @@ pairs and queried with counterfactual prices; the weight-sign construction
 guarantees non-positive elasticities.
 """
 
-from .data import PairExample, TransactionMonth, build_inference_set, build_pairs, ingest, split
+from .data import PairTable, TransactionMonth, build_inference_set, build_pairs, ingest, split
 from .elasticity import arc_elasticity, evaluate_elasticities, loglog_baseline, mae_elasticity, wmape
 from .model import ArchConfig, DemandModel, FeatureSchema, load_model, save_model
 from .synth import SyntheticWorld, generate, true_arc_elasticity
@@ -17,7 +17,7 @@ __all__ = [
     "ArchConfig",
     "DemandModel",
     "FeatureSchema",
-    "PairExample",
+    "PairTable",
     "SyntheticWorld",
     "TrainConfig",
     "TrainReport",

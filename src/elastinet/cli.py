@@ -9,11 +9,10 @@ outputs byte-identically (timing goes to stderr, never into artifacts).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import data as dt
 from . import synth
@@ -36,9 +35,8 @@ from .errors import (
     ParseError,
     SchemaMismatchError,
 )
-from .gradcheck import gradcheck
+from .gradcheck import check_demand_model
 from .model import ArchConfig, load_model, save_model
-from .tensor import Tensor, mse_loss, sum_sq
 from .training import TrainConfig, prepare_model, train
 
 EXIT_OK = 0
@@ -47,6 +45,9 @@ EXIT_MISMATCH = 3
 EXIT_NUMERIC = 4
 
 GRADCHECK_TOLERANCE = 1e-5
+
+# TrainConfig fields settable from the `train` command line and config file
+TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "l2_decay", "seed")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -129,19 +130,9 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        l2_decay=args.l2_decay,
-        seed=args.seed,
-    )
-
-
 def cmd_train(args) -> int:
     ds = dt.load_dataset(args.dataset)
-    config = _train_config(args)
+    config = TrainConfig(**{key: getattr(args, key) for key in TRAIN_KEYS})
     arch = ArchConfig()
     model = prepare_model(ds, arch, seed=args.seed)
     report = train(model, ds, config)
@@ -154,16 +145,7 @@ def cmd_train(args) -> int:
         for i, (t, v) in enumerate(zip(report.train_losses, report.val_losses), start=1):
             fh.write(f"{i},{t!r},{v!r}\n")
     _resolved_config(
-        out,
-        "train",
-        {
-            "dataset": str(args.dataset),
-            "epochs": config.epochs,
-            "batch_size": config.batch_size,
-            "learning_rate": config.learning_rate,
-            "l2_decay": config.l2_decay,
-            "seed": config.seed,
-        },
+        out, "train", {"dataset": str(args.dataset), **{key: getattr(config, key) for key in TRAIN_KEYS}}
     )
     print(
         f"trained {config.epochs} epochs; final train loss {report.train_losses[-1]:.6f}, "
@@ -192,9 +174,7 @@ def cmd_evaluate(args) -> int:
     for name, pairs in (("validation", ds.validation), ("out_of_time", ds.out_of_time)):
         if not pairs:
             continue
-        actual = np.array([p.target for p in pairs], dtype=np.float64)
-        pred = model.predict_batch(pairs)
-        metrics[name] = {"wmape_pct": wmape(actual, pred), "rows": len(pairs)}
+        metrics[name] = {"wmape_pct": wmape(pairs.target, model.predict_batch(pairs)), "rows": len(pairs)}
     _write_json(out / "metrics.json", metrics)
     _resolved_config(out, "evaluate", {"dataset": str(args.dataset), "model": str(args.model)})
     for name, m in metrics.items():
@@ -210,7 +190,8 @@ def cmd_elasticity(args) -> int:
     queries = None
     if args.dp_pct is not None:
         queries = [
-            ElasticityQuery(p.item_id, dp=args.dp_pct / 100.0 * p.lead_price) for p in inference
+            ElasticityQuery(item_id, dp=args.dp_pct / 100.0 * price)
+            for item_id, price in zip(inference.item_id.tolist(), inference.lead_price.tolist())
         ]
     report = evaluate_elasticities(model, inference, queries)
     for item_id, reason in skipped:
@@ -253,7 +234,7 @@ def cmd_elasticity(args) -> int:
 
 def cmd_baseline(args) -> int:
     ds = dt.load_dataset(args.dataset)
-    slopes, skipped = loglog_baseline(ds.train + ds.validation)
+    slopes, skipped = loglog_baseline(dt.PairTable.concat([ds.train, ds.validation]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "baseline.csv", "w", encoding="utf-8") as fh:
@@ -266,36 +247,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    # small fixed architecture exercising every layer type, incl. the L2 term
-    from .model import CategoricalSpec, DemandModel, FeatureSchema
-
-    schema = FeatureSchema(
-        (CategoricalSpec("item_id", 6, 3), CategoricalSpec("brand", 4, 2)),
-        ("lag_price", "lag_units"),
-        (("lead_price", -1), ("price_change_pct", -1)),
-    )
-    arch = ArchConfig(trunk_widths=(8,), injection_width=8, post_widths=(4,), encoder_width=3)
-    model = DemandModel(schema, arch, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-    n = 12
-    cat = np.column_stack([rng.integers(0, 6, n), rng.integers(0, 4, n)])
-    cont = rng.normal(size=(n, 2))
-    mono = rng.normal(size=(n, 2))
-    target = Tensor(rng.normal(size=(n, 1)))
-
-    def loss_fn():
-        loss = mse_loss(model.forward(cat, cont, mono), target)
-        for w in model.decayed_parameters():
-            loss = loss + 1e-4 * sum_sq(w)
-        return loss
-
-    report = gradcheck(
-        loss_fn,
-        model.parameters(),
-        probes_per_param=args.probes,
-        seed=args.seed,
-        probe_filter=lambda p, r, c: not p.name.endswith(".w") or abs(p.data[r, c]) > 1e-3,
-    )
+    _, report = check_demand_model(seed=args.seed, probes_per_param=args.probes)
     payload = {
         "max_rel_error": report.max_rel_error,
         "tolerance": GRADCHECK_TOLERANCE,
@@ -353,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(
         func=cmd_train,
-        _defaults={"epochs": 25, "batch_size": 128, "learning_rate": 0.01, "l2_decay": 1e-4, "seed": 0},
-        _config_keys={"epochs", "batch_size", "learning_rate", "l2_decay", "seed"},
+        _defaults={f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name in TRAIN_KEYS},
+        _config_keys=set(TRAIN_KEYS),
     )
 
     p = sub.add_parser("evaluate", help="WMAPE of a trained model on the held-out splits")

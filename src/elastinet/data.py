@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, IntegrityError, ParseError
+from .errors import ConfigError, DomainError, IntegrityError, ParseError, SchemaMismatchError
 
 MIN_MONTH_GAP = 1
 MAX_MONTH_GAP = 12
@@ -104,37 +105,64 @@ TRANSACTIONS_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class PairExample:
-    """One lead/lag cross-join row; target is the lead month's units sold."""
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Lead/lag pairs as equal-length numpy columns; row i of each is one pair.
 
-    item_id: str
-    lag_month: int
-    lead_month: int
-    month_gap: int
-    lag_price: float
-    lead_price: float
-    price_change_pct: float
-    lag_units: int
-    target: int | None
-    lag_inventory: int
-    lead_inventory: int
-    lag_oos_days: int
-    lead_oos_days: int
-    lag_rating_count: int
-    lead_rating_count: int
-    lag_days_launched: int
-    lead_days_launched: int
-    lag_competitor_price: float | None
-    lead_competitor_price: float | None
-    lag_substitute_available: bool
-    lead_substitute_available: bool
-    lag_events: frozenset[str]
-    lead_events: frozenset[str]
-    brand: str
-    size: str
-    category: str
-    subcategory: str
+    ``target`` is the lead month's units sold and NaN when absent (inference
+    rows); a NaN competitor price means the month had none. ``lag_events``
+    and ``lead_events`` are boolean matrices with one column per name in
+    ``event_names``, which is sorted.
+    """
+
+    item_id: np.ndarray
+    lag_month: np.ndarray
+    lead_month: np.ndarray
+    month_gap: np.ndarray
+    lag_price: np.ndarray
+    lead_price: np.ndarray
+    price_change_pct: np.ndarray
+    lag_units: np.ndarray
+    target: np.ndarray
+    lag_inventory: np.ndarray
+    lead_inventory: np.ndarray
+    lag_oos_days: np.ndarray
+    lead_oos_days: np.ndarray
+    lag_rating_count: np.ndarray
+    lead_rating_count: np.ndarray
+    lag_days_launched: np.ndarray
+    lead_days_launched: np.ndarray
+    lag_competitor_price: np.ndarray
+    lead_competitor_price: np.ndarray
+    lag_substitute_available: np.ndarray
+    lead_substitute_available: np.ndarray
+    lag_events: np.ndarray
+    lead_events: np.ndarray
+    brand: np.ndarray
+    size: np.ndarray
+    category: np.ndarray
+    subcategory: np.ndarray
+    event_names: tuple[str, ...] = ()
+
+    def _columns(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "event_names"}
+
+    def __len__(self) -> int:
+        return len(self.item_id)
+
+    def take(self, idx) -> PairTable:
+        """The rows picked by ``idx`` (indices or a boolean mask), in that order."""
+        return PairTable(**{k: v[idx] for k, v in self._columns().items()}, event_names=self.event_names)
+
+    @staticmethod
+    def concat(tables) -> PairTable:
+        """The rows of ``tables`` one after another; they must share ``event_names``."""
+        tables = list(tables)
+        columns = [t._columns() for t in tables]
+        names = {t.event_names for t in tables}
+        if len(names) != 1:
+            raise ConfigError(f"cannot concatenate pair tables with different event names: {sorted(names)}")
+        return PairTable(**{k: np.concatenate([c[k] for c in columns]) for k in columns[0]}, event_names=names.pop())
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +203,7 @@ def _parse_row(row: dict[str, str], line_no: int) -> TransactionMonth:
             comp = float(comp_raw)
         except ValueError:
             fail(f"bad competitor_price {comp_raw!r}")
-        if comp <= 0:
+        if not comp > 0:  # also rejects nan, which marks an absent price in pair tables
             fail(f"competitor_price must be positive when present, got {comp}")
 
     sub_raw = row["substitute_available"].strip().lower()
@@ -259,72 +287,103 @@ def write_transactions(records, path) -> None:
 # pair construction
 
 
-def price_change_pct(lag_price: float, lead_price: float) -> float:
-    if lag_price <= 0:
-        raise DomainError(f"lag price must be positive, got {lag_price}")
+def price_change_pct(lag_price, lead_price):
+    """(lead - lag) / lag, for scalars or arrays; lag prices must be positive."""
+    if np.any(np.asarray(lag_price) <= 0):
+        raise DomainError(f"lag price must be positive, got {np.min(lag_price)}")
     return (lead_price - lag_price) / lag_price
 
 
-def _make_pair(lag: TransactionMonth, lead: TransactionMonth) -> PairExample:
-    return PairExample(
-        item_id=lag.item_id,
-        lag_month=lag.year_month,
-        lead_month=lead.year_month,
-        month_gap=month_gap(lag.year_month, lead.year_month),
-        lag_price=lag.price,
-        lead_price=lead.price,
-        price_change_pct=price_change_pct(lag.price, lead.price),
-        lag_units=lag.units_sold,
-        target=lead.units_sold,
-        lag_inventory=lag.inventory,
-        lead_inventory=lead.inventory,
-        lag_oos_days=lag.oos_days,
-        lead_oos_days=lead.oos_days,
-        lag_rating_count=lag.rating_count,
-        lead_rating_count=lead.rating_count,
-        lag_days_launched=lag.days_launched,
-        lead_days_launched=lead.days_launched,
-        lag_competitor_price=lag.competitor_price,
-        lead_competitor_price=lead.competitor_price,
-        lag_substitute_available=lag.substitute_available,
-        lead_substitute_available=lead.substitute_available,
-        lag_events=lag.event_flags,
-        lead_events=lead.event_flags,
-        brand=lag.brand,
-        size=lag.size,
-        category=lag.category,
-        subcategory=lag.subcategory,
+def _record_columns(records) -> tuple[dict, tuple[str, ...]]:
+    """TransactionMonth fields as arrays sorted by (item_id, year_month), and
+    the sorted event names; a repeated (item, month) raises IntegrityError.
+    ``year_month`` becomes ``month`` and ``event_flags`` a boolean ``events``
+    matrix."""
+    recs = list(records)
+    events = tuple(sorted({e for r in recs for e in r.event_flags}))
+    cols = {
+        name: np.array([getattr(r, name) for r in recs], dtype=dtype)
+        for name, dtype in (
+            ("item_id", str),
+            ("year_month", np.int64),
+            ("price", np.float64),
+            ("units_sold", np.int64),
+            ("inventory", np.int64),
+            ("oos_days", np.int64),
+            ("rating_count", np.int64),
+            ("days_launched", np.int64),
+            ("substitute_available", bool),
+            ("brand", str),
+            ("size", str),
+            ("category", str),
+            ("subcategory", str),
+        )
+    }
+    cols["competitor_price"] = np.array(
+        [np.nan if r.competitor_price is None else r.competitor_price for r in recs], dtype=np.float64
+    )
+    flags = [[e in r.event_flags for e in events] for r in recs]
+    cols["events"] = np.array(flags, dtype=bool).reshape(len(recs), len(events))
+    cols["month"] = cols.pop("year_month")
+
+    _, item_code = np.unique(cols["item_id"], return_inverse=True)
+    order = np.lexsort((cols["month"], item_code))
+    cols = {k: v[order] for k, v in cols.items()}
+    item_code = item_code[order]
+    dup = np.flatnonzero((item_code[1:] == item_code[:-1]) & (cols["month"][1:] == cols["month"][:-1]))
+    if dup.size:
+        i = dup[0]
+        raise IntegrityError(f"duplicate record for item {str(cols['item_id'][i])!r} month {cols['month'][i]}")
+    return cols, events
+
+
+# record columns copied into a pair twice, as lag_<name> and lead_<name>
+_PER_MONTH = ("month", "price", "inventory", "oos_days", "rating_count", "days_launched", "competitor_price")
+_PER_MONTH += ("substitute_available", "events")
+
+
+def _join(rec: dict, lag: np.ndarray, lead: np.ndarray) -> dict:
+    """Pair columns for record rows ``lag`` and ``lead`` (see _record_columns)."""
+    cols = {name: rec[name][lag] for name in ("item_id", "brand", "size", "category", "subcategory")}
+    for name in _PER_MONTH:
+        cols[f"lag_{name}"] = rec[name][lag]
+        cols[f"lead_{name}"] = rec[name][lead]
+    return dict(
+        cols,
+        month_gap=month_gap(cols["lag_month"], cols["lead_month"]),
+        price_change_pct=price_change_pct(cols["lag_price"], cols["lead_price"]),
+        lag_units=rec["units_sold"][lag],
+        target=rec["units_sold"][lead].astype(np.float64),
     )
 
 
-def build_pairs(records) -> list[PairExample]:
-    """Cross-join every item's months into valid (lag, lead) pairs.
+def build_pairs(records) -> PairTable:
+    """Self-join every item's months into valid (lag, lead) pairs.
 
     A pair is valid when the gap is 1..12 whole months and inventory is
     positive in both months. Output is sorted by (item_id, lag, lead).
     """
-    by_item: dict[str, list[TransactionMonth]] = {}
-    for rec in records:
-        by_item.setdefault(rec.item_id, []).append(rec)
-
-    pairs: list[PairExample] = []
-    for item_id in sorted(by_item):
-        months = sorted(by_item[item_id], key=lambda r: r.year_month)
-        for i, lag in enumerate(months):
-            if lag.inventory <= 0:
-                continue
-            for lead in months[i + 1 :]:
-                gap = month_gap(lag.year_month, lead.year_month)
-                if gap > MAX_MONTH_GAP:
-                    break  # months sorted, later leads only grow the gap
-                if gap < MIN_MONTH_GAP or lead.inventory <= 0:
-                    continue
-                pairs.append(_make_pair(lag, lead))
-    return pairs
+    rec, events = _record_columns(records)
+    month = ym_index(rec["month"])
+    stocked = rec["inventory"] > 0
+    lags, leads = [], []
+    # records are sorted with unique (item, month), so a lead within
+    # MAX_MONTH_GAP months of its lag is at most that many rows ahead
+    for k in range(1, MAX_MONTH_GAP + 1):
+        lag = np.arange(len(month) - k)
+        lead = lag + k
+        gap = month[lead] - month[lag]
+        ok = (rec["item_id"][lag] == rec["item_id"][lead]) & (gap >= MIN_MONTH_GAP) & (gap <= MAX_MONTH_GAP)
+        ok &= stocked[lag] & stocked[lead]
+        lags.append(lag[ok])
+        leads.append(lead[ok])
+    lag, lead = np.concatenate(lags), np.concatenate(leads)
+    order = np.lexsort((lead, lag))
+    return PairTable(**_join(rec, lag[order], lead[order]), event_names=events)
 
 
 # ---------------------------------------------------------------------------
-# feature naming: the view of a PairExample the model consumes
+# feature naming: the view of a PairTable the model consumes
 
 CATEGORICAL_FEATURES = [
     "item_id",
@@ -393,51 +452,47 @@ def feature_names(event_names) -> FeatureNames:
     )
 
 
-def pair_cat_value(pair: PairExample, name: str) -> str:
-    if name == "lag_month_of_year":
-        return str(month_of_year(pair.lag_month))
-    if name == "lead_month_of_year":
-        return str(month_of_year(pair.lead_month))
-    return getattr(pair, name)
+def category_column(table: PairTable, name: str) -> np.ndarray:
+    """String levels of a categorical feature, one per row."""
+    if name in ("lag_month_of_year", "lead_month_of_year"):
+        return month_of_year(getattr(table, name.removesuffix("_of_year"))).astype(str)
+    return getattr(table, name)
 
 
-def pair_value(pair: PairExample, name: str) -> float:
-    """Numeric value of a continuous or monotone feature."""
-    if name.startswith("lag_event_"):
-        return 1.0 if name[len("lag_event_") :] in pair.lag_events else 0.0
-    if name.startswith("lead_event_"):
-        return 1.0 if name[len("lead_event_") :] in pair.lead_events else 0.0
-    if name == "lag_competitor_price":
-        return 0.0 if pair.lag_competitor_price is None else pair.lag_competitor_price
-    if name == "lead_competitor_price":
-        return 0.0 if pair.lead_competitor_price is None else pair.lead_competitor_price
-    if name == "lag_competitor_price_present":
-        return 0.0 if pair.lag_competitor_price is None else 1.0
-    if name == "lead_competitor_price_present":
-        return 0.0 if pair.lead_competitor_price is None else 1.0
-    if name in ("lag_substitute_available", "lead_substitute_available"):
-        return 1.0 if getattr(pair, name) else 0.0
-    return float(getattr(pair, name))
+def feature_column(table: PairTable, name: str) -> np.ndarray:
+    """Float64 values of a continuous or monotone feature, one per row.
+
+    An event the table has no column for reads 0.
+    """
+    for side in ("lag", "lead"):
+        event = name.removeprefix(f"{side}_event_")
+        if event != name:
+            if event not in table.event_names:
+                return np.zeros(len(table))
+            return getattr(table, f"{side}_events")[:, table.event_names.index(event)].astype(np.float64)
+    if name.endswith("_competitor_price_present"):
+        return (~np.isnan(getattr(table, name.removesuffix("_present")))).astype(np.float64)
+    col = getattr(table, name)
+    if name.endswith("_competitor_price"):
+        return np.where(np.isnan(col), 0.0, col)
+    return col.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
 # splits
 
+SPLITS = ("train", "validation", "out_of_time")
+
 
 @dataclass
 class DatasetSplit:
-    train: list[PairExample]
-    validation: list[PairExample]
-    out_of_time: list[PairExample]
+    train: PairTable
+    validation: PairTable
+    out_of_time: PairTable
     schema_hash: str
     names: FeatureNames
     manifest: dict = field(default_factory=dict)
 
-    def all_pairs(self) -> list[PairExample]:
-        return self.train + self.validation + self.out_of_time
-
-
-_PAIR_SORT_KEY = lambda p: (p.item_id, p.lag_month, p.lead_month)  # noqa: E731
 
 CARRY_FORWARD_POLICY = {
     "lead_price": "query (initialized to lag price)",
@@ -453,37 +508,44 @@ CARRY_FORWARD_POLICY = {
 }
 
 
-def split(pairs, seed: int, by_item: bool = False) -> DatasetSplit:
-    """Chronological out-of-time holdout plus a seeded 80/20 shuffle split."""
-    if not pairs:
+def split(pairs: PairTable, seed: int, by_item: bool = False) -> DatasetSplit:
+    """Chronological out-of-time holdout plus a seeded 80/20 shuffle split.
+
+    Each part keeps (item_id, lag, lead) order; only the events that occur
+    in some pair stay in the tables and the feature names.
+    """
+    if not len(pairs):
         raise ConfigError("no pairs to split")
-    first = min(p.lag_month for p in pairs)
-    last = max(p.lead_month for p in pairs)
+    first, last = int(pairs.lag_month.min()), int(pairs.lead_month.max())
     if month_gap(first, last) + 1 < OUT_OF_TIME_MONTHS + 1:
         raise ConfigError(
             f"data spans {month_gap(first, last) + 1} months; need at least {OUT_OF_TIME_MONTHS + 1}"
         )
     boundary = ym_add(last, -(OUT_OF_TIME_MONTHS - 1))  # first out-of-time month
 
-    ots = sorted((p for p in pairs if p.lead_month >= boundary), key=_PAIR_SORT_KEY)
-    rest = sorted((p for p in pairs if p.lead_month < boundary), key=_PAIR_SORT_KEY)
+    present = pairs.lag_events.any(axis=0) | pairs.lead_events.any(axis=0)
+    events = tuple(e for e, keep in zip(pairs.event_names, present) if keep)
+    pairs = replace(
+        pairs, lag_events=pairs.lag_events[:, present], lead_events=pairs.lead_events[:, present], event_names=events
+    )
+    _, item_code = np.unique(pairs.item_id, return_inverse=True)
+    order = np.lexsort((pairs.lead_month, pairs.lag_month, item_code))
+    held_out = pairs.lead_month[order] >= boundary
+    rest = order[~held_out]  # row indices of the train/validation pool, in order
 
     rng = np.random.default_rng(seed)
     if by_item:
-        items = sorted({p.item_id for p in rest})
+        items = np.unique(pairs.item_id[rest])
         perm = rng.permutation(len(items))
         n_train = (len(items) * 4) // 5
-        train_items = {items[i] for i in perm[:n_train]}
-        train = [p for p in rest if p.item_id in train_items]
-        val = [p for p in rest if p.item_id not in train_items]
+        in_train = np.isin(pairs.item_id[rest], items[perm[:n_train]])
     else:
         perm = rng.permutation(len(rest))
         n_train = (len(rest) * 4) // 5
-        train_idx = set(int(i) for i in perm[:n_train])
-        train = [p for i, p in enumerate(rest) if i in train_idx]
-        val = [p for i, p in enumerate(rest) if i not in train_idx]
+        in_train = np.zeros(len(rest), dtype=bool)
+        in_train[perm[:n_train]] = True
+    train, val, ots = (pairs.take(idx) for idx in (rest[in_train], rest[~in_train], order[held_out]))
 
-    events = sorted({e for p in pairs for e in p.lag_events | p.lead_events})
     names = feature_names(events)
     manifest = {
         "seed": seed,
@@ -506,140 +568,123 @@ def split(pairs, seed: int, by_item: bool = False) -> DatasetSplit:
 # inference set
 
 
-def build_inference_set(records, as_of_month: int) -> tuple[list[PairExample], list[tuple[str, str]]]:
+def build_inference_set(records, as_of_month: int) -> tuple[PairTable, list[tuple[str, str]]]:
     """One lead = lag+1 row per item valid at as_of_month; unknown lead
     covariates are carried forward from the lag month, lead price starts at
     the lag price (price change 0) pending a counterfactual override."""
     validate_ym(as_of_month)
-    by_item: dict[str, TransactionMonth] = {}
-    items_seen: set[str] = set()
-    for rec in records:
-        items_seen.add(rec.item_id)
-        if rec.year_month == as_of_month:
-            by_item[rec.item_id] = rec
+    rec, events = _record_columns(records)
+    at = np.flatnonzero(rec["month"] == as_of_month)  # at most one row per item
+    stocked = rec["inventory"][at] > 0
+    found = set(rec["item_id"][at].tolist())
+    skipped = [
+        (item_id, f"no record for month {as_of_month}")
+        for item_id in np.unique(rec["item_id"]).tolist()
+        if item_id not in found
+    ]
+    skipped += [
+        (item_id, f"inventory is 0 in month {as_of_month}") for item_id in rec["item_id"][at[~stocked]].tolist()
+    ]
+    skipped.sort()
 
-    rows: list[PairExample] = []
-    skipped: list[tuple[str, str]] = []
-    for item_id in sorted(items_seen):
-        rec = by_item.get(item_id)
-        if rec is None:
-            skipped.append((item_id, f"no record for month {as_of_month}"))
-            continue
-        if rec.inventory <= 0:
-            skipped.append((item_id, f"inventory is 0 in month {as_of_month}"))
-            continue
-        lead_month = ym_add(as_of_month, 1)
-        rows.append(
-            PairExample(
-                item_id=item_id,
-                lag_month=as_of_month,
-                lead_month=lead_month,
-                month_gap=1,
-                lag_price=rec.price,
-                lead_price=rec.price,
-                price_change_pct=0.0,
-                lag_units=rec.units_sold,
-                target=None,
-                lag_inventory=rec.inventory,
-                lead_inventory=rec.inventory,
-                lag_oos_days=rec.oos_days,
-                lead_oos_days=rec.oos_days,
-                lag_rating_count=rec.rating_count,
-                lead_rating_count=rec.rating_count,
-                lag_days_launched=rec.days_launched,
-                lead_days_launched=rec.days_launched,
-                lag_competitor_price=rec.competitor_price,
-                lead_competitor_price=rec.competitor_price,
-                lag_substitute_available=rec.substitute_available,
-                lead_substitute_available=rec.substitute_available,
-                lag_events=rec.event_flags,
-                lead_events=rec.event_flags,
-                brand=rec.brand,
-                size=rec.size,
-                category=rec.category,
-                subcategory=rec.subcategory,
-            )
-        )
-    return rows, skipped
+    rows = at[stocked]
+    cols = _join(rec, rows, rows)
+    cols.update(
+        lead_month=np.full(len(rows), ym_add(as_of_month, 1), dtype=np.int64),
+        month_gap=np.ones(len(rows), dtype=np.int64),
+        target=np.full(len(rows), np.nan),
+    )
+    return PairTable(**cols, event_names=events), skipped
 
 
 # ---------------------------------------------------------------------------
 # dataset serialization (pairs CSV + manifest JSON)
 
-_PAIR_COLUMNS = [
-    "item_id",
-    "lag_month",
-    "lead_month",
-    "month_gap",
-    "lag_price",
-    "lead_price",
-    "price_change_pct",
-    "lag_units",
-    "target",
-    "lag_inventory",
-    "lead_inventory",
-    "lag_oos_days",
-    "lead_oos_days",
-    "lag_rating_count",
-    "lead_rating_count",
-    "lag_days_launched",
-    "lead_days_launched",
-    "lag_competitor_price",
-    "lead_competitor_price",
-    "lag_substitute_available",
-    "lead_substitute_available",
-    "lag_events",
-    "lead_events",
-    "brand",
-    "size",
-    "category",
-    "subcategory",
-    "split",
-]
+# pairs.csv is read and written this many rows at a time, which bounds the
+# memory held as Python strings and objects
+_CSV_CHUNK_ROWS = 8192
 
 
-def _pair_row(p: PairExample, split_name: str) -> list:
-    return [
-        p.item_id,
-        p.lag_month,
-        p.lead_month,
-        p.month_gap,
-        repr(p.lag_price),
-        repr(p.lead_price),
-        repr(p.price_change_pct),
-        p.lag_units,
-        "" if p.target is None else p.target,
-        p.lag_inventory,
-        p.lead_inventory,
-        p.lag_oos_days,
-        p.lead_oos_days,
-        p.lag_rating_count,
-        p.lead_rating_count,
-        p.lag_days_launched,
-        p.lead_days_launched,
-        "" if p.lag_competitor_price is None else repr(p.lag_competitor_price),
-        "" if p.lead_competitor_price is None else repr(p.lead_competitor_price),
-        "true" if p.lag_substitute_available else "false",
-        "true" if p.lead_substitute_available else "false",
-        "|".join(sorted(p.lag_events)),
-        "|".join(sorted(p.lead_events)),
-        p.brand,
-        p.size,
-        p.category,
-        p.subcategory,
-        split_name,
-    ]
+def _read_events(cells, event_names) -> np.ndarray:
+    known = set(event_names)
+    rows = {}
+    for cell in set(cells):
+        flags = {e for e in cell.split("|") if e}
+        if not flags <= known:
+            raise ValueError(f"unknown events {sorted(flags - known)}")
+        rows[cell] = [e in flags for e in event_names]
+    return np.array([rows[c] for c in cells], dtype=bool).reshape(len(cells), len(event_names))
+
+
+def _read_split(cells, event_names) -> np.ndarray:
+    labels = np.array(cells, dtype=str)
+    if not np.isin(labels, SPLITS).all():
+        raise ValueError("unknown split")
+    return labels
+
+
+def _write_events(col, event_names) -> list:
+    rows, inverse = np.unique(col, axis=0, return_inverse=True)
+    cells = np.array(["|".join(e for e, on in zip(event_names, row) if on) for row in rows.tolist()], dtype=object)
+    return cells[inverse].tolist()
+
+
+def _blank_nan(col, values) -> list:
+    """``values`` as Python objects, with an empty cell where ``col`` is NaN."""
+    out = values.astype(object)
+    out[np.isnan(col)] = ""
+    return out.tolist()
+
+
+# cell codecs by column kind: (cells, event names) -> column, and (column, event names) -> cells
+_READ = {
+    "str": lambda cells, events: np.array(cells, dtype=str),
+    "int": lambda cells, events: np.fromiter(map(int, cells), np.int64, len(cells)),
+    "float": lambda cells, events: np.fromiter(map(float, cells), np.float64, len(cells)),
+    "float?": lambda cells, events: np.array([float(c) if c else np.nan for c in cells], dtype=np.float64),
+    "int?": lambda cells, events: np.array([float(int(c)) if c else np.nan for c in cells], dtype=np.float64),
+    "bool": lambda cells, events: np.array(cells, dtype=str) == "true",
+    "events": _read_events,
+    "split": _read_split,
+}
+_WRITE = {
+    "str": lambda col, events: col.tolist(),
+    "int": lambda col, events: col.tolist(),
+    "float": lambda col, events: col.tolist(),  # csv writes a float as its repr
+    "float?": lambda col, events: _blank_nan(col, col),
+    "int?": lambda col, events: _blank_nan(col, np.nan_to_num(col).astype(np.int64)),
+    "bool": lambda col, events: np.where(col, "true", "false").tolist(),
+    "events": _write_events,
+    "split": lambda col, events: col.tolist(),
+}
+
+# pairs.csv has one column per PairTable field, in declaration order, then the
+# split label; a column's cells are integers unless listed here
+_CELL_KINDS = {
+    **dict.fromkeys(("item_id", "brand", "size", "category", "subcategory"), "str"),
+    **dict.fromkeys(("lag_price", "lead_price", "price_change_pct"), "float"),
+    **dict.fromkeys(("lag_competitor_price", "lead_competitor_price"), "float?"),
+    **dict.fromkeys(("lag_substitute_available", "lead_substitute_available"), "bool"),
+    **dict.fromkeys(("lag_events", "lead_events"), "events"),
+    "target": "int?",
+}
+_PAIR_COLUMNS = [(f.name, _CELL_KINDS.get(f.name, "int")) for f in fields(PairTable) if f.name != "event_names"]
+_PAIR_COLUMNS.append(("split", "split"))
+_PAIR_HEADER = [name for name, _ in _PAIR_COLUMNS]
 
 
 def save_dataset(ds: DatasetSplit, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    parts = (ds.train, ds.validation, ds.out_of_time)
+    table = PairTable.concat(parts)
+    columns = {**table._columns(), "split": np.repeat(SPLITS, [len(part) for part in parts])}
     with open(out / "pairs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_PAIR_COLUMNS)
-        for name, pairs in (("train", ds.train), ("validation", ds.validation), ("out_of_time", ds.out_of_time)):
-            for p in pairs:
-                writer.writerow(_pair_row(p, name))
+        writer.writerow(_PAIR_HEADER)
+        for lo in range(0, len(table), _CSV_CHUNK_ROWS):
+            chunk = {name: col[lo : lo + _CSV_CHUNK_ROWS] for name, col in columns.items()}
+            writer.writerows(zip(*(_WRITE[kind](chunk[name], table.event_names) for name, kind in _PAIR_COLUMNS)))
     manifest = dict(ds.manifest)
     manifest["schema_hash"] = ds.schema_hash
     manifest["feature_list"] = {
@@ -653,63 +698,58 @@ def save_dataset(ds: DatasetSplit, out_dir) -> None:
         fh.write("\n")
 
 
+def _parse_rows(rows: list, first_line: int, event_names) -> dict:
+    """Columns of pairs.csv rows that start at line ``first_line``."""
+    for line_no, row in enumerate(rows, start=first_line):
+        if len(row) != len(_PAIR_COLUMNS):
+            raise ParseError(f"line {line_no}: expected {len(_PAIR_COLUMNS)} fields, got {len(row)}")
+    columns = {}
+    for (name, kind), cells in zip(_PAIR_COLUMNS, list(zip(*rows)) or [()] * len(_PAIR_COLUMNS)):
+        try:
+            columns[name] = _READ[kind](cells, event_names)
+        except ValueError:
+            for line_no, cell in enumerate(cells, start=first_line):
+                try:
+                    _READ[kind]((cell,), event_names)
+                except ValueError:
+                    raise ParseError(f"line {line_no}: bad {name} {cell!r}") from None
+            raise
+    return columns
+
+
+def _read_pairs_csv(path, event_names) -> dict:
+    chunks = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != _PAIR_HEADER:
+            raise ParseError(f"pairs.csv: unexpected header; expected {_PAIR_HEADER}")
+        line_no = 2
+        while True:
+            rows = list(islice(reader, _CSV_CHUNK_ROWS))
+            chunks.append(_parse_rows(rows, line_no, event_names))
+            if len(rows) < _CSV_CHUNK_ROWS:
+                break
+            line_no += len(rows)
+    return {name: np.concatenate([c[name] for c in chunks]) for name, _ in _PAIR_COLUMNS}
+
+
 def load_dataset(in_dir) -> DatasetSplit:
+    """Read a dataset directory; the manifest's schema hash must match its event names."""
     src = Path(in_dir)
     with open(src / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
     names = feature_names(manifest["event_names"])
-    buckets: dict[str, list[PairExample]] = {"train": [], "validation": [], "out_of_time": []}
-    with open(src / "pairs.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            pair = PairExample(
-                item_id=row["item_id"],
-                lag_month=int(row["lag_month"]),
-                lead_month=int(row["lead_month"]),
-                month_gap=int(row["month_gap"]),
-                lag_price=float(row["lag_price"]),
-                lead_price=float(row["lead_price"]),
-                price_change_pct=float(row["price_change_pct"]),
-                lag_units=int(row["lag_units"]),
-                target=None if row["target"] == "" else int(row["target"]),
-                lag_inventory=int(row["lag_inventory"]),
-                lead_inventory=int(row["lead_inventory"]),
-                lag_oos_days=int(row["lag_oos_days"]),
-                lead_oos_days=int(row["lead_oos_days"]),
-                lag_rating_count=int(row["lag_rating_count"]),
-                lead_rating_count=int(row["lead_rating_count"]),
-                lag_days_launched=int(row["lag_days_launched"]),
-                lead_days_launched=int(row["lead_days_launched"]),
-                lag_competitor_price=None if row["lag_competitor_price"] == "" else float(row["lag_competitor_price"]),
-                lead_competitor_price=None
-                if row["lead_competitor_price"] == ""
-                else float(row["lead_competitor_price"]),
-                lag_substitute_available=row["lag_substitute_available"] == "true",
-                lead_substitute_available=row["lead_substitute_available"] == "true",
-                lag_events=frozenset(e for e in row["lag_events"].split("|") if e),
-                lead_events=frozenset(e for e in row["lead_events"].split("|") if e),
-                brand=row["brand"],
-                size=row["size"],
-                category=row["category"],
-                subcategory=row["subcategory"],
-            )
-            buckets[row["split"]].append(pair)
+    if names.schema_hash() != manifest["schema_hash"]:
+        raise SchemaMismatchError(
+            f"manifest schema hash {manifest['schema_hash']} does not match its event names "
+            f"{list(names.event_names)} (hash {names.schema_hash()})"
+        )
+    columns = _read_pairs_csv(src / "pairs.csv", names.event_names)
+    labels = columns.pop("split")
+    table = PairTable(**columns, event_names=names.event_names)
     return DatasetSplit(
-        train=buckets["train"],
-        validation=buckets["validation"],
-        out_of_time=buckets["out_of_time"],
+        **{name: table.take(labels == name) for name in SPLITS},
         schema_hash=manifest["schema_hash"],
         names=names,
         manifest={k: v for k, v in manifest.items() if k not in ("schema_hash", "feature_list", "event_names")},
-    )
-
-
-def with_override_price(pair: PairExample, new_lead_price: float) -> PairExample:
-    """Counterfactual copy: lead price replaced, price change recomputed."""
-    if new_lead_price <= 0:
-        raise DomainError(f"override lead price must be positive, got {new_lead_price}")
-    return replace(
-        pair,
-        lead_price=new_lead_price,
-        price_change_pct=price_change_pct(pair.lag_price, new_lead_price),
     )

@@ -101,46 +101,47 @@ class ElasticityReport:
             fh.write("\n")
 
 
-def evaluate_elasticities(model, inference_pairs, queries=None, dp_fraction=DEFAULT_DP_FRACTION) -> ElasticityReport:
-    """Two counterfactual predictions per item, then the arc quotient.
+def evaluate_elasticities(model, inference, queries=None, dp_fraction=DEFAULT_DP_FRACTION) -> ElasticityReport:
+    """Two counterfactual predictions per item of an inference PairTable,
+    then the arc quotient.
 
     Per-item failures become flagged entries; the batch never aborts. The
     report is ordered by item_id.
     """
-    by_item = {p.item_id: p for p in inference_pairs}
+    row_of = {item_id: i for i, item_id in enumerate(inference.item_id.tolist())}
     if queries is None:
-        queries = [ElasticityQuery(item_id) for item_id in sorted(by_item)]
+        queries = [ElasticityQuery(item_id) for item_id in sorted(row_of)]
 
     report = ElasticityReport()
     resolved = []
     for q in sorted(queries, key=lambda q: q.item_id):
-        row = by_item.get(q.item_id)
-        if row is None:
+        i = row_of.get(q.item_id)
+        if i is None:
             report.entries.append(
                 ElasticityEntry(q.item_id, q.p, q.dp, None, None, None, "item absent from inference set")
             )
             continue
-        p = q.p if q.p is not None else row.lead_price
+        p = q.p if q.p is not None else float(inference.lead_price[i])
         dp = q.dp if q.dp is not None else dp_fraction * p
         if p <= 0 or dp == 0 or p + dp <= 0:
             report.entries.append(
                 ElasticityEntry(q.item_id, p, dp, None, None, None, f"invalid query (p={p}, dp={dp})")
             )
             continue
-        resolved.append((row, p, dp))
+        resolved.append((q.item_id, i, p, dp))
 
     if resolved:
-        rows = [r for r, _, _ in resolved]
-        base_prices = np.array([p for _, p, _ in resolved])
-        pert_prices = np.array([p + dp for _, p, dp in resolved])
+        rows = inference.take([i for _, i, _, _ in resolved])
+        base_prices = np.array([p for _, _, p, _ in resolved])
+        pert_prices = np.array([p + dp for _, _, p, dp in resolved])
         y_base = model.predict_batch(rows, base_prices)
         y_pert = model.predict_batch(rows, pert_prices)
-        for (row, p, dp), yb, yp in zip(resolved, y_base, y_pert):
+        for (item_id, _, p, dp), yb, yp in zip(resolved, y_base, y_pert):
             try:
                 e = arc_elasticity(float(yb), float(yp), p, dp)
-                entry = ElasticityEntry(row.item_id, p, dp, float(yb), float(yp), e, "ok")
+                entry = ElasticityEntry(item_id, p, dp, float(yb), float(yp), e, "ok")
             except DegenerateDemandError as exc:
-                entry = ElasticityEntry(row.item_id, p, dp, float(yb), float(yp), None, str(exc))
+                entry = ElasticityEntry(item_id, p, dp, float(yb), float(yp), None, str(exc))
             report.entries.append(entry)
 
     report.entries.sort(key=lambda e: e.item_id)
@@ -176,24 +177,23 @@ def mae_elasticity(truth, predicted) -> tuple[float, int]:
 
 
 def loglog_baseline(pairs) -> tuple[dict, list[tuple[str, str]]]:
-    """Per-item OLS slope of log(units+1) on log(price) over its pairs.
+    """Per-item OLS slope of log(units+1) on log(price) over a PairTable.
 
     Items with fewer than 3 pairs or no price variation are skipped with a
     reason. The slope is the baseline elasticity estimate.
     """
-    by_item: dict[str, list] = {}
-    for p in pairs:
-        by_item.setdefault(p.item_id, []).append(p)
+    items, item_code = np.unique(pairs.item_id, return_inverse=True)
+    order = np.argsort(item_code, kind="stable")  # table order within an item
+    bounds = np.cumsum(np.bincount(item_code, minlength=len(items)))
 
     slopes: dict[str, float] = {}
     skipped: list[tuple[str, str]] = []
-    for item_id in sorted(by_item):
-        rows = by_item[item_id]
+    for item_id, rows in zip(items.tolist(), np.split(order, bounds[:-1])):
         if len(rows) < 3:
             skipped.append((item_id, f"only {len(rows)} pairs; need at least 3"))
             continue
-        x = np.log(np.array([r.lead_price for r in rows], dtype=np.float64))
-        y = np.log(np.array([r.target for r in rows], dtype=np.float64) + 1.0)
+        x = np.log(pairs.lead_price[rows])
+        y = np.log(pairs.target[rows] + 1.0)
         if np.ptp(x) < 1e-12:
             skipped.append((item_id, "no price variation"))
             continue

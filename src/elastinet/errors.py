@@ -30,7 +30,7 @@ class DegenerateDemandError(DomainError):
 
 
 class ParseError(ElastinetError):
-    """A transactions file row could not be parsed; message carries the line number."""
+    """An input file row could not be parsed; message carries the line number."""
 
 
 class IntegrityError(ElastinetError):

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .tensor import Parameter, backward
+from .model import ArchConfig, CategoricalSpec, DemandModel, FeatureSchema
+from .tensor import Parameter, Tensor, backward, mse_loss, sum_sq
 
 # Relative error uses max(|analytic|, |numeric|, REL_FLOOR) as denominator; the
 # floor turns the check into an absolute one for near-zero gradients, where
@@ -86,3 +87,40 @@ def gradcheck(
         report.per_param[p.name] = worst
 
     return report
+
+
+def check_demand_model(seed: int = 0, probes_per_param: int = 5) -> tuple[DemandModel, GradCheckReport]:
+    """Gradcheck a small fixed DemandModel on seeded random inputs.
+
+    The architecture covers embeddings, dense encoders, the trunk, monodense
+    layers with all three activation subsets and the head; the loss is MSE
+    plus the L2 term. Raw weights within 1e-3 of the |w| kink are not probed.
+    """
+    schema = FeatureSchema(
+        (CategoricalSpec("item_id", 6, 3), CategoricalSpec("brand", 4, 2)),
+        ("lag_price", "lag_units"),
+        (("lead_price", -1), ("price_change_pct", -1)),
+    )
+    arch = ArchConfig(trunk_widths=(8,), injection_width=8, post_widths=(4,), encoder_width=3)
+    model = DemandModel(schema, arch, seed=seed)
+    rng = np.random.default_rng(seed)
+    n = 12
+    cat = np.column_stack([rng.integers(0, 6, n), rng.integers(0, 4, n)])
+    cont = rng.normal(size=(n, 2))
+    mono = rng.normal(size=(n, 2))
+    target = Tensor(rng.normal(size=(n, 1)))
+
+    def loss_fn():
+        loss = mse_loss(model.forward(cat, cont, mono), target)
+        for w in model.decayed_parameters():
+            loss = loss + 1e-4 * sum_sq(w)
+        return loss
+
+    report = gradcheck(
+        loss_fn,
+        model.parameters(),
+        probes_per_param=probes_per_param,
+        seed=seed,
+        probe_filter=lambda p, r, c: not p.name.endswith(".w") or abs(p.data[r, c]) > 1e-3,
+    )
+    return model, report

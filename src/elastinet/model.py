@@ -15,7 +15,7 @@ import hashlib
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,37 +109,35 @@ class DenseLayer:
 
 @dataclass
 class FeatureEncoder:
-    """Raw pair -> model inputs: vocab lookup, derived columns, missing flags."""
+    """Pair table -> raw model input matrices: vocab lookup and feature columns."""
 
     vocabs: dict  # feature name -> {level: index >= 1}; 0 is the unknown row
-    continuous: tuple[str, ...]
-    monotone: tuple[str, ...]
 
     def cat_index(self, name: str, level: str) -> int:
         return self.vocabs[name].get(level, UNKNOWN_INDEX)
 
-    def cat_matrix(self, pairs, cat_names) -> np.ndarray:
-        out = np.empty((len(pairs), len(cat_names)), dtype=np.int64)
+    def cat_matrix(self, table: dt.PairTable, cat_names) -> np.ndarray:
+        out = np.empty((len(table), len(cat_names)), dtype=np.int64)
         for j, name in enumerate(cat_names):
-            vocab = self.vocabs[name]
-            out[:, j] = [vocab.get(dt.pair_cat_value(p, name), UNKNOWN_INDEX) for p in pairs]
+            levels, inverse = np.unique(dt.category_column(table, name), return_inverse=True)
+            out[:, j] = np.array([self.cat_index(name, lv) for lv in levels.tolist()], dtype=np.int64)[inverse]
         return out
 
-    def cont_matrix(self, pairs) -> np.ndarray:
-        out = np.empty((len(pairs), len(self.continuous)))
-        for j, name in enumerate(self.continuous):
-            out[:, j] = [dt.pair_value(p, name) for p in pairs]
+    def cont_matrix(self, table: dt.PairTable, names) -> np.ndarray:
+        out = np.empty((len(table), len(names)))
+        for j, name in enumerate(names):
+            out[:, j] = dt.feature_column(table, name)
         return out
 
 
-def build_vocabs(pairs, cat_names, seed: int, holdout_fraction: float = 0.01) -> dict:
+def build_vocabs(table: dt.PairTable, cat_names, seed: int, holdout_fraction: float = 0.01) -> dict:
     """Level -> index maps from training pairs; a small random holdout of
     levels is left unmapped so the reserved unknown row receives training
     signal."""
     rng = np.random.default_rng(seed)
     vocabs: dict[str, dict[str, int]] = {}
     for name in cat_names:
-        levels = sorted({dt.pair_cat_value(p, name) for p in pairs})
+        levels = np.unique(dt.category_column(table, name)).tolist()
         kept = [lv for lv in levels if not (len(levels) > 2 and rng.random() < holdout_fraction)]
         vocabs[name] = {lv: i + 1 for i, lv in enumerate(kept)}
     return vocabs
@@ -274,28 +272,42 @@ class DemandModel:
         w_eff = constrained_weights(self.head_w, self._head_indicator)
         return add_bias(matmul(h, w_eff), self.head_b)
 
-    # -- prediction on raw pairs --------------------------------------------
+    # -- pair tables ----------------------------------------------------------
 
     def _require_fitted(self):
         if self.encoder is None or self.stats is None:
             raise ConfigError("model has no feature encoder/stats attached; train or load it first")
 
-    def predict_batch(self, pairs, override_prices=None, capture: dict | None = None) -> np.ndarray:
-        """Demand predictions in original units; optional counterfactual prices.
+    def encode(self, table: dt.PairTable, lead_price=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Standardized (cat, cont, mono) inputs of ``forward`` for a pair table.
 
-        When an override price is given for a row, the lead price is replaced
-        and the price-change feature is recomputed against the lag price
-        before standardization.
+        ``lead_price`` replaces the table's lead prices, and the price change
+        is then recomputed against the lag price.
         """
         self._require_fitted()
-        if not pairs:
-            return np.zeros(0)
+        if lead_price is not None:
+            lead_price = np.asarray(lead_price, dtype=np.float64)
+            table = replace(
+                table, lead_price=lead_price, price_change_pct=dt.price_change_pct(table.lag_price, lead_price)
+            )
         cat_names = tuple(s.name for s in self.schema.categoricals)
-        cat_idx = self.encoder.cat_matrix(pairs, cat_names)
-        cont = self.encoder.cont_matrix(pairs)
+        mono_names = tuple(name for name, _ in self.schema.monotone)
+        cat = self.encoder.cat_matrix(table, cat_names)
+        cont = self.stats.standardize(self.encoder.cont_matrix(table, self.schema.continuous), self.schema.continuous)
+        mono = self.stats.standardize(self.encoder.cont_matrix(table, mono_names), mono_names)
+        return cat, cont, mono
 
-        lead_price = np.array([p.lead_price for p in pairs], dtype=np.float64)
-        lag_price = np.array([p.lag_price for p in pairs], dtype=np.float64)
+    def predict_batch(self, table: dt.PairTable, override_prices=None) -> np.ndarray:
+        """Demand predictions in original units; optional counterfactual prices.
+
+        A non-NaN override price replaces the row's lead price. The
+        price-change feature is always recomputed from the lead and lag
+        prices.
+        """
+        self._require_fitted()
+        if not len(table):
+            return np.zeros(0)
+        lead_price = table.lead_price
         if override_prices is not None:
             override = np.asarray(override_prices, dtype=np.float64)
             chosen = ~np.isnan(override)
@@ -303,33 +315,8 @@ class DemandModel:
                 bad = override[chosen][override[chosen] <= 0][0]
                 raise DomainError(f"override lead price must be positive, got {bad}")
             lead_price = np.where(chosen, override, lead_price)
-        pcp = (lead_price - lag_price) / lag_price
-        if capture is not None:
-            capture["lead_price"] = lead_price.copy()
-            capture["price_change_pct"] = pcp.copy()
-
-        mono_cols = {"lead_price": lead_price, "price_change_pct": pcp}
-        mono = np.column_stack(
-            [
-                mono_cols[name]
-                if name in mono_cols
-                else np.array([dt.pair_value(p, name) for p in pairs])
-                for name, _ in self.schema.monotone
-            ]
-        )
-
-        cont_std = self.stats.standardize(cont, self.schema.continuous)
-        mono_std = self.stats.standardize(mono, [name for name, _ in self.schema.monotone])
-        out = self.forward(cat_idx, cont_std, mono_std)
+        out = self.forward(*self.encode(table, lead_price))
         return self.stats.unscale_target(out.data[:, 0])
-
-    def predict(self, pair, override_lead_price: float | None = None) -> float:
-        if override_lead_price is not None and override_lead_price <= 0:
-            raise DomainError(f"override lead price must be positive, got {override_lead_price}")
-        overrides = None
-        if override_lead_price is not None:
-            overrides = np.array([override_lead_price], dtype=np.float64)
-        return float(self.predict_batch([pair], overrides)[0])
 
     def sign_contracts_hold(self) -> bool:
         if not all(layer.sign_contract_holds() for layer in self.monodense_layers()):
@@ -346,10 +333,6 @@ def build_schema(names: dt.FeatureNames, vocabs: dict, config: ArchConfig) -> Fe
         cats.append(CategoricalSpec(name, cardinality, dim))
     monotone = tuple((m, dt.MONOTONE_DIRECTIONS[m]) for m in names.monotone)
     return FeatureSchema(tuple(cats), names.continuous, monotone)
-
-
-def build_model(schema: FeatureSchema, config: ArchConfig, seed: int = 0) -> DemandModel:
-    return DemandModel(schema, config, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +442,7 @@ def load_model(path) -> DemandModel:
         embedding_dims=dict(cfg["embedding_dims"]),
     )
     model = DemandModel(schema, config, seed=meta["seed"])
-    model.encoder = FeatureEncoder(
-        vocabs={name: dict(items) for name, items in meta["vocabs"].items()},
-        continuous=schema.continuous,
-        monotone=tuple(name for name, _ in schema.monotone),
-    )
+    model.encoder = FeatureEncoder(vocabs={name: dict(items) for name, items in meta["vocabs"].items()})
     model.stats = StandardizationStats(
         means=meta["stats"]["means"],
         stds=meta["stats"]["stds"],

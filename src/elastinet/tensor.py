@@ -293,8 +293,3 @@ def sum_sq(x: Tensor) -> Tensor:
         return (2.0 * x_data * g[0, 0],)
 
     return Tensor(np.array([[np.sum(x_data * x_data)]]), (x,), vjp)
-
-
-def assert_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in {what}")

@@ -14,7 +14,6 @@ from .model import (
     DemandModel,
     FeatureEncoder,
     StandardizationStats,
-    build_model,
     build_schema,
     build_vocabs,
 )
@@ -92,21 +91,20 @@ class Adam:
             p.zero_grad()
 
 
-def fit_stats(pairs, cont_names, mono_names) -> StandardizationStats:
+def fit_stats(table: dt.PairTable, cont_names, mono_names) -> StandardizationStats:
     """Population means/stds over training pairs only; stds floored at 1e-8."""
-    if not pairs:
+    if not len(table):
         raise ConfigError("cannot fit standardization stats on an empty split")
     means, stds = {}, {}
     for name in list(cont_names) + list(mono_names):
-        col = np.array([dt.pair_value(p, name) for p in pairs], dtype=np.float64)
+        col = dt.feature_column(table, name)
         means[name] = float(col.mean())
         stds[name] = float(max(col.std(), STD_FLOOR))
-    targets = np.array([p.target for p in pairs], dtype=np.float64)
     return StandardizationStats(
         means=means,
         stds=stds,
-        target_mean=float(targets.mean()),
-        target_std=float(max(targets.std(), STD_FLOOR)),
+        target_mean=float(table.target.mean()),
+        target_std=float(max(table.target.std(), STD_FLOOR)),
     )
 
 
@@ -121,22 +119,11 @@ def prepare_model(
     names = split.names
     vocabs = build_vocabs(split.train, names.categorical, seed=seed, holdout_fraction=holdout_fraction)
     schema = build_schema(names, vocabs, arch)
-    model = build_model(schema, arch, seed=seed)
-    model.encoder = FeatureEncoder(vocabs=vocabs, continuous=schema.continuous, monotone=names.monotone)
+    model = DemandModel(schema, arch, seed=seed)
+    model.encoder = FeatureEncoder(vocabs=vocabs)
     model.stats = fit_stats(split.train, schema.continuous, names.monotone)
     model.dataset_schema_hash = split.schema_hash
     return model
-
-
-def _encode(model: DemandModel, pairs):
-    cat_names = tuple(s.name for s in model.schema.categoricals)
-    cat = model.encoder.cat_matrix(pairs, cat_names)
-    cont = model.stats.standardize(model.encoder.cont_matrix(pairs), model.schema.continuous)
-    mono_names = [name for name, _ in model.schema.monotone]
-    mono_raw = np.column_stack([[dt.pair_value(p, n) for p in pairs] for n in mono_names])
-    mono = model.stats.standardize(mono_raw, mono_names)
-    target = model.stats.scale_target(np.array([[p.target] for p in pairs], dtype=np.float64))
-    return cat, cont, mono, target
 
 
 def _batched_loss(model: DemandModel, cat, cont, mono, target, batch_size=4096) -> float:
@@ -166,8 +153,11 @@ def train(
     model._require_fitted()
     t0 = time.perf_counter()
 
-    cat_tr, cont_tr, mono_tr, y_tr = _encode(model, split.train)
-    val_data = _encode(model, split.validation) if split.validation else None
+    cat_tr, cont_tr, mono_tr = model.encode(split.train)
+    y_tr = model.stats.scale_target(split.train.target[:, None])
+    val_data = None
+    if len(split.validation):
+        val_data = (*model.encode(split.validation), model.stats.scale_target(split.validation.target[:, None]))
 
     params = model.parameters()
     decayed = model.decayed_parameters()

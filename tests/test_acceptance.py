@@ -19,7 +19,7 @@ from elastinet.elasticity import (
     mae_elasticity,
     wmape,
 )
-from elastinet.gradcheck import gradcheck
+from elastinet.gradcheck import check_demand_model
 from elastinet.model import ArchConfig, load_model, save_model
 from elastinet.monodense import bounded_activation, concave_activation
 from elastinet.synth import SyntheticWorld, generate
@@ -54,40 +54,33 @@ def probe_world():
 def monotonicity_run(probe_world):
     """Untrained + per-epoch 50-point grid probes over 1000 random rows.
 
-    Feature encoding does not depend on the probed price, so it is hoisted
-    out of the grid loop; one equality check against predict_batch pins the
-    fast path to the public prediction path.
+    Vocabularies and standardization stats stay fixed while training, so
+    each grid point is encoded once, before training; one equality check
+    against predict_batch pins the probe to the public prediction path.
     """
     _, records, split_, arch = probe_world
     rng = np.random.default_rng(7)
-    pool = split_.train + split_.validation
-    rows = [pool[int(i)] for i in rng.integers(0, len(pool), size=1000)]
-    base = np.array([r.lead_price for r in rows])
-    lag = np.array([r.lag_price for r in rows])
+    pool = dt.PairTable.concat([split_.train, split_.validation])
+    rows = pool.take(rng.integers(0, len(pool), size=1000))
     grid = np.linspace(0.5, 1.5, 50)
     violations = {"count": 0, "checkpoints": 0}
 
     model = prepare_model(split_, arch, seed=7)
-    cat_names = tuple(s.name for s in model.schema.categoricals)
-    cat_idx = model.encoder.cat_matrix(rows, cat_names)
-    cont_std = model.stats.standardize(model.encoder.cont_matrix(rows), model.schema.continuous)
-    mono_names = [name for name, _ in model.schema.monotone]
+    grid_inputs = [model.encode(rows, rows.lead_price * frac) for frac in grid]
 
-    def predict_at(m, prices):
-        mono = np.column_stack([prices, (prices - lag) / lag])
-        out = m.forward(cat_idx, cont_std, m.stats.standardize(mono, mono_names))
-        return m.stats.unscale_target(out.data[:, 0])
+    def predict_at(m, k):
+        return m.stats.unscale_target(m.forward(*grid_inputs[k]).data[:, 0])
 
     def probe(m):
         prev = None
-        for frac in grid:
-            y = predict_at(m, base * frac)
+        for k in range(len(grid)):
+            y = predict_at(m, k)
             if prev is not None:
                 violations["count"] += int(np.sum(y > prev))
             prev = y
         violations["checkpoints"] += 1
 
-    assert np.array_equal(predict_at(model, base * 0.5), model.predict_batch(rows, base * 0.5))
+    assert np.array_equal(predict_at(model, 0), model.predict_batch(rows, rows.lead_price * grid[0]))
     t0 = time.perf_counter()
     probe(model)  # untrained
     train(model, split_, TrainConfig(seed=7, **TRAIN_DEFAULTS), epoch_callback=lambda e, m: probe(m))
@@ -107,8 +100,7 @@ def recovery_run():
     model = prepare_model(split_, ArchConfig(), seed=RECOVERY_SEED)
     train(model, split_, TrainConfig(seed=RECOVERY_SEED, **TRAIN_DEFAULTS))
 
-    actual = np.array([p.target for p in split_.out_of_time], dtype=np.float64)
-    ots_wmape = wmape(actual, model.predict_batch(split_.out_of_time))
+    ots_wmape = wmape(split_.out_of_time.target, model.predict_batch(split_.out_of_time))
 
     inference, _ = dt.build_inference_set(records, max(r.year_month for r in records))
     report = evaluate_elasticities(model, inference)
@@ -141,7 +133,7 @@ def kinked_run():
     truth_arcs = {e.item_id: truth_map[e.item_id].arc_elasticity(e.p, e.dp) for e in report.valid_entries()}
     model_mae, _ = mae_elasticity(truth_arcs, report.elasticities())
 
-    slopes, _ = loglog_baseline(split_.train + split_.validation)
+    slopes, _ = loglog_baseline(dt.PairTable.concat([split_.train, split_.validation]))
     base_truth = {k: truth_arcs[k] for k in truth_arcs if k in slopes}
     baseline_mae, _ = mae_elasticity(base_truth, {k: slopes[k] for k in base_truth})
     return dict(model_mae=model_mae, baseline_mae=baseline_mae)
@@ -168,11 +160,11 @@ def test_structural_monotonicity_implies_nonpositive_elasticity(monotonicity_run
     rng = np.random.default_rng(11)
     queries = []
     for _ in range(1000):
-        row = inference[int(rng.integers(len(inference)))]
+        i = int(rng.integers(len(inference)))
         frac = 0.0
         while abs(frac) < 1e-3:
             frac = float(rng.uniform(-0.3, 0.3))
-        queries.append(ElasticityQuery(row.item_id, dp=frac * row.lead_price))
+        queries.append(ElasticityQuery(inference.item_id[i], dp=frac * inference.lead_price[i]))
     report = evaluate_elasticities(model, inference, queries)
     bad = [e for e in report.valid_entries() if e.elasticity > 0]
     verdict(
@@ -203,38 +195,9 @@ def test_activation_identities():
 def test_gradient_correctness():
     # a fixed small architecture covering dense, embedding, monodense with
     # all three activation subsets, and the L2 term
-    from elastinet.model import CategoricalSpec, DemandModel, FeatureSchema
-    from elastinet.tensor import Tensor, mse_loss, sum_sq
-
-    schema = FeatureSchema(
-        (CategoricalSpec("item_id", 6, 3), CategoricalSpec("brand", 4, 2)),
-        ("lag_price", "lag_units"),
-        (("lead_price", -1), ("price_change_pct", -1)),
-    )
-    arch = ArchConfig(trunk_widths=(8,), injection_width=8, post_widths=(4,), encoder_width=3)
-    model = DemandModel(schema, arch, seed=0)
-    assert all(s > 0 for s in model.injection.sizes)  # all three subsets present
-    rng = np.random.default_rng(0)
-    n = 12
-    cat = np.column_stack([rng.integers(0, 6, n), rng.integers(0, 4, n)])
-    cont = rng.normal(size=(n, 2))
-    mono = rng.normal(size=(n, 2))
-    target = Tensor(rng.normal(size=(n, 1)))
-
-    def loss_fn():
-        loss = mse_loss(model.forward(cat, cont, mono), target)
-        for w in model.decayed_parameters():
-            loss = loss + 1e-4 * sum_sq(w)
-        return loss
-
     t0 = time.perf_counter()
-    report = gradcheck(
-        loss_fn,
-        model.parameters(),
-        probes_per_param=6,
-        seed=0,
-        probe_filter=lambda p, r, c: not p.name.endswith(".w") or abs(p.data[r, c]) > 1e-3,
-    )
+    model, report = check_demand_model(seed=0, probes_per_param=6)
+    assert all(s > 0 for s in model.injection.sizes)  # all three subsets present
     verdict(
         "gradient correctness across every layer type",
         report.max_rel_error < 1e-5,
@@ -255,7 +218,7 @@ def test_weight_sign_contract_after_full_training(monotonicity_run):
 
 
 def test_pair_construction_oracle():
-    from test_data import brute_force_pairs, make_record
+    from test_data import brute_force_pairs, make_record, pair_keys
 
     rng = np.random.default_rng(123)
     months = [dt.ym_add(202001, k) for k in range(30)]
@@ -268,8 +231,7 @@ def test_pair_construction_oracle():
                 records.append(
                     make_record(item=f"i{i}", ym=months[int(m)], inventory=int(rng.integers(0, 3)) * 5)
                 )
-        got = {(p.item_id, p.lag_month, p.lead_month) for p in dt.build_pairs(records)}
-        if got != brute_force_pairs(records):
+        if set(pair_keys(dt.build_pairs(records))) != brute_force_pairs(records):
             mismatches += 1
     verdict("pair construction equals brute-force enumeration (50 instances)", mismatches == 0)
 
@@ -346,6 +308,6 @@ def test_save_load_round_trip(monotonicity_run, tmp_path):
     loaded = load_model(path)
     pairs = dt.build_pairs(records)
     rng = np.random.default_rng(5)
-    chosen = [pairs[int(i)] for i in rng.integers(0, len(pairs), size=100)]
+    chosen = pairs.take(rng.integers(0, len(pairs), size=100))
     exact = np.array_equal(model.predict_batch(chosen), loaded.predict_batch(chosen))
     verdict("save -> load preserves predictions exactly on 100 rows", exact)

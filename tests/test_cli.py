@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,30 @@ class TestEvaluate:
             ]
         )
         assert rc == 3
+
+    def test_edited_manifest_event_names_exit_3(self, pipeline_dirs, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline_dirs / "ds", ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["event_names"] = manifest["event_names"][1:]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["train", "--dataset", str(ds), "--epochs", "1", "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "schema hash" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value", [("split", "trian"), ("lag_month", "20x3")])
+    def test_malformed_pairs_csv_exits_2(self, pipeline_dirs, tmp_path, capsys, column, value):
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline_dirs / "ds", ds)
+        with open(ds / "pairs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][rows[0].index(column)] = value
+        with open(ds / "pairs.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        model = pipeline_dirs / "run" / "model.mdnm"
+        rc = main(["evaluate", "--dataset", str(ds), "--model", str(model), "--out", str(tmp_path / "e")])
+        assert rc == 2
+        assert "line 3: " in capsys.readouterr().err
 
     def test_corrupt_model_exits_3(self, pipeline_dirs, tmp_path):
         bad = tmp_path / "bad.mdnm"

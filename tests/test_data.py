@@ -1,8 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from elastinet import data as dt
-from elastinet.errors import ConfigError, DomainError, IntegrityError, ParseError
+from elastinet.errors import ConfigError, DomainError, IntegrityError, ParseError, SchemaMismatchError
 
 HEADER = ",".join(dt.TRANSACTIONS_COLUMNS)
 
@@ -31,6 +34,25 @@ def make_record(item="a", ym=202301, price=10.0, units=5, inventory=20, **kw):
 
 def write_csv(path, rows):
     path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+
+
+def pair_keys(table):
+    """(item_id, lag_month, lead_month) of every row, in table order."""
+    return list(zip(table.item_id.tolist(), table.lag_month.tolist(), table.lead_month.tolist()))
+
+
+def tables_equal(a, b):
+    if a.event_names != b.event_names or len(a) != len(b):
+        return False
+    for f in dataclasses.fields(dt.PairTable):
+        if f.name == "event_names":
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if x.dtype.kind == "f" and not np.array_equal(x, y, equal_nan=True):
+            return False
+        if x.dtype.kind != "f" and not np.array_equal(x, y):
+            return False
+    return True
 
 
 class TestMonths:
@@ -127,7 +149,7 @@ class TestBuildPairs:
     def test_three_months_give_three_pairs(self):
         records = [make_record(ym=m) for m in (202301, 202302, 202303)]
         pairs = dt.build_pairs(records)
-        assert [(p.lag_month, p.lead_month) for p in pairs] == [
+        assert list(zip(pairs.lag_month.tolist(), pairs.lead_month.tolist())) == [
             (202301, 202302),
             (202301, 202303),
             (202302, 202303),
@@ -135,15 +157,15 @@ class TestBuildPairs:
 
     def test_gap_over_twelve_excluded(self):
         records = [make_record(ym=202301), make_record(ym=202403)]  # gap 14
-        assert dt.build_pairs(records) == []
+        assert len(dt.build_pairs(records)) == 0
 
     def test_zero_lead_inventory_excluded(self):
         records = [make_record(ym=202301), make_record(ym=202302, inventory=0)]
-        assert dt.build_pairs(records) == []
+        assert len(dt.build_pairs(records)) == 0
 
     def test_zero_lag_inventory_excluded(self):
         records = [make_record(ym=202301, inventory=0), make_record(ym=202302)]
-        assert dt.build_pairs(records) == []
+        assert len(dt.build_pairs(records)) == 0
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(0)
@@ -152,26 +174,46 @@ class TestBuildPairs:
             records = []
             for i in range(int(rng.integers(1, 6))):
                 chosen = rng.choice(len(months), size=int(rng.integers(2, 31)), replace=False)
-                for m in sorted(chosen):
+                for m in rng.permutation(chosen):  # records need not arrive sorted
                     records.append(
                         make_record(
                             item=f"i{i}",
                             ym=months[int(m)],
+                            price=float(rng.uniform(1, 9)),
+                            units=int(rng.integers(0, 50)),
                             inventory=int(rng.integers(0, 3)) * 10,
                         )
                     )
-            got = {(p.item_id, p.lag_month, p.lead_month) for p in dt.build_pairs(records)}
-            assert got == brute_force_pairs(records)
+            pairs = dt.build_pairs(records)
+            keys = pair_keys(pairs)
+            assert keys == sorted(brute_force_pairs(records))
+            by_key = {(r.item_id, r.year_month): r for r in records}
+            for k, (item_id, lag_month, lead_month) in enumerate(keys):
+                lag, lead = by_key[item_id, lag_month], by_key[item_id, lead_month]
+                assert pairs.month_gap[k] == dt.month_gap(lag_month, lead_month)
+                assert (pairs.lag_price[k], pairs.lead_price[k]) == (lag.price, lead.price)
+                assert pairs.price_change_pct[k] == (lead.price - lag.price) / lag.price
+                assert (pairs.lag_units[k], pairs.target[k]) == (lag.units_sold, lead.units_sold)
+                assert (pairs.lag_inventory[k], pairs.lead_inventory[k]) == (lag.inventory, lead.inventory)
 
     def test_fields_copied_and_target_set(self):
         records = [
-            make_record(ym=202301, price=10.0, units=7, oos_days=2),
-            make_record(ym=202302, price=12.0, units=9, oos_days=1),
+            make_record(ym=202301, price=10.0, units=7, oos_days=2, competitor_price=8.5, substitute_available=True),
+            make_record(ym=202302, price=12.0, units=9, oos_days=1, brand="b2"),
         ]
-        (pair,) = dt.build_pairs(records)
-        assert pair.lag_units == 7 and pair.target == 9
-        assert pair.price_change_pct == pytest.approx(0.2)
-        assert pair.lag_oos_days == 2 and pair.lead_oos_days == 1
+        pair = dt.build_pairs(records)
+        assert len(pair) == 1
+        assert pair.lag_units[0] == 7 and pair.target[0] == 9
+        assert pair.price_change_pct[0] == pytest.approx(0.2)
+        assert pair.lag_oos_days[0] == 2 and pair.lead_oos_days[0] == 1
+        assert pair.lag_competitor_price[0] == 8.5 and np.isnan(pair.lead_competitor_price[0])
+        assert pair.lag_substitute_available[0] and not pair.lead_substitute_available[0]
+        assert pair.brand[0] == "b1"  # item attributes come from the lag month
+
+    def test_duplicate_item_month_rejected(self):
+        records = [make_record(ym=202301), make_record(ym=202302), make_record(ym=202302, price=11.0)]
+        with pytest.raises(IntegrityError, match="202302"):
+            dt.build_pairs(records)
 
 
 def grid_records(n_items=3, n_months=27, seed=0):
@@ -189,19 +231,24 @@ class TestSplit:
     def test_out_of_time_is_last_three_lead_months(self):
         pairs = dt.build_pairs(grid_records())
         ds = dt.split(pairs, seed=0)
-        last = max(p.lead_month for p in pairs)
+        last = int(pairs.lead_month.max())
         boundary = dt.ym_add(last, -2)
         assert ds.manifest["boundary_month"] == boundary
-        assert all(p.lead_month >= boundary for p in ds.out_of_time)
-        assert all(p.lead_month < boundary for p in ds.train + ds.validation)
+        assert np.all(ds.out_of_time.lead_month >= boundary)
+        assert np.all(dt.PairTable.concat([ds.train, ds.validation]).lead_month < boundary)
 
     def test_same_seed_identical_membership(self):
         pairs = dt.build_pairs(grid_records())
         a = dt.split(pairs, seed=5)
         b = dt.split(pairs, seed=5)
-        key = lambda p: (p.item_id, p.lag_month, p.lead_month)  # noqa: E731
-        assert [key(p) for p in a.train] == [key(p) for p in b.train]
-        assert [key(p) for p in a.validation] == [key(p) for p in b.validation]
+        assert pair_keys(a.train) == pair_keys(b.train)
+        assert pair_keys(a.validation) == pair_keys(b.validation)
+
+    def test_parts_keep_pair_order(self):
+        pairs = dt.build_pairs(grid_records())
+        ds = dt.split(pairs.take(np.random.default_rng(0).permutation(len(pairs))), seed=5)
+        for part in (ds.train, ds.validation, ds.out_of_time):
+            assert pair_keys(part) == sorted(pair_keys(part))
 
     def test_80_20_sizes(self):
         pairs = dt.build_pairs(grid_records())
@@ -211,26 +258,34 @@ class TestSplit:
 
     def test_exactly_100_pairs_split_80_20(self):
         full = dt.split(dt.build_pairs(grid_records()), seed=1)
-        subset = (full.train + full.validation)[:100] + full.out_of_time
+        rest = dt.PairTable.concat([full.train, full.validation])
+        subset = dt.PairTable.concat([rest.take(np.arange(100)), full.out_of_time])
         ds = dt.split(subset, seed=1)
         assert (len(ds.train), len(ds.validation)) == (80, 20)
 
     def test_no_leakage_between_splits(self):
         pairs = dt.build_pairs(grid_records())
         ds = dt.split(pairs, seed=2)
-        key = lambda p: (p.item_id, p.lag_month, p.lead_month)  # noqa: E731
-        train = {key(p) for p in ds.train}
-        val = {key(p) for p in ds.validation}
-        ots = {key(p) for p in ds.out_of_time}
+        train = set(pair_keys(ds.train))
+        val = set(pair_keys(ds.validation))
+        ots = set(pair_keys(ds.out_of_time))
         assert not (train & val) and not (train & ots) and not (val & ots)
         assert len(train | val | ots) == len(pairs)
 
     def test_item_level_split(self):
         pairs = dt.build_pairs(grid_records(n_items=10))
         ds = dt.split(pairs, seed=3, by_item=True)
-        train_items = {p.item_id for p in ds.train}
-        val_items = {p.item_id for p in ds.validation}
+        train_items = set(ds.train.item_id.tolist())
+        val_items = set(ds.validation.item_id.tolist())
         assert not (train_items & val_items)
+
+    def test_event_names_are_those_present_in_pairs(self):
+        records = grid_records()
+        records[0] = make_record(item="i0", ym=202301, event_flags=frozenset({"promo"}))
+        records.append(make_record(item="lonely", ym=202301, event_flags=frozenset({"clearance"})))
+        ds = dt.split(dt.build_pairs(records), seed=0)
+        assert ds.names.event_names == ("promo",)
+        assert ds.train.event_names == ds.out_of_time.event_names == ("promo",)
 
     def test_too_short_span_rejected(self):
         records = [make_record(ym=m) for m in (202301, 202302, 202303)]
@@ -243,28 +298,28 @@ class TestInferenceSet:
         records = [make_record(ym=202301, price=9.0), make_record(ym=202302, price=10.0)]
         rows, skipped = dt.build_inference_set(records, 202302)
         assert skipped == []
-        (row,) = rows
-        assert row.month_gap == 1
-        assert row.lead_month == 202303
-        assert row.lead_price == row.lag_price == 10.0
-        assert row.price_change_pct == 0.0
-        assert row.target is None
+        assert len(rows) == 1
+        assert rows.month_gap[0] == 1
+        assert rows.lead_month[0] == 202303
+        assert rows.lead_price[0] == rows.lag_price[0] == 10.0
+        assert rows.price_change_pct[0] == 0.0
+        assert np.isnan(rows.target[0])
 
     def test_zero_inventory_item_skipped_with_reason(self):
         records = [make_record(item="a", ym=202302), make_record(item="b", ym=202302, inventory=0)]
         rows, skipped = dt.build_inference_set(records, 202302)
-        assert [r.item_id for r in rows] == ["a"]
+        assert rows.item_id.tolist() == ["a"]
         assert skipped == [("b", "inventory is 0 in month 202302")]
 
     def test_item_without_as_of_record_skipped(self):
         records = [make_record(item="a", ym=202301)]
         rows, skipped = dt.build_inference_set(records, 202302)
-        assert rows == []
+        assert len(rows) == 0
         assert skipped[0][0] == "a"
 
     def test_empty_records(self):
         rows, skipped = dt.build_inference_set([], 202301)
-        assert rows == [] and skipped == []
+        assert len(rows) == 0 and skipped == []
 
 
 class TestDatasetIO:
@@ -274,9 +329,20 @@ class TestDatasetIO:
         dt.save_dataset(ds, tmp_path)
         loaded = dt.load_dataset(tmp_path)
         assert loaded.schema_hash == ds.schema_hash
-        assert loaded.train == ds.train
-        assert loaded.validation == ds.validation
-        assert loaded.out_of_time == ds.out_of_time
+        assert tables_equal(loaded.train, ds.train)
+        assert tables_equal(loaded.validation, ds.validation)
+        assert tables_equal(loaded.out_of_time, ds.out_of_time)
+
+    def test_round_trip_with_events_and_absent_values(self, tmp_path):
+        records = grid_records()
+        records[1] = make_record(item="i0", ym=202302, competitor_price=4.5, event_flags=frozenset({"x", "y"}))
+        records[5] = make_record(item="i0", ym=202306, substitute_available=True, event_flags=frozenset({"y"}))
+        ds = dt.split(dt.build_pairs(records), seed=3)
+        dt.save_dataset(ds, tmp_path)
+        loaded = dt.load_dataset(tmp_path)
+        for part in dt.SPLITS:
+            assert tables_equal(getattr(loaded, part), getattr(ds, part))
+        assert "x|y" in (tmp_path / "pairs.csv").read_text()
 
     def test_pipeline_determinism_byte_identical(self, tmp_path):
         records = grid_records(seed=4)
@@ -288,8 +354,6 @@ class TestDatasetIO:
         ).read_bytes()
 
     def test_manifest_contents(self, tmp_path):
-        import json
-
         ds = dt.split(dt.build_pairs(grid_records()), seed=7)
         dt.save_dataset(ds, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -299,6 +363,33 @@ class TestDatasetIO:
         assert "lead_price" in manifest["feature_list"]["monotone"]
         assert "carry_forward_policy" in manifest
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda row: row[:-1] + ["trian"], "bad split 'trian'"),
+            (lambda row: [row[0], "20x3"] + row[2:], "bad lag_month '20x3'"),
+            (lambda row: row[:8] + ["1.5"] + row[9:], "bad target '1.5'"),
+            (lambda row: row[:21] + ["no_such_event"] + row[22:], "bad lag_events"),
+            (lambda row: row[:-2], "expected 28 fields, got 26"),
+        ],
+    )
+    def test_malformed_pairs_csv_names_the_line(self, tmp_path, edit, message):
+        dt.save_dataset(dt.split(dt.build_pairs(grid_records()), seed=7), tmp_path)
+        path = tmp_path / "pairs.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(edit(lines[3].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"line 4: {message}"):
+            dt.load_dataset(tmp_path)
+
+    def test_edited_event_names_fail_the_schema_hash(self, tmp_path):
+        dt.save_dataset(dt.split(dt.build_pairs(grid_records()), seed=7), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["event_names"] = ["holiday"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaMismatchError, match="does not match its event names"):
+            dt.load_dataset(tmp_path)
+
 
 class TestFeatureView:
     def test_event_features(self):
@@ -307,23 +398,22 @@ class TestFeatureView:
                 make_record(ym=202301, event_flags=frozenset({"holiday"})),
                 make_record(ym=202302),
             ]
-        )[0]
-        assert dt.pair_value(pair, "lag_event_holiday") == 1.0
-        assert dt.pair_value(pair, "lead_event_holiday") == 0.0
+        )
+        assert dt.feature_column(pair, "lag_event_holiday").tolist() == [1.0]
+        assert dt.feature_column(pair, "lead_event_holiday").tolist() == [0.0]
+        assert dt.feature_column(pair, "lag_event_unknown").tolist() == [0.0]  # no such column: 0
 
     def test_competitor_presence_flags(self):
-        pair = dt.build_pairs(
-            [make_record(ym=202301, competitor_price=4.0), make_record(ym=202302)]
-        )[0]
-        assert dt.pair_value(pair, "lag_competitor_price") == 4.0
-        assert dt.pair_value(pair, "lag_competitor_price_present") == 1.0
-        assert dt.pair_value(pair, "lead_competitor_price") == 0.0
-        assert dt.pair_value(pair, "lead_competitor_price_present") == 0.0
+        pair = dt.build_pairs([make_record(ym=202301, competitor_price=4.0), make_record(ym=202302)])
+        assert dt.feature_column(pair, "lag_competitor_price").tolist() == [4.0]
+        assert dt.feature_column(pair, "lag_competitor_price_present").tolist() == [1.0]
+        assert dt.feature_column(pair, "lead_competitor_price").tolist() == [0.0]
+        assert dt.feature_column(pair, "lead_competitor_price_present").tolist() == [0.0]
 
     def test_month_of_year_categories(self):
-        pair = dt.build_pairs([make_record(ym=202312), make_record(ym=202401)])[0]
-        assert dt.pair_cat_value(pair, "lag_month_of_year") == "12"
-        assert dt.pair_cat_value(pair, "lead_month_of_year") == "1"
+        pair = dt.build_pairs([make_record(ym=202312), make_record(ym=202401)])
+        assert dt.category_column(pair, "lag_month_of_year").tolist() == ["12"]
+        assert dt.category_column(pair, "lead_month_of_year").tolist() == ["1"]
 
     def test_schema_hash_depends_on_events(self):
         assert dt.feature_names([]).schema_hash() != dt.feature_names(["holiday"]).schema_hash()

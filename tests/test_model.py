@@ -8,7 +8,6 @@ from elastinet.model import (
     CategoricalSpec,
     DemandModel,
     FeatureSchema,
-    build_model,
     default_embedding_dim,
     load_model,
     save_model,
@@ -44,7 +43,7 @@ class TestBuildModel:
             MONO,
         )
         config = ArchConfig(trunk_widths=(16, 8), injection_width=8, post_widths=(4,), encoder_width=2)
-        model = build_model(schema, config, seed=0)
+        model = DemandModel(schema, config, seed=0)
         embeddings = 10 * 4 + 5 * 3
         encoders = 3 * (1 * 2 + 2)
         trunk_in = 4 + 3 + 3 * 2  # embedding dims + encoder widths
@@ -56,7 +55,7 @@ class TestBuildModel:
 
     def test_empty_categoricals_builds_dense_only_encoder(self):
         schema = FeatureSchema((), ("f1", "f2"), MONO)
-        model = build_model(schema, ArchConfig(), seed=0)
+        model = DemandModel(schema, ArchConfig(), seed=0)
         x_cont = np.random.default_rng(0).normal(size=(4, 2))
         out = model.forward(np.zeros((4, 0), dtype=np.int64), x_cont, np.zeros((4, 2)))
         assert out.shape == (4, 1)
@@ -64,7 +63,7 @@ class TestBuildModel:
     def test_no_features_at_all_rejected(self):
         schema = FeatureSchema((), (), MONO)
         with pytest.raises(ConfigError):
-            build_model(schema, ArchConfig(), seed=0)
+            DemandModel(schema, ArchConfig(), seed=0)
 
     def test_zero_width_rejected(self):
         with pytest.raises(ConfigError):
@@ -73,11 +72,11 @@ class TestBuildModel:
     def test_unknown_activation_rejected(self):
         schema = FeatureSchema((), ("f",), MONO)
         with pytest.raises(ConfigError):
-            build_model(schema, ArchConfig(activation="tanh"), seed=0)
+            DemandModel(schema, ArchConfig(activation="tanh"), seed=0)
 
     def test_injection_indicator_layout(self):
         schema = FeatureSchema((), ("f",), MONO)
-        model = build_model(schema, ArchConfig(trunk_widths=(6,)), seed=0)
+        model = DemandModel(schema, ArchConfig(trunk_widths=(6,)), seed=0)
         t = model.injection.indicator
         assert t.shape == (8,)
         assert np.all(t[:6] == 0) and np.all(t[6:] == -1)
@@ -87,19 +86,27 @@ class TestBuildModel:
 class TestPredict:
     def test_override_equal_to_stored_price_is_identity(self, trained_model, small_split):
         model, _ = trained_model
-        pair = small_split.validation[0]
-        assert model.predict(pair, override_lead_price=pair.lead_price) == model.predict(pair)
+        pair = small_split.validation.take([0])
+        assert model.predict_batch(pair, pair.lead_price) == model.predict_batch(pair)
 
     def test_nonpositive_override_rejected(self, trained_model, small_split):
         model, _ = trained_model
         with pytest.raises(DomainError):
-            model.predict(small_split.validation[0], override_lead_price=-1.0)
+            model.predict_batch(small_split.validation.take([0]), [-1.0])
+
+    def test_nan_override_keeps_stored_price(self, trained_model, small_split):
+        model, _ = trained_model
+        pairs = small_split.validation.take(np.arange(6))
+        overrides = np.where(np.arange(6) % 2 == 0, np.nan, pairs.lead_price * 1.3)
+        mixed = model.predict_batch(pairs, overrides)
+        assert np.array_equal(mixed[::2], model.predict_batch(pairs)[::2])
+        assert np.array_equal(mixed[1::2], model.predict_batch(pairs, pairs.lead_price * 1.3)[1::2])
 
     def test_price_monotonicity_over_random_draws(self, trained_model, small_split):
         model, _ = trained_model
         rng = np.random.default_rng(5)
-        pool = small_split.validation + small_split.train
-        pairs = [pool[int(i)] for i in rng.integers(0, len(pool), size=1000)]
+        pool = dt.PairTable.concat([small_split.validation, small_split.train])
+        pairs = pool.take(rng.integers(0, len(pool), size=1000))
         p1 = rng.uniform(2.0, 60.0, size=1000)
         p2 = p1 + rng.uniform(0.01, 20.0, size=1000)
         y1 = model.predict_batch(pairs, p1)
@@ -109,7 +116,7 @@ class TestPredict:
     def test_untrained_model_outputs_finite(self, untrained_model, small_split):
         rng = np.random.default_rng(6)
         pool = small_split.train
-        pairs = [pool[int(i)] for i in rng.integers(0, len(pool), size=1000)]
+        pairs = pool.take(rng.integers(0, len(pool), size=1000))
         out = untrained_model.predict_batch(pairs)
         assert np.all(np.isfinite(out))
 
@@ -117,21 +124,36 @@ class TestPredict:
         import dataclasses
 
         model, _ = trained_model
-        pair = dataclasses.replace(small_split.validation[0], item_id="never_seen_item")
+        pair = dataclasses.replace(small_split.validation.take([0]), item_id=np.array(["never_seen_item"]))
         assert model.encoder.cat_index("item_id", "never_seen_item") == 0
-        assert np.isfinite(model.predict(pair))
+        assert model.encode(pair)[0][0, 0] == 0
+        assert np.isfinite(model.predict_batch(pair)).all()
 
     def test_counterfactual_price_change_recomputed(self, trained_model, small_split):
         model, _ = trained_model
-        pair = small_split.validation[0]
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            override = float(rng.uniform(0.5, 2.0) * pair.lead_price)
-            capture = {}
-            model.predict_batch([pair], np.array([override]), capture=capture)
-            assert capture["lead_price"][0] == override
-            expected = (override - pair.lag_price) / pair.lag_price
-            assert capture["price_change_pct"][0] == pytest.approx(expected, rel=1e-12)
+        pairs = small_split.validation.take(np.arange(100))
+        override = np.random.default_rng(7).uniform(0.5, 2.0, size=100) * pairs.lead_price
+        _, _, mono = model.encode(pairs, override)
+        stats = model.stats
+        lead = mono[:, 0] * stats.stds["lead_price"] + stats.means["lead_price"]
+        change = mono[:, 1] * stats.stds["price_change_pct"] + stats.means["price_change_pct"]
+        assert lead == pytest.approx(override, rel=1e-12)
+        expected = (override - pairs.lag_price) / pairs.lag_price
+        assert change == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_encode_without_override_uses_table_columns(self, trained_model, small_split):
+        model, _ = trained_model
+        pairs = small_split.train.take(np.arange(50))
+        cat, cont, mono = model.encode(pairs)
+        assert cat.shape == (50, len(model.schema.categoricals))
+        assert cont.shape == (50, len(model.schema.continuous))
+        j = model.schema.continuous.index("lag_units")
+        expected = (pairs.lag_units - model.stats.means["lag_units"]) / model.stats.stds["lag_units"]
+        assert np.array_equal(cont[:, j], expected)
+        expected = (pairs.price_change_pct - model.stats.means["price_change_pct"]) / model.stats.stds[
+            "price_change_pct"
+        ]
+        assert np.array_equal(mono[:, 1], expected)
 
     def test_target_scaling_positive(self, trained_model):
         model, _ = trained_model
@@ -156,8 +178,8 @@ class TestSaveLoad:
         save_model(model, path)
         loaded = load_model(path)
         rng = np.random.default_rng(8)
-        pool = small_split.train + small_split.validation
-        pairs = [pool[int(i)] for i in rng.integers(0, len(pool), size=100)]
+        pool = dt.PairTable.concat([small_split.train, small_split.validation])
+        pairs = pool.take(rng.integers(0, len(pool), size=100))
         a = model.predict_batch(pairs)
         b = loaded.predict_batch(pairs)
         assert np.array_equal(a, b)  # bit-exact
@@ -203,7 +225,7 @@ class TestSaveLoad:
 
     def test_unfitted_model_cannot_be_saved(self, tmp_path):
         schema = FeatureSchema((), ("f",), MONO)
-        model = build_model(schema, ArchConfig(), seed=0)
+        model = DemandModel(schema, ArchConfig(), seed=0)
         with pytest.raises(ConfigError):
             save_model(model, tmp_path / "m.mdnm")
 
@@ -214,8 +236,8 @@ class TestEndToEndMonotonicity:
         model = untrained_model if which == "untrained" else trained_model[0]
         rng = np.random.default_rng(9)
         pool = small_split.train
-        pairs = [pool[int(i)] for i in rng.integers(0, len(pool), size=200)]
-        base = np.array([p.lead_price for p in pairs])
+        pairs = pool.take(rng.integers(0, len(pool), size=200))
+        base = pairs.lead_price
         grid = np.linspace(0.5, 1.5, 50)
         prev = None
         for frac in grid:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,44 +17,39 @@ from conftest import SMALL_ARCH
 class TestFitStats:
     def test_population_std(self, small_split):
         stats = fit_stats(small_split.train, ("lag_units",), ())
-        col = np.array([p.lag_units for p in small_split.train], dtype=float)
+        col = small_split.train.lag_units.astype(float)
         assert stats.means["lag_units"] == pytest.approx(col.mean())
         assert stats.stds["lag_units"] == pytest.approx(col.std())  # ddof=0
 
     def test_simple_values(self):
-        import dataclasses
-
         base = dt.build_pairs(
             [
                 dt.TransactionMonth("a", 202301, 1.0, 1, 10, 0, 0, 0, None, False, frozenset(), "b", "s", "c", "sc"),
                 dt.TransactionMonth("a", 202302, 1.0, 2, 10, 0, 0, 0, None, False, frozenset(), "b", "s", "c", "sc"),
             ]
-        )[0]
-        pairs = [dataclasses.replace(base, lag_units=v, target=v) for v in (1, 2, 3)]
+        )
+        pairs = dataclasses.replace(base.take([0, 0, 0]), lag_units=np.array([1, 2, 3]), target=np.array([1.0, 2, 3]))
         stats = fit_stats(pairs, ("lag_units",), ())
         assert stats.means["lag_units"] == pytest.approx(2.0)
         assert stats.stds["lag_units"] == pytest.approx(np.sqrt(2.0 / 3.0))  # ~0.8165
 
     def test_constant_feature_floored(self, small_split):
-        stats = fit_stats(small_split.train, ("month_gap",), ())
-        import dataclasses
-
-        pairs = [dataclasses.replace(p, month_gap=3) for p in small_split.train[:5]]
+        pairs = dataclasses.replace(small_split.train.take(np.arange(5)), month_gap=np.full(5, 3))
         stats = fit_stats(pairs, ("month_gap",), ())
         assert stats.stds["month_gap"] == 1e-8
         standardized = stats.standardize(np.full((5, 1), 3.0), ["month_gap"])
         assert np.all(standardized == 0.0)
 
-    def test_empty_split_rejected(self):
+    def test_empty_split_rejected(self, small_split):
         with pytest.raises(ConfigError):
-            fit_stats([], ("a",), ())
+            fit_stats(small_split.train.take([]), ("a",), ())
 
     def test_stats_not_touched_by_validation_or_ots(self, small_split):
         stats = fit_stats(small_split.train, ("lag_units",), ("lead_price",))
         digest_before = stats.digest()
         # standardizing other splits must not mutate the fitted stats
         for pairs in (small_split.validation, small_split.out_of_time):
-            col = np.array([[dt.pair_value(p, "lag_units")] for p in pairs])
+            col = dt.feature_column(pairs, "lag_units")[:, None]
             stats.standardize(col, ["lag_units"])
         assert stats.digest() == digest_before
 
@@ -152,8 +148,8 @@ class TestTrainLoop:
     def test_monotonicity_preserved_at_every_checkpoint(self, small_split):
         model = prepare_model(small_split, SMALL_ARCH, seed=5)
         rng = np.random.default_rng(5)
-        rows = [small_split.validation[int(i)] for i in rng.integers(0, len(small_split.validation), 10)]
-        base = np.array([r.lead_price for r in rows])
+        rows = small_split.validation.take(rng.integers(0, len(small_split.validation), 10))
+        base = rows.lead_price
 
         def probe(epoch, m):
             prev = None
@@ -167,10 +163,9 @@ class TestTrainLoop:
 
     def test_l2_term_gradient_matches_finite_differences(self, small_split):
         model = prepare_model(small_split, SMALL_ARCH, seed=6)
-        from elastinet.training import _encode
-
-        cat, cont, mono, target = _encode(model, small_split.train[:16])
-        tgt = Tensor(target)
+        rows = small_split.train.take(np.arange(16))
+        cat, cont, mono = model.encode(rows)
+        tgt = Tensor(model.stats.scale_target(rows.target[:, None]))
         decay = 1e-3
 
         def loss_fn():
