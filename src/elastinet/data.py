@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -142,7 +141,7 @@ class PairTable:
     size: np.ndarray
     category: np.ndarray
     subcategory: np.ndarray
-    event_names: tuple[str, ...] = ()
+    event_names: tuple[str, ...]
 
     def _columns(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "event_names"}
@@ -600,11 +599,6 @@ def build_inference_set(records, as_of_month: int) -> tuple[PairTable, list[tupl
 # ---------------------------------------------------------------------------
 # dataset serialization (pairs CSV + manifest JSON)
 
-# pairs.csv is read and written this many rows at a time, which bounds the
-# memory held as Python strings and objects
-_CSV_CHUNK_ROWS = 8192
-
-
 def _read_events(cells, event_names) -> np.ndarray:
     known = set(event_names)
     rows = {}
@@ -682,9 +676,7 @@ def save_dataset(ds: DatasetSplit, out_dir) -> None:
     with open(out / "pairs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_PAIR_HEADER)
-        for lo in range(0, len(table), _CSV_CHUNK_ROWS):
-            chunk = {name: col[lo : lo + _CSV_CHUNK_ROWS] for name, col in columns.items()}
-            writer.writerows(zip(*(_WRITE[kind](chunk[name], table.event_names) for name, kind in _PAIR_COLUMNS)))
+        writer.writerows(zip(*(_WRITE[kind](columns[name], table.event_names) for name, kind in _PAIR_COLUMNS)))
     manifest = dict(ds.manifest)
     manifest["schema_hash"] = ds.schema_hash
     manifest["feature_list"] = {
@@ -698,39 +690,27 @@ def save_dataset(ds: DatasetSplit, out_dir) -> None:
         fh.write("\n")
 
 
-def _parse_rows(rows: list, first_line: int, event_names) -> dict:
-    """Columns of pairs.csv rows that start at line ``first_line``."""
-    for line_no, row in enumerate(rows, start=first_line):
+def _read_pairs_csv(path, event_names) -> dict:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != _PAIR_HEADER:
+            raise ParseError(f"pairs.csv: unexpected header; expected {_PAIR_HEADER}")
+        rows = list(reader)
+    for line_no, row in enumerate(rows, start=2):
         if len(row) != len(_PAIR_COLUMNS):
             raise ParseError(f"line {line_no}: expected {len(_PAIR_COLUMNS)} fields, got {len(row)}")
     columns = {}
     for (name, kind), cells in zip(_PAIR_COLUMNS, list(zip(*rows)) or [()] * len(_PAIR_COLUMNS)):
         try:
             columns[name] = _READ[kind](cells, event_names)
-        except ValueError:
-            for line_no, cell in enumerate(cells, start=first_line):
+        except (ValueError, OverflowError):
+            for line_no, cell in enumerate(cells, start=2):
                 try:
                     _READ[kind]((cell,), event_names)
-                except ValueError:
+                except (ValueError, OverflowError):
                     raise ParseError(f"line {line_no}: bad {name} {cell!r}") from None
             raise
     return columns
-
-
-def _read_pairs_csv(path, event_names) -> dict:
-    chunks = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != _PAIR_HEADER:
-            raise ParseError(f"pairs.csv: unexpected header; expected {_PAIR_HEADER}")
-        line_no = 2
-        while True:
-            rows = list(islice(reader, _CSV_CHUNK_ROWS))
-            chunks.append(_parse_rows(rows, line_no, event_names))
-            if len(rows) < _CSV_CHUNK_ROWS:
-                break
-            line_no += len(rows)
-    return {name: np.concatenate([c[name] for c in chunks]) for name, _ in _PAIR_COLUMNS}
 
 
 def load_dataset(in_dir) -> DatasetSplit:

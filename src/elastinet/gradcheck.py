@@ -89,7 +89,7 @@ def gradcheck(
     return report
 
 
-def check_demand_model(seed: int = 0, probes_per_param: int = 5) -> tuple[DemandModel, GradCheckReport]:
+def check_demand_model(seed: int, probes_per_param: int) -> tuple[DemandModel, GradCheckReport]:
     """Gradcheck a small fixed DemandModel on seeded random inputs.
 
     The architecture covers embeddings, dense encoders, the trunk, monodense

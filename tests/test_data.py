@@ -368,6 +368,7 @@ class TestDatasetIO:
         [
             (lambda row: row[:-1] + ["trian"], "bad split 'trian'"),
             (lambda row: [row[0], "20x3"] + row[2:], "bad lag_month '20x3'"),
+            (lambda row: row[:7] + ["99999999999999999999"] + row[8:], "bad lag_units '99999999999999999999'"),
             (lambda row: row[:8] + ["1.5"] + row[9:], "bad target '1.5'"),
             (lambda row: row[:21] + ["no_such_event"] + row[22:], "bad lag_events"),
             (lambda row: row[:-2], "expected 28 fields, got 26"),

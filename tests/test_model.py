@@ -134,12 +134,8 @@ class TestPredict:
         pairs = small_split.validation.take(np.arange(100))
         override = np.random.default_rng(7).uniform(0.5, 2.0, size=100) * pairs.lead_price
         _, _, mono = model.encode(pairs, override)
-        stats = model.stats
-        lead = mono[:, 0] * stats.stds["lead_price"] + stats.means["lead_price"]
-        change = mono[:, 1] * stats.stds["price_change_pct"] + stats.means["price_change_pct"]
-        assert lead == pytest.approx(override, rel=1e-12)
-        expected = (override - pairs.lag_price) / pairs.lag_price
-        assert change == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        expected = np.column_stack([override, (override - pairs.lag_price) / pairs.lag_price])
+        assert np.array_equal(mono, model.stats.standardize(expected, ["lead_price", "price_change_pct"]))
 
     def test_encode_without_override_uses_table_columns(self, trained_model, small_split):
         model, _ = trained_model
