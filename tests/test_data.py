@@ -353,6 +353,16 @@ class TestDatasetIO:
             tmp_path / "two" / "manifest.json"
         ).read_bytes()
 
+    def test_chunked_write_matches_one_chunk(self, tmp_path, monkeypatch):
+        records = grid_records(seed=4)
+        records[1] = make_record(item="i0", ym=202302, competitor_price=4.5, event_flags=frozenset({"x", "y"}))
+        ds = dt.split(dt.build_pairs(records), seed=7)
+        dt.save_dataset(ds, tmp_path / "one")
+        monkeypatch.setattr(dt, "_CSV_CHUNK_ROWS", 2)
+        dt.save_dataset(ds, tmp_path / "chunked")
+        assert len(ds.train) > 2
+        assert (tmp_path / "one" / "pairs.csv").read_bytes() == (tmp_path / "chunked" / "pairs.csv").read_bytes()
+
     def test_manifest_contents(self, tmp_path):
         ds = dt.split(dt.build_pairs(grid_records()), seed=7)
         dt.save_dataset(ds, tmp_path)
