@@ -180,8 +180,8 @@ def _parse_row(row: dict[str, str], line_no: int) -> TransactionMonth:
         price = float(row["price"])
     except ValueError:
         fail(f"bad price {row['price']!r}")
-    if price <= 0:
-        fail(f"price must be positive, got {price}")
+    if not 0 < price < np.inf:  # also rejects nan
+        fail(f"price must be positive and finite, got {price}")
 
     counts = {}
     for name in ("units_sold", "inventory", "oos_days", "rating_count", "days_launched"):
@@ -202,8 +202,8 @@ def _parse_row(row: dict[str, str], line_no: int) -> TransactionMonth:
             comp = float(comp_raw)
         except ValueError:
             fail(f"bad competitor_price {comp_raw!r}")
-        if not comp > 0:  # also rejects nan, which marks an absent price in pair tables
-            fail(f"competitor_price must be positive when present, got {comp}")
+        if not 0 < comp < np.inf:  # also rejects nan, which marks an absent price in pair tables
+            fail(f"competitor_price must be positive and finite when present, got {comp}")
 
     sub_raw = row["substitute_available"].strip().lower()
     if sub_raw not in ("true", "false"):
@@ -724,7 +724,17 @@ def load_dataset(in_dir) -> DatasetSplit:
     """Read a dataset directory; the manifest's schema hash must match its event names."""
     src = Path(in_dir)
     with open(src / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise SchemaMismatchError(f"manifest.json is not valid JSON: {exc}") from None
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("schema_hash"), str)
+        and isinstance(manifest.get("event_names"), list)
+        and all(isinstance(e, str) for e in manifest["event_names"])
+    ):
+        raise SchemaMismatchError("manifest.json needs a schema_hash string and an event_names list of strings")
     names = feature_names(manifest["event_names"])
     if names.schema_hash() != manifest["schema_hash"]:
         raise SchemaMismatchError(

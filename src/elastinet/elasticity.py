@@ -28,6 +28,8 @@ def arc_elasticity(y_base: float, y_pert: float, p: float, dp: float) -> float:
         raise DomainError("price delta must be non-zero")
     if p + dp <= 0:
         raise DomainError(f"perturbed price must be positive, got {p + dp}")
+    if not (np.isfinite(y_base) and np.isfinite(y_pert)):
+        raise DegenerateDemandError(f"predicted demand is not finite (baseline {y_base}, perturbed {y_pert})")
     if y_base <= DEMAND_FLOOR:
         raise DegenerateDemandError(f"baseline demand {y_base} is at or below the floor {DEMAND_FLOOR}")
     return (y_pert - y_base) / y_base * p / dp

@@ -26,7 +26,7 @@ class DomainError(ElastinetError):
 
 
 class DegenerateDemandError(DomainError):
-    """Baseline demand too close to zero for an elasticity quotient."""
+    """Predicted demand unusable for an elasticity quotient: near zero or non-finite."""
 
 
 class ParseError(ElastinetError):

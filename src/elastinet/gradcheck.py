@@ -92,9 +92,10 @@ def gradcheck(
 def check_demand_model(seed: int, probes_per_param: int) -> tuple[DemandModel, GradCheckReport]:
     """Gradcheck a small fixed DemandModel on seeded random inputs.
 
-    The architecture covers embeddings, dense encoders, the trunk, monodense
-    layers with all three activation subsets and the head; the loss is MSE
-    plus the L2 term. Raw weights within 1e-3 of the |w| kink are not probed.
+    The architecture covers embeddings, the column-dense encoders, the
+    trunk, monodense layers with all three activation subsets and the head;
+    the loss is MSE plus the L2 term. Raw weights within 1e-3 of the |w|
+    kink are not probed.
     """
     schema = FeatureSchema(
         (CategoricalSpec("item_id", 6, 3), CategoricalSpec("brand", 4, 2)),
@@ -111,10 +112,7 @@ def check_demand_model(seed: int, probes_per_param: int) -> tuple[DemandModel, G
     target = Tensor(rng.normal(size=(n, 1)))
 
     def loss_fn():
-        loss = mse_loss(model.forward(cat, cont, mono), target)
-        for w in model.decayed_parameters():
-            loss = loss + 1e-4 * sum_sq(w)
-        return loss
+        return mse_loss(model.forward(cat, cont, mono), target) + 1e-4 * sum_sq(*model.decayed_parameters())
 
     report = gradcheck(
         loss_fn,

@@ -1,12 +1,13 @@
 """The demand network: embeddings, dense encoders, monotone price injection.
 
 Wiring: each categorical feature goes through an embedding table; each
-continuous feature through a small dense+relu encoder; the concatenation
-feeds a relu trunk. The standardized monotone price features are injected
-below the trunk output into a monodense layer whose indicator is 0 on trunk
-dimensions and -1 on the price features; every layer downstream (post stack
-with all-+1 indicators, linear head with non-negative weights) is monotone
-increasing, so the composed map is non-increasing in price by construction.
+continuous feature through its own small dense+relu encoder, all computed
+by one column-dense op; the concatenation feeds a relu trunk. The
+standardized monotone price features are injected below the trunk output
+into a monodense layer whose indicator is 0 on trunk dimensions and -1 on
+the price features; every layer downstream (post stack with all-+1
+indicators, linear head with non-negative weights) is monotone increasing,
+so the composed map is non-increasing in price by construction.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dt
-from .errors import ConfigError, DomainError, ModelIOError
+from .errors import ConfigError, DomainError, ModelIOError, NumericError
 from .monodense import (
     ActivationSplit,
     MonoDenseLayer,
     constrained_weights,
     glorot_uniform,
 )
-from .tensor import Parameter, Tensor, activate, add_bias, concat_cols, embedding_lookup, matmul
+from .tensor import Parameter, Tensor, activate, add_bias, column_dense, concat_cols, embedding_lookup, matmul
 
 UNKNOWN_INDEX = 0  # reserved row for categorical levels unseen at training time
 
@@ -101,10 +102,33 @@ class DenseLayer:
         z = add_bias(matmul(x, self.weights), self.bias)
         return activate(z, self.activation) if self.activation else z
 
-    __call__ = forward
+    def __call__(self, x):
+        return self.forward(x)
 
     def parameters(self):
         return [self.weights, self.bias]
+
+
+class ColumnDenseLayer(DenseLayer):
+    """One 1 -> width dense layer per input column, computed as one op.
+
+    Row j of the (columns, width) weight and bias is column j's layer,
+    initialised as a (1, width) ``DenseLayer`` would be, in column order.
+    """
+
+    def __init__(self, columns, out_width, activation, *, rng, name):
+        if columns < 0 or out_width <= 0:
+            raise ConfigError(f"column-dense layer needs columns >= 0 and width > 0, got {columns}x{out_width}")
+        self.activation = activation
+        w = np.empty((columns, out_width))
+        for j in range(columns):
+            w[j] = glorot_uniform(rng, 1, out_width)
+        self.weights = Parameter(w, name=f"{name}.w")
+        self.bias = Parameter(np.zeros((columns, out_width)), name=f"{name}.b")
+
+    def forward(self, x: np.ndarray) -> Tensor:
+        z = column_dense(x, self.weights, self.bias)
+        return activate(z, self.activation) if self.activation else z
 
 
 @dataclass
@@ -186,10 +210,7 @@ class DemandModel:
             table = rng.uniform(-0.05, 0.05, size=(spec.cardinality, spec.embedding_dim))
             self.embeddings[spec.name] = Parameter(table, name=f"emb.{spec.name}")
 
-        self.encoders: dict[str, DenseLayer] = {
-            name: DenseLayer(1, config.encoder_width, act, rng=rng, name=f"enc.{name}")
-            for name in schema.continuous
-        }
+        self.encoders = ColumnDenseLayer(len(schema.continuous), config.encoder_width, act, rng=rng, name="enc")
 
         trunk_in = sum(s.embedding_dim for s in schema.categoricals) + config.encoder_width * len(
             schema.continuous
@@ -229,8 +250,7 @@ class DemandModel:
 
     def parameters(self) -> list[Parameter]:
         params = [self.embeddings[s.name] for s in self.schema.categoricals]
-        for name in self.schema.continuous:
-            params.extend(self.encoders[name].parameters())
+        params.extend(self.encoders.parameters())
         for layer in self.trunk:
             params.extend(layer.parameters())
         params.extend(self.injection.parameters())
@@ -241,7 +261,7 @@ class DemandModel:
 
     def decayed_parameters(self) -> list[Parameter]:
         """Dense and monodense raw weights; embeddings and biases excluded."""
-        params = [enc.weights for enc in self.encoders.values()]
+        params = [self.encoders.weights]
         params.extend(layer.weights for layer in self.trunk)
         params.append(self.injection.weights)
         params.extend(layer.weights for layer in self.post)
@@ -261,8 +281,7 @@ class DemandModel:
         parts = []
         for j, spec in enumerate(self.schema.categoricals):
             parts.append(embedding_lookup(self.embeddings[spec.name], cat_idx[:, j]))
-        for j, name in enumerate(self.schema.continuous):
-            parts.append(self.encoders[name](Tensor(cont_std[:, j : j + 1])))
+        parts.append(self.encoders(cont_std))
         h = concat_cols(parts)
         for layer in self.trunk:
             h = layer(h)
@@ -339,11 +358,31 @@ def build_schema(names: dt.FeatureNames, vocabs: dict, config: ArchConfig) -> Fe
 # model container file: magic, version, schema JSON, named f64 blobs, CRCs
 
 MAGIC = b"MDNM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: one "enc.w"/"enc.b" pair replaces per-feature "enc.<name>.w"/".b"
+
+# every key save_model writes, by enclosing section ("" is the top level)
+_META_KEYS = {
+    "": ("config", "dataset_schema_hash", "format", "schema", "seed", "stats", "vocabs"),
+    "schema": ("categoricals", "continuous", "monotone"),
+    "config": (
+        "activation",
+        "embedding_dims",
+        "encoder_width",
+        "injection_width",
+        "post_widths",
+        "split",
+        "trunk_widths",
+    ),
+    "stats": ("means", "stds", "target_mean", "target_std"),
+}
 
 
 def save_model(model: DemandModel, path) -> None:
     model._require_fitted()
+    params = model.parameters()
+    bad = [p.name for p in params if not np.all(np.isfinite(p.data))]
+    if bad:
+        raise NumericError(f"cannot save a model with non-finite parameters: {bad}")
     meta = {
         "format": FORMAT_VERSION,
         "seed": model.seed,
@@ -378,7 +417,6 @@ def save_model(model: DemandModel, path) -> None:
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     blob += struct.pack("<Q", len(meta_bytes))
     blob += meta_bytes
-    params = model.parameters()
     blob += struct.pack("<I", len(params))
     for p in params:
         name_bytes = p.name.encode("utf-8")
@@ -424,7 +462,15 @@ def load_model(path) -> DemandModel:
     version = cur.u32()
     if version != FORMAT_VERSION:
         raise ModelIOError(f"unsupported container version {version}; expected {FORMAT_VERSION}")
-    meta = json.loads(cur.take(cur.u64()).decode("utf-8"))
+    try:
+        meta = json.loads(cur.take(cur.u64()).decode("utf-8"))
+    except ValueError as exc:
+        raise ModelIOError(f"model metadata is not valid JSON: {exc}") from None
+    for section, keys in _META_KEYS.items():
+        obj = meta[section] if section else meta
+        if not isinstance(obj, dict) or set(obj) != set(keys):
+            got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+            raise ModelIOError(f"model metadata {section or 'top level'}: keys {got}, expected {list(keys)}")
 
     schema = FeatureSchema(
         tuple(CategoricalSpec(n, c, d) for n, c, d in meta["schema"]["categoricals"]),
@@ -462,10 +508,13 @@ def load_model(path) -> DemandModel:
         payload = cur.take(rows * cols * 8)
         if zlib.crc32(payload) != crc:
             raise ModelIOError(f"parameter blob {name!r} failed its checksum")
-        if name not in by_name:
-            raise ModelIOError(f"unexpected parameter blob {name!r}")
-        p = by_name[name]
+        p = by_name.pop(name, None)  # n_blobs == len(by_name), so every name must come exactly once
+        if p is None:
+            raise ModelIOError(f"unexpected or repeated parameter blob {name!r}")
         if (rows, cols) != p.shape:
             raise ModelIOError(f"parameter {name!r} shape mismatch: file {rows}x{cols}, model {p.shape}")
-        p.data[...] = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
+        values = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
+        if not np.all(np.isfinite(values)):
+            raise ModelIOError(f"parameter {name!r} has non-finite values")
+        p.data[...] = values
     return model

@@ -216,6 +216,28 @@ def scale(x: Tensor, c: float) -> Tensor:
     return Tensor(x.data * c, (x,), vjp)
 
 
+def column_dense(x: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """Column j of constant input x through its own 1 -> width dense map.
+
+    ``w`` and ``b`` are (k, width); the output is (n, k*width), column j's
+    block at ``[:, j*width:(j+1)*width]``, bit for bit what k separate
+    ``matmul`` + ``add_bias`` nodes give. No gradient flows to ``x``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != w.rows or b.shape != w.shape:
+        raise DimensionError(f"column_dense: input {x.shape}, weights {w.shape}, bias {b.shape}")
+    n, (k, width) = x.shape[0], w.shape
+
+    def vjp(g):
+        g3 = g.reshape(n, k, width)
+        # one (1, n) @ (n, width) product per column, as the per-column matmuls
+        dw = np.matmul(np.ascontiguousarray(x.T)[:, None, :], g3.transpose(1, 0, 2))[:, 0, :]
+        return dw, g3.sum(axis=0)
+
+    out = x[:, :, None] * w.data[None] + b.data[None]
+    return Tensor(out.reshape(n, k * width), (w, b), vjp)
+
+
 def concat_cols(parts) -> Tensor:
     parts = list(parts)
     if not parts:
@@ -286,10 +308,13 @@ def tsum(x: Tensor) -> Tensor:
     return Tensor(np.array([[x.data.sum()]]), (x,), vjp)
 
 
-def sum_sq(x: Tensor) -> Tensor:
-    x_data = x.data
+def sum_sq(*xs: Tensor) -> Tensor:
+    """Sum of squares over every entry of every input, as one node."""
+    if not xs:
+        raise DimensionError("sum_sq: empty input")
+    datas = [x.data for x in xs]
 
     def vjp(g):
-        return (2.0 * x_data * g[0, 0],)
+        return tuple(2.0 * d * g[0, 0] for d in datas)
 
-    return Tensor(np.array([[np.sum(x_data * x_data)]]), (x,), vjp)
+    return Tensor(np.array([[sum(np.sum(d * d) for d in datas)]]), xs, vjp)

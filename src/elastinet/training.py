@@ -62,33 +62,47 @@ class TrainReport:
 
 
 class Adam:
-    """Bias-corrected Adam; moment buffers keyed by parameter name."""
+    """Bias-corrected Adam over flat buffers of all parameters.
+
+    The constructor copies every parameter's values and gradient into the
+    flat ``data`` and ``grad`` buffers and rebinds ``Parameter.data`` and
+    ``.grad`` to reshaped views of them, so a step is a few vector ops over
+    all parameters at once; the update is elementwise, hence the same
+    numbers as a per-parameter loop.
+    """
 
     def __init__(self, params: list[Parameter], config: TrainConfig):
-        self.params = params
         self.cfg = config
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
+        size = sum(p.data.size for p in params)
+        self.data = np.empty(size)
+        self.grad = np.empty(size)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        lo = 0
+        for p in params:
+            hi = lo + p.data.size
+            shape = p.shape
+            self.data[lo:hi] = p.data.reshape(-1)
+            self.grad[lo:hi] = p.grad.reshape(-1)
+            p.data = self.data[lo:hi].reshape(shape)
+            p.grad = self.grad[lo:hi].reshape(shape)
+            lo = hi
 
     def step(self) -> None:
         self.t += 1
         cfg = self.cfg
         bc1 = 1.0 - cfg.beta1**self.t
         bc2 = 1.0 - cfg.beta2**self.t
-        for p in self.params:
-            g = p.grad
-            m = self.m[p.name]
-            v = self.v[p.name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            p.data -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m, v, g = self.m, self.v, self.grad
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        self.data -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.grad[...] = 0.0
 
 
 def fit_stats(table: dt.PairTable, cont_names, mono_names) -> StandardizationStats:
@@ -176,8 +190,7 @@ def train(
             batch_mse = mse_loss(pred, Tensor(y_tr[idx]))
             loss = batch_mse
             if config.l2_decay > 0:
-                for w in decayed:
-                    loss = loss + config.l2_decay * sum_sq(w)
+                loss = loss + config.l2_decay * sum_sq(*decayed)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 norms = {p.name: float(np.linalg.norm(p.data)) for p in params}

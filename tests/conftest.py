@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -37,3 +41,46 @@ def trained_model(small_split):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+def _read_container(raw: bytes) -> dict:
+    (version,) = struct.unpack_from("<I", raw, 4)
+    (meta_len,) = struct.unpack_from("<Q", raw, 8)
+    pos = 16 + meta_len
+    meta = json.loads(raw[16:pos])
+    (count,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    blobs = []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", raw, pos)
+        name = raw[pos + 4 : pos + 4 + name_len].decode()
+        rows, cols, _ = struct.unpack_from("<III", raw, pos + 4 + name_len)
+        pos += 16 + name_len
+        blobs.append([name, np.frombuffer(raw, "<f8", rows * cols, pos).reshape(rows, cols).copy()])
+        pos += rows * cols * 8
+    return {"version": version, "meta": meta, "blobs": blobs}
+
+
+def _write_container(container: dict) -> bytes:
+    meta = json.dumps(container["meta"], sort_keys=True).encode()
+    out = bytearray(b"MDNM" + struct.pack("<IQ", container["version"], len(meta)) + meta)
+    out += struct.pack("<I", len(container["blobs"]))
+    for name, values in container["blobs"]:
+        payload = np.asarray(values, dtype="<f8").tobytes()
+        out += struct.pack("<I", len(name.encode())) + name.encode()
+        out += struct.pack("<III", *values.shape, zlib.crc32(payload)) + payload
+    return bytes(out + struct.pack("<I", zlib.crc32(out)))
+
+
+@pytest.fixture(scope="session")
+def edit_model_file():
+    """edit(src, dst, fn): copy a .mdnm file, letting fn change its parsed
+    {"version", "meta", "blobs": [[name, array], ...]} in place first; every
+    checksum is recomputed, so only the edit itself can make loading fail."""
+
+    def edit(src, dst, fn):
+        container = _read_container(src.read_bytes())
+        fn(container)
+        dst.write_bytes(_write_container(container))
+
+    return edit

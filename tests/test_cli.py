@@ -3,6 +3,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from elastinet.cli import main
@@ -165,6 +166,16 @@ class TestEvaluate:
         assert rc == 3
         assert "schema hash" in capsys.readouterr().err
 
+    def test_manifest_missing_key_exits_3(self, pipeline_dirs, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline_dirs / "ds", ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        del manifest["event_names"]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["train", "--dataset", str(ds), "--epochs", "1", "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "manifest.json needs" in capsys.readouterr().err
+
     @pytest.mark.parametrize("column, value", [("split", "trian"), ("lag_month", "20x3")])
     def test_malformed_pairs_csv_exits_2(self, pipeline_dirs, tmp_path, capsys, column, value):
         ds = tmp_path / "ds"
@@ -187,8 +198,29 @@ class TestEvaluate:
         )
         assert rc == 3
 
+    def test_previous_container_version_exits_3(self, pipeline_dirs, tmp_path, edit_model_file, capsys):
+        model = tmp_path / "v1.mdnm"
+        edit_model_file(pipeline_dirs / "run" / "model.mdnm", model, lambda c: c.update(version=1))
+        dataset = pipeline_dirs / "ds"
+        rc = main(["evaluate", "--dataset", str(dataset), "--model", str(model), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "unsupported container version 1" in capsys.readouterr().err
+
 
 class TestElasticity:
+    def test_non_finite_weight_exits_3(self, pipeline_dirs, tmp_path, edit_model_file, capsys):
+        def edit(container):
+            dict(container["blobs"])["head.w"][0, 0] = np.nan
+
+        model = tmp_path / "nan.mdnm"
+        edit_model_file(pipeline_dirs / "run" / "model.mdnm", model, edit)
+        transactions = pipeline_dirs / "data" / "transactions.csv"
+        out = tmp_path / "elast"
+        rc = main(["elasticity", "--transactions", str(transactions), "--model", str(model), "--out", str(out)])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_and_summary(self, pipeline_dirs, tmp_path):
         out = tmp_path / "elast"
         rc = main(

@@ -102,6 +102,27 @@ class TestIngest:
         with pytest.raises(ParseError, match="line 2"):
             dt.ingest(f)
 
+    @pytest.mark.parametrize(
+        "price, competitor, message",
+        [
+            ("inf", "", "price must be positive and finite, got inf"),
+            ("nan", "", "price must be positive and finite, got nan"),
+            ("3.5", "inf", "competitor_price must be positive and finite when present, got inf"),
+            ("3.5", "-inf", "competitor_price must be positive and finite when present, got -inf"),
+        ],
+    )
+    def test_non_finite_price(self, tmp_path, price, competitor, message):
+        f = tmp_path / "t.csv"
+        write_csv(
+            f,
+            [
+                "a,202301,3.5,5,20,0,3,100,,false,,b1,M,c1,s1",
+                f"a,202302,{price},5,20,0,3,100,{competitor},false,,b1,M,c1,s1",
+            ],
+        )
+        with pytest.raises(ParseError, match=f"line 3: {message}"):
+            dt.ingest(f)
+
     def test_negative_count(self, tmp_path):
         f = tmp_path / "t.csv"
         write_csv(f, ["a,202301,3.50,-5,20,0,3,100,,false,,b1,M,c1,s1"])
@@ -391,6 +412,30 @@ class TestDatasetIO:
         lines[3] = ",".join(edit(lines[3].split(",")))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"line 4: {message}"):
+            dt.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.pop("event_names"),
+            lambda m: m.pop("schema_hash"),
+            lambda m: m.update(event_names="holiday"),
+            lambda m: m.update(event_names=[1]),
+            lambda m: m.update(schema_hash=None),
+        ],
+    )
+    def test_manifest_without_its_keys_rejected(self, tmp_path, edit):
+        dt.save_dataset(dt.split(dt.build_pairs(grid_records()), seed=7), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        edit(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaMismatchError, match="manifest.json needs"):
+            dt.load_dataset(tmp_path)
+
+    def test_manifest_not_json_rejected(self, tmp_path):
+        dt.save_dataset(dt.split(dt.build_pairs(grid_records()), seed=7), tmp_path)
+        (tmp_path / "manifest.json").write_text("{")
+        with pytest.raises(SchemaMismatchError, match="manifest.json is not valid JSON"):
             dt.load_dataset(tmp_path)
 
     def test_edited_event_names_fail_the_schema_hash(self, tmp_path):

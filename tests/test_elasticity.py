@@ -35,6 +35,11 @@ class TestArcElasticity:
         with pytest.raises(DegenerateDemandError):
             arc_elasticity(1e-9, 1.0, 10.0, 1.0)
 
+    @pytest.mark.parametrize("y_base, y_pert", [(np.nan, 1.0), (10.0, np.nan), (np.inf, 1.0), (10.0, -np.inf)])
+    def test_non_finite_demand_flagged(self, y_base, y_pert):
+        with pytest.raises(DegenerateDemandError, match="not finite"):
+            arc_elasticity(y_base, y_pert, 10.0, 1.0)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             arc_elasticity(10.0, 9.0, -1.0, 1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elastinet.errors import NumericError
-from elastinet.gradcheck import gradcheck
+from elastinet.gradcheck import check_demand_model, gradcheck
 from elastinet.monodense import ActivationSplit, MonoDenseLayer
 from elastinet.tensor import Parameter, Tensor, add_bias, matmul, mse_loss, relu
 
@@ -36,6 +36,14 @@ def test_monodense_all_three_subsets_passes():
         probe_filter=lambda p, r, c: not p.name.endswith(".w") or abs(p.data[r, c]) > 1e-3,
     )
     assert report.max_rel_error < 1e-5
+
+
+def test_demand_model_check_probes_the_encoder_op():
+    model, report = check_demand_model(seed=0, probes_per_param=3)
+    assert model.encoders.weights.shape == (2, 3)
+    assert {"enc.w", "enc.b"} <= set(report.per_param)
+    assert set(report.per_param) == {p.name for p in model.parameters()}
+    assert report.passed()
 
 
 def test_zero_parameter_model_gives_empty_report():

@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from elastinet import data as dt
-from elastinet.errors import ConfigError, DomainError, ModelIOError
+from elastinet.errors import ConfigError, DomainError, ModelIOError, NumericError
 from elastinet.model import (
     ArchConfig,
     CategoricalSpec,
+    ColumnDenseLayer,
     DemandModel,
+    DenseLayer,
     FeatureSchema,
     default_embedding_dim,
     load_model,
     save_model,
 )
+from elastinet.tensor import Tensor, backward, concat_cols, mse_loss
+from elastinet.training import Adam, TrainConfig
 
 MONO = (("lead_price", -1), ("price_change_pct", -1))
 
@@ -74,6 +78,19 @@ class TestBuildModel:
         with pytest.raises(ConfigError):
             DemandModel(schema, ArchConfig(activation="tanh"), seed=0)
 
+    def test_no_continuous_features(self):
+        schema = FeatureSchema((CategoricalSpec("c", 5, 3),), (), MONO)
+        model = DemandModel(schema, ArchConfig(trunk_widths=(8,), injection_width=8, post_widths=(4,)), seed=0)
+        assert model.encoders.weights.shape == (0, 8)
+        rng = np.random.default_rng(0)
+        cat, mono = rng.integers(0, 5, size=(6, 1)), rng.normal(size=(6, 2))
+        opt = Adam(model.parameters(), TrainConfig())
+        before = model.forward(cat, np.zeros((6, 0)), mono).data
+        backward(mse_loss(model.forward(cat, np.zeros((6, 0)), mono), Tensor(np.ones((6, 1)))))
+        opt.step()
+        after = model.forward(cat, np.zeros((6, 0)), mono).data
+        assert np.all(np.isfinite(after)) and not np.array_equal(before, after)
+
     def test_injection_indicator_layout(self):
         schema = FeatureSchema((), ("f",), MONO)
         model = DemandModel(schema, ArchConfig(trunk_widths=(6,)), seed=0)
@@ -81,6 +98,41 @@ class TestBuildModel:
         assert t.shape == (8,)
         assert np.all(t[:6] == 0) and np.all(t[6:] == -1)
         assert all(np.all(layer.indicator == 1) for layer in model.post)
+
+
+class TestColumnDenseLayer:
+    """The one encoder op against one DenseLayer(1, width) per column."""
+
+    @pytest.mark.parametrize("activation", ["relu", "selu"])
+    @pytest.mark.parametrize("n", [1, 37, 128, 4096])
+    def test_matches_separate_dense_layers_bit_for_bit(self, n, activation):
+        k, width = 21, 8
+        bank = ColumnDenseLayer(k, width, activation, rng=np.random.default_rng(n), name="enc")
+        rng = np.random.default_rng(n)
+        layers = [DenseLayer(1, width, activation, rng=rng, name=f"enc.{j}") for j in range(k)]
+        data = np.random.default_rng(n + 1)
+        x = data.normal(size=(n, k))
+        target = Tensor(data.normal(size=(n, k * width)))
+        for j, layer in enumerate(layers):  # non-zero biases exercise the bias path
+            layer.bias.data[...] = data.normal(size=(1, width))
+            bank.bias.data[j] = layer.bias.data[0]
+        assert np.array_equal(bank.weights.data, np.vstack([layer.weights.data for layer in layers]))
+
+        out = bank(x)
+        ref = concat_cols([layer(Tensor(x[:, j : j + 1])) for j, layer in enumerate(layers)])
+        assert np.array_equal(out.data, ref.data)
+
+        backward(mse_loss(out, target))
+        backward(mse_loss(ref, target))
+        assert np.array_equal(bank.weights.grad, np.vstack([layer.weights.grad for layer in layers]))
+        assert np.array_equal(bank.bias.grad, np.vstack([layer.bias.grad for layer in layers]))
+
+    def test_parameter_names(self, untrained_model):
+        names = [p.name for p in untrained_model.parameters()]
+        assert [name for name in names if name.startswith("enc.")] == ["enc.w", "enc.b"]
+        k = len(untrained_model.schema.continuous)
+        assert untrained_model.encoders.weights.shape == (k, untrained_model.config.encoder_width)
+        assert untrained_model.encoders.weights in untrained_model.decayed_parameters()
 
 
 class TestPredict:
@@ -218,6 +270,57 @@ class TestSaveLoad:
         path.write_bytes(path.read_bytes()[:50])
         with pytest.raises(ModelIOError):
             load_model(path)
+
+    def test_rewritten_container_is_byte_identical(self, trained_model, tmp_path, edit_model_file):
+        save_model(trained_model[0], tmp_path / "model.mdnm")
+        edit_model_file(tmp_path / "model.mdnm", tmp_path / "copy.mdnm", lambda c: None)
+        assert (tmp_path / "copy.mdnm").read_bytes() == (tmp_path / "model.mdnm").read_bytes()
+
+    def test_repeated_blob_name_rejected(self, trained_model, tmp_path, edit_model_file):
+        def edit(container):  # the last blob (head.b) becomes a second copy of the first
+            container["blobs"][-1] = container["blobs"][0]
+
+        save_model(trained_model[0], tmp_path / "model.mdnm")
+        edit_model_file(tmp_path / "model.mdnm", tmp_path / "dup.mdnm", edit)
+        with pytest.raises(ModelIOError, match="repeated parameter blob"):
+            load_model(tmp_path / "dup.mdnm")
+
+    @pytest.mark.parametrize(
+        "path",
+        [("seed",), ("stats", "target_std"), ("config", "activation"), ("schema", "continuous"), ("extra",)],
+    )
+    def test_missing_or_unknown_meta_key_rejected(self, trained_model, tmp_path, edit_model_file, path):
+        def edit(container):
+            section = container["meta"]
+            for key in path[:-1]:
+                section = section[key]
+            if path[-1] in section:
+                del section[path[-1]]
+            else:
+                section[path[-1]] = 1
+
+        save_model(trained_model[0], tmp_path / "model.mdnm")
+        edit_model_file(tmp_path / "model.mdnm", tmp_path / "meta.mdnm", edit)
+        with pytest.raises(ModelIOError, match="model metadata"):
+            load_model(tmp_path / "meta.mdnm")
+
+    def test_non_finite_weight_not_saved(self, trained_model, tmp_path):
+        save_model(trained_model[0], tmp_path / "model.mdnm")
+        model = load_model(tmp_path / "model.mdnm")
+        model.head_w.data[0, 0] = np.nan
+        with pytest.raises(NumericError, match="head.w"):
+            save_model(model, tmp_path / "nan.mdnm")
+        assert not (tmp_path / "nan.mdnm").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_blob_rejected(self, trained_model, tmp_path, edit_model_file, value):
+        def edit(container):
+            dict(container["blobs"])["head.w"][0, 0] = value
+
+        save_model(trained_model[0], tmp_path / "model.mdnm")
+        edit_model_file(tmp_path / "model.mdnm", tmp_path / "nan.mdnm", edit)
+        with pytest.raises(ModelIOError, match="'head.w' has non-finite values"):
+            load_model(tmp_path / "nan.mdnm")
 
     def test_unfitted_model_cannot_be_saved(self, tmp_path):
         schema = FeatureSchema((), ("f",), MONO)

@@ -13,6 +13,7 @@ from elastinet.tensor import (
     matmul,
     mse_loss,
     relu,
+    scale,
     sum_sq,
     tsum,
 )
@@ -185,3 +186,15 @@ class TestShapes:
         assert loss.item() == 5.0
         backward(loss)
         assert w.grad.tolist() == [[2.0, -4.0]]
+
+    def test_sum_sq_of_several_tensors_is_one_node(self):
+        rng = np.random.default_rng(3)
+        xs = [Parameter(rng.normal(size=shape), name=f"x{i}") for i, shape in enumerate([(2, 3), (1, 1), (4, 2)])]
+        loss = sum_sq(*xs)
+        assert loss._parents == tuple(xs)
+        assert loss.item() == pytest.approx(sum(float(np.sum(x.data**2)) for x in xs), rel=1e-15)
+        backward(scale(loss, 0.5))
+        for x in xs:
+            assert np.array_equal(x.grad, 2.0 * x.data * 0.5)
+        with pytest.raises(DimensionError):
+            sum_sq()

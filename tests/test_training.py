@@ -95,6 +95,32 @@ class TestAdam:
         opt.step()
         assert p.data[0, 0] != first
 
+    def test_flat_buffers_match_per_parameter_loop_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        shapes = [(3, 4), (1, 4), (5, 1), (1, 1), (0, 2)]
+        params = [Parameter(rng.normal(size=shape), name=f"p{i}") for i, shape in enumerate(shapes)]
+        ref = [p.data.copy() for p in params]
+        cfg = TrainConfig(learning_rate=0.03)
+        opt = Adam(params, cfg)
+        assert all(np.shares_memory(p.data, opt.data) for p in params if p.data.size)
+        m = [np.zeros_like(r) for r in ref]
+        v = [np.zeros_like(r) for r in ref]
+        for t in range(1, 21):
+            opt.zero_grad()
+            grads = [rng.normal(size=shape) * rng.choice([1e-6, 1.0, 1e3]) for shape in shapes]
+            for p, g in zip(params, grads):
+                p.grad += g
+            opt.step()
+            bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            for r, mi, vi, g in zip(ref, m, v, grads):  # the per-parameter form of the update
+                mi *= cfg.beta1
+                mi += (1.0 - cfg.beta1) * g
+                vi *= cfg.beta2
+                vi += (1.0 - cfg.beta2) * (g * g)
+                r -= cfg.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + cfg.eps)
+            for p, r in zip(params, ref):
+                assert np.array_equal(p.data, r)
+
 
 class TestTrainLoop:
     def test_zero_learning_rate_is_identity(self, small_split):
@@ -169,10 +195,7 @@ class TestTrainLoop:
         decay = 1e-3
 
         def loss_fn():
-            loss = mse_loss(model.forward(cat, cont, mono), tgt)
-            for w in model.decayed_parameters():
-                loss = loss + decay * sum_sq(w)
-            return loss
+            return mse_loss(model.forward(cat, cont, mono), tgt) + decay * sum_sq(*model.decayed_parameters())
 
         report = gradcheck(
             loss_fn,
