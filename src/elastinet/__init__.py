@@ -5,7 +5,7 @@ pairs and queried with counterfactual prices; the weight-sign construction
 guarantees non-positive elasticities.
 """
 
-from .data import PairTable, TransactionMonth, build_inference_set, build_pairs, ingest, split
+from .data import PairTable, Transactions, build_inference_set, build_pairs, ingest, split
 from .elasticity import arc_elasticity, evaluate_elasticities, loglog_baseline, mae_elasticity, wmape
 from .model import ArchConfig, DemandModel, FeatureSchema, load_model, save_model
 from .synth import SyntheticWorld, generate, true_arc_elasticity
@@ -21,7 +21,7 @@ __all__ = [
     "SyntheticWorld",
     "TrainConfig",
     "TrainReport",
-    "TransactionMonth",
+    "Transactions",
     "arc_elasticity",
     "build_inference_set",
     "build_pairs",

@@ -61,16 +61,30 @@ def _resolved_config(out_dir: Path, command: str, values: dict) -> None:
     _write_json(out_dir / f"{command}_config.json", {"command": command, **values})
 
 
-def _merge_config_file(args: argparse.Namespace, parser_keys: set[str]) -> None:
-    """Fill argparse values from --config JSON; explicit flags win."""
+def _merge_config_file(args: argparse.Namespace) -> None:
+    """Fill argparse values from --config JSON; explicit flags win.
+
+    The file holds one JSON object whose keys are among ``args._defaults``
+    and whose values have the type of that default (an integer may stand for
+    a float).
+    """
     if not getattr(args, "config", None):
         return
     with open(args.config, encoding="utf-8") as fh:
-        file_cfg = json.load(fh)
-    unknown = set(file_cfg) - parser_keys
+        try:
+            file_cfg = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
+    if not isinstance(file_cfg, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object, got {type(file_cfg).__name__}")
+    unknown = set(file_cfg) - set(args._defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in file_cfg.items():
+        default = args._defaults[key]
+        allowed = (int, float) if isinstance(default, float) else type(default)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigError(f"config key {key!r} must be {type(default).__name__}, got {value!r}")
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 
@@ -90,10 +104,10 @@ def cmd_synth(args) -> int:
         kinked=args.world == "kinked",
         stockout_rate=args.stockout_rate,
     )
-    records, truths = synth.generate(world)
+    tx, truths = synth.generate(world)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dt.write_transactions(records, out / "transactions.csv")
+    dt.write_transactions(tx, out / "transactions.csv")
     synth.write_truth(truths, out / "truth.csv")
     _resolved_config(
         out,
@@ -110,13 +124,12 @@ def cmd_synth(args) -> int:
             "stockout_rate": args.stockout_rate,
         },
     )
-    print(f"wrote {len(records)} records for {args.items} items to {out}")
+    print(f"wrote {len(tx)} records for {args.items} items to {out}")
     return EXIT_OK
 
 
 def cmd_build(args) -> int:
-    records = dt.ingest(args.transactions)
-    pairs = dt.build_pairs(records)
+    pairs = dt.build_pairs(dt.ingest(args.transactions))
     ds = dt.split(pairs, seed=args.seed, by_item=args.by_item)
     out = Path(args.out)
     dt.save_dataset(ds, out)
@@ -183,10 +196,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_elasticity(args) -> int:
-    records = dt.ingest(args.transactions)
+    tx = dt.ingest(args.transactions)
     model = load_model(args.model)
-    as_of = args.as_of if args.as_of is not None else max(r.year_month for r in records)
-    inference, skipped = dt.build_inference_set(records, as_of)
+    as_of = args.as_of if args.as_of is not None else int(tx.year_month.max())
+    inference, skipped = dt.build_inference_set(tx, as_of)
     queries = None
     if args.dp_pct is not None:
         queries = [
@@ -306,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(
         func=cmd_train,
         _defaults={f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name in TRAIN_KEYS},
-        _config_keys=set(TRAIN_KEYS),
     )
 
     p = sub.add_parser("evaluate", help="WMAPE of a trained model on the held-out splits")
@@ -342,8 +354,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "_config_keys"):
-            _merge_config_file(args, args._config_keys)
+        if hasattr(args, "_defaults"):
+            _merge_config_file(args)
             for key, value in args._defaults.items():
                 if getattr(args, key) is None:
                     setattr(args, key, value)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -61,52 +63,54 @@ def month_of_year(ym: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# records
+# tables
 
 
-@dataclass(frozen=True)
-class TransactionMonth:
-    """One item's aggregated transaction record for one calendar month."""
+class _Table:
+    """Equal-length numpy columns, one per dataclass field but ``event_names``;
+    row i of each column is one row of the table."""
 
-    item_id: str
-    year_month: int
-    price: float
-    units_sold: int
-    inventory: int
-    oos_days: int
-    rating_count: int
-    days_launched: int
-    competitor_price: float | None
-    substitute_available: bool
-    event_flags: frozenset[str]
-    brand: str
-    size: str
-    category: str
-    subcategory: str
+    def _columns(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "event_names"}
 
+    def __len__(self) -> int:
+        return len(self.item_id)
 
-TRANSACTIONS_COLUMNS = [
-    "item_id",
-    "year_month",
-    "price",
-    "units_sold",
-    "inventory",
-    "oos_days",
-    "rating_count",
-    "days_launched",
-    "competitor_price",
-    "substitute_available",
-    "event_flags",
-    "brand",
-    "size",
-    "category",
-    "subcategory",
-]
+    def take(self, idx):
+        """The rows picked by ``idx`` (indices or a boolean mask), in that order."""
+        return type(self)(**{k: v[idx] for k, v in self._columns().items()}, event_names=self.event_names)
 
 
 @dataclass(frozen=True, eq=False)
-class PairTable:
-    """Lead/lag pairs as equal-length numpy columns; row i of each is one pair.
+class Transactions(_Table):
+    """Monthly item transactions; row i of each column is one item's month.
+
+    A NaN competitor price means the month had none. ``event_flags`` is a
+    boolean matrix with one column per name in ``event_names``, which is
+    sorted.
+    """
+
+    item_id: np.ndarray
+    year_month: np.ndarray
+    price: np.ndarray
+    units_sold: np.ndarray
+    inventory: np.ndarray
+    oos_days: np.ndarray
+    rating_count: np.ndarray
+    days_launched: np.ndarray
+    competitor_price: np.ndarray
+    substitute_available: np.ndarray
+    event_flags: np.ndarray
+    brand: np.ndarray
+    size: np.ndarray
+    category: np.ndarray
+    subcategory: np.ndarray
+    event_names: tuple[str, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class PairTable(_Table):
+    """Lead/lag pairs; row i of each column is one pair.
 
     ``target`` is the lead month's units sold and NaN when absent (inference
     rows); a NaN competitor price means the month had none. ``lag_events``
@@ -143,16 +147,6 @@ class PairTable:
     subcategory: np.ndarray
     event_names: tuple[str, ...]
 
-    def _columns(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "event_names"}
-
-    def __len__(self) -> int:
-        return len(self.item_id)
-
-    def take(self, idx) -> PairTable:
-        """The rows picked by ``idx`` (indices or a boolean mask), in that order."""
-        return PairTable(**{k: v[idx] for k, v in self._columns().items()}, event_names=self.event_names)
-
     @staticmethod
     def concat(tables) -> PairTable:
         """The rows of ``tables`` one after another; they must share ``event_names``."""
@@ -165,121 +159,224 @@ class PairTable:
 
 
 # ---------------------------------------------------------------------------
+# CSV files: transactions.csv and pairs.csv have one column per table field,
+# in declaration order, and share one cell codec per column kind
+
+
+class _RuleError(ValueError):
+    """A cell that parses but breaks its column's rule; the message says how."""
+
+
+def _read_months(cells, events) -> np.ndarray:
+    months = np.fromiter(map(int, cells), np.int64, len(cells))
+    if np.any((months < 100) | (months % 100 < 1) | (months % 100 > 12)):
+        raise ValueError("expected YYYYMM with month 1..12")
+    return months
+
+
+def _read_prices(cells, events, optional=False) -> np.ndarray:
+    """Positive finite prices; with ``optional``, a blank cell is an absent price, read as NaN."""
+    n = len(cells)
+    present = np.fromiter(map(bool, map(str.strip, cells)), bool, n) if optional else np.ones(n, dtype=bool)
+    values = np.full(n, np.nan)
+    values[present] = np.fromiter(map(float, compress(cells, present.tolist())), np.float64)
+    bad = np.flatnonzero(present & ~((values > 0) & (values < np.inf)))
+    if bad.size:
+        when = " when present" if optional else ""
+        raise _RuleError(f"must be positive and finite{when}, got {float(values[bad[0]])}")
+    return values
+
+
+def _read_finite(cells, events) -> np.ndarray:
+    values = np.fromiter(map(float, cells), np.float64, len(cells))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise _RuleError(f"must be finite, got {float(values[bad[0]])}")
+    return values
+
+
+def _read_bools(cells, events) -> np.ndarray:
+    """``true`` or ``false`` in any case, with surrounding whitespace allowed."""
+    values = {}
+    for cell in set(cells):
+        word = cell.strip().lower()
+        if word not in ("true", "false"):
+            raise _RuleError(f"must be true/false, got {cell!r}")
+        values[cell] = word == "true"
+    return np.fromiter(map(values.__getitem__, cells), bool, len(cells))
+
+
+def _event_sets(cells) -> dict:
+    return {cell: {e for e in cell.split("|") if e} for cell in set(cells)}
+
+
+def _read_events(cells, event_names) -> np.ndarray:
+    known = set(event_names)
+    rows = {}
+    for cell, flags in _event_sets(cells).items():
+        if not flags <= known:
+            raise ValueError(f"unknown events {sorted(flags - known)}")
+        rows[cell] = [e in flags for e in event_names]
+    return np.array([rows[c] for c in cells], dtype=bool).reshape(len(cells), len(event_names))
+
+
+def _read_split(cells, event_names) -> np.ndarray:
+    labels = np.array(cells, dtype=str)
+    if not np.isin(labels, SPLITS).all():
+        raise ValueError("unknown split")
+    return labels
+
+
+def _write_events(col, event_names) -> list:
+    rows, inverse = np.unique(col, axis=0, return_inverse=True)
+    cells = np.array(["|".join(e for e, on in zip(event_names, row) if on) for row in rows.tolist()], dtype=object)
+    return cells[inverse].tolist()
+
+
+def _blank_nan(col, values) -> list:
+    """``values`` as Python objects, with an empty cell where ``col`` is NaN."""
+    out = values.astype(object)
+    out[np.isnan(col)] = ""
+    return out.tolist()
+
+
+# cell codecs by column kind: (cells, event names) -> column, and (column, event
+# names) -> cells. A reader raises ValueError or OverflowError for a cell it
+# cannot parse and _RuleError for a value its column does not allow
+_READ = {
+    "str": lambda cells, events: np.array(cells, dtype=str),
+    "int": lambda cells, events: np.fromiter(map(int, cells), np.int64, len(cells)),
+    "month": _read_months,
+    "float": _read_finite,
+    "price": _read_prices,
+    "price?": lambda cells, events: _read_prices(cells, events, optional=True),
+    "int?": lambda cells, events: np.array([float(int(c)) if c else np.nan for c in cells], dtype=np.float64),
+    "bool": _read_bools,
+    "events": _read_events,
+    "split": _read_split,
+}
+_WRITE = {
+    # csv writes a float as its repr
+    **dict.fromkeys(("str", "int", "month", "float", "price", "split"), lambda col, events: col.tolist()),
+    "price?": lambda col, events: _blank_nan(col, col),
+    "int?": lambda col, events: _blank_nan(col, np.nan_to_num(col).astype(np.int64)),
+    "bool": lambda col, events: np.where(col, "true", "false").tolist(),
+    "events": _write_events,
+}
+
+# a column's cells are integers unless listed here
+_CELL_KINDS = {
+    **dict.fromkeys(("item_id", "brand", "size", "category", "subcategory"), "str"),
+    **dict.fromkeys(("year_month", "lag_month", "lead_month"), "month"),
+    **dict.fromkeys(("price", "lag_price", "lead_price"), "price"),
+    **dict.fromkeys(("competitor_price", "lag_competitor_price", "lead_competitor_price"), "price?"),
+    **dict.fromkeys(("substitute_available", "lag_substitute_available", "lead_substitute_available"), "bool"),
+    **dict.fromkeys(("event_flags", "lag_events", "lead_events"), "events"),
+    "price_change_pct": "float",
+    "target": "int?",
+}
+
+
+def _csv_columns(table_type) -> list[tuple[str, str]]:
+    return [(f.name, _CELL_KINDS.get(f.name, "int")) for f in fields(table_type) if f.name != "event_names"]
+
+
+_TRANSACTION_COLUMNS = _csv_columns(Transactions)
+TRANSACTIONS_COLUMNS = [name for name, _ in _TRANSACTION_COLUMNS]
+# pairs.csv ends with each pair's split label
+_PAIR_COLUMNS = _csv_columns(PairTable) + [("split", "split")]
+
+# a CSV file is written this many rows at a time. Formatting all 246,000 rows
+# of a 1000-item pairs.csv at once held ~550 MB of Python objects, and the
+# page faults that cost made `build`'s time spread twice as wide
+_CSV_CHUNK_ROWS = 4096
+
+
+def _write_csv(path, columns, parts, event_names) -> None:
+    """Write ``parts``, dicts of equal-length columns named as in ``columns``,
+    one after another under one header row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([name for name, _ in columns])
+        for part in parts:
+            for lo in range(0, len(part["item_id"]), _CSV_CHUNK_ROWS):
+                chunk = {name: col[lo : lo + _CSV_CHUNK_ROWS] for name, col in part.items()}
+                writer.writerows(zip(*(_WRITE[kind](chunk[name], event_names) for name, kind in columns)))
+
+
+def _read_csv(path, columns, event_names=None) -> tuple[dict, Sequence[int], tuple[str, ...]]:
+    """Read a CSV file written by _write_csv: its columns, the line number of
+    each row and the event names. Blank lines are skipped. Without
+    ``event_names``, they are the events the file names, sorted.
+
+    A cell that does not fit its column's kind raises ParseError with its
+    line number.
+    """
+    path = Path(path)
+    names = [name for name, _ in columns]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header != names:
+            raise ParseError(f"{path.name}: unexpected header {header}; expected {names}")
+        rows = list(reader)
+    lines = range(2, len(rows) + 2)
+    if not all(rows):
+        lines = [line_no for line_no, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+    if set(map(len, rows)) - {len(columns)}:
+        line_no, row = next((line_no, row) for line_no, row in zip(lines, rows) if len(row) != len(columns))
+        raise ParseError(f"line {line_no}: expected {len(columns)} fields, got {len(row)}")
+    cells = dict(zip(names, zip(*rows))) or dict.fromkeys(names, ())
+    if event_names is None:
+        named = set()
+        for name, kind in columns:
+            if kind == "events":
+                named.update(*_event_sets(cells[name]).values())
+        event_names = tuple(sorted(named))
+    out = {}
+    for name, kind in columns:
+        try:
+            out[name] = _READ[kind](cells[name], event_names)
+        except (ValueError, OverflowError):
+            for line_no, cell in zip(lines, cells[name]):
+                try:
+                    _READ[kind]((cell,), event_names)
+                except _RuleError as exc:
+                    raise ParseError(f"line {line_no}: {name} {exc}") from None
+                except (ValueError, OverflowError):
+                    shown = cell.strip() if kind == "price?" else cell  # an optional price is parsed stripped
+                    raise ParseError(f"line {line_no}: bad {name} {shown!r}") from None
+            raise
+    return out, lines, event_names
+
+
+# ---------------------------------------------------------------------------
 # ingestion
 
 
-def _parse_row(row: dict[str, str], line_no: int) -> TransactionMonth:
-    def fail(msg: str):
-        raise ParseError(f"line {line_no}: {msg}")
-
-    try:
-        ym = validate_ym(int(row["year_month"]))
-    except (ValueError, DomainError):
-        fail(f"bad year_month {row['year_month']!r}")
-    try:
-        price = float(row["price"])
-    except ValueError:
-        fail(f"bad price {row['price']!r}")
-    if not 0 < price < np.inf:  # also rejects nan
-        fail(f"price must be positive and finite, got {price}")
-
-    counts = {}
-    for name in ("units_sold", "inventory", "oos_days", "rating_count", "days_launched"):
-        try:
-            counts[name] = int(row[name])
-        except ValueError:
-            fail(f"bad {name} {row[name]!r}")
-        if counts[name] < 0:
-            fail(f"{name} must be non-negative, got {counts[name]}")
-    if counts["oos_days"] > 31:
-        fail(f"oos_days must be 0..31, got {counts['oos_days']}")
-
-    comp_raw = row["competitor_price"].strip()
-    if comp_raw == "":
-        comp = None
-    else:
-        try:
-            comp = float(comp_raw)
-        except ValueError:
-            fail(f"bad competitor_price {comp_raw!r}")
-        if not 0 < comp < np.inf:  # also rejects nan, which marks an absent price in pair tables
-            fail(f"competitor_price must be positive and finite when present, got {comp}")
-
-    sub_raw = row["substitute_available"].strip().lower()
-    if sub_raw not in ("true", "false"):
-        fail(f"substitute_available must be true/false, got {row['substitute_available']!r}")
-
-    events = frozenset(e for e in row["event_flags"].split("|") if e)
-
-    return TransactionMonth(
-        item_id=row["item_id"],
-        year_month=ym,
-        price=price,
-        units_sold=counts["units_sold"],
-        inventory=counts["inventory"],
-        oos_days=counts["oos_days"],
-        rating_count=counts["rating_count"],
-        days_launched=counts["days_launched"],
-        competitor_price=comp,
-        substitute_available=sub_raw == "true",
-        event_flags=events,
-        brand=row["brand"],
-        size=row["size"],
-        category=row["category"],
-        subcategory=row["subcategory"],
-    )
+_COUNTS = ("units_sold", "inventory", "oos_days", "rating_count", "days_launched")
 
 
-def ingest(path) -> list[TransactionMonth]:
-    """Parse and validate a transactions CSV (columns as TRANSACTIONS_COLUMNS)."""
-    records: list[TransactionMonth] = []
-    seen: set[tuple[str, int]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty transactions file") from None
-        if header != TRANSACTIONS_COLUMNS:
-            raise ParseError(f"unexpected header {header}; expected {TRANSACTIONS_COLUMNS}")
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(TRANSACTIONS_COLUMNS):
-                raise ParseError(f"line {line_no}: expected {len(TRANSACTIONS_COLUMNS)} fields, got {len(raw)}")
-            rec = _parse_row(dict(zip(TRANSACTIONS_COLUMNS, raw)), line_no)
-            key = (rec.item_id, rec.year_month)
-            if key in seen:
-                raise IntegrityError(f"duplicate record for item {rec.item_id!r} month {rec.year_month}")
-            seen.add(key)
-            records.append(rec)
-    return records
+def ingest(path) -> Transactions:
+    """Parse and validate a transactions CSV (columns as TRANSACTIONS_COLUMNS).
+
+    Rows keep file order; the event names are those the file names.
+    """
+    columns, lines, events = _read_csv(path, _TRANSACTION_COLUMNS)
+    checks = [(columns[name] < 0, name, f"{name} must be non-negative, got") for name in _COUNTS]
+    checks.append((columns["oos_days"] > 31, "oos_days", "oos_days must be 0..31, got"))
+    for bad, name, message in checks:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParseError(f"line {lines[i]}: {message} {columns[name][i]}")
+    tx = Transactions(**columns, event_names=events)
+    _item_month_order(tx)  # rejects a repeated (item, month)
+    return tx
 
 
-def write_transactions(records, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRANSACTIONS_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.item_id,
-                    r.year_month,
-                    repr(r.price),
-                    r.units_sold,
-                    r.inventory,
-                    r.oos_days,
-                    r.rating_count,
-                    r.days_launched,
-                    "" if r.competitor_price is None else repr(r.competitor_price),
-                    "true" if r.substitute_available else "false",
-                    "|".join(sorted(r.event_flags)),
-                    r.brand,
-                    r.size,
-                    r.category,
-                    r.subcategory,
-                ]
-            )
+def write_transactions(tx: Transactions, path) -> None:
+    _write_csv(path, _TRANSACTION_COLUMNS, [tx._columns()], tx.event_names)
 
 
 # ---------------------------------------------------------------------------
@@ -293,92 +390,67 @@ def price_change_pct(lag_price, lead_price):
     return (lead_price - lag_price) / lag_price
 
 
-def _record_columns(records) -> tuple[dict, tuple[str, ...]]:
-    """TransactionMonth fields as arrays sorted by (item_id, year_month), and
-    the sorted event names; a repeated (item, month) raises IntegrityError.
-    ``year_month`` becomes ``month`` and ``event_flags`` a boolean ``events``
-    matrix."""
-    recs = list(records)
-    events = tuple(sorted({e for r in recs for e in r.event_flags}))
-    cols = {
-        name: np.array([getattr(r, name) for r in recs], dtype=dtype)
-        for name, dtype in (
-            ("item_id", str),
-            ("year_month", np.int64),
-            ("price", np.float64),
-            ("units_sold", np.int64),
-            ("inventory", np.int64),
-            ("oos_days", np.int64),
-            ("rating_count", np.int64),
-            ("days_launched", np.int64),
-            ("substitute_available", bool),
-            ("brand", str),
-            ("size", str),
-            ("category", str),
-            ("subcategory", str),
-        )
-    }
-    cols["competitor_price"] = np.array(
-        [np.nan if r.competitor_price is None else r.competitor_price for r in recs], dtype=np.float64
-    )
-    flags = [[e in r.event_flags for e in events] for r in recs]
-    cols["events"] = np.array(flags, dtype=bool).reshape(len(recs), len(events))
-    cols["month"] = cols.pop("year_month")
-
-    _, item_code = np.unique(cols["item_id"], return_inverse=True)
-    order = np.lexsort((cols["month"], item_code))
-    cols = {k: v[order] for k, v in cols.items()}
-    item_code = item_code[order]
-    dup = np.flatnonzero((item_code[1:] == item_code[:-1]) & (cols["month"][1:] == cols["month"][:-1]))
+def _item_month_order(tx: Transactions) -> np.ndarray:
+    """Row indices sorting ``tx`` by (item_id, year_month); a repeated
+    (item, month) raises IntegrityError."""
+    _, item_code = np.unique(tx.item_id, return_inverse=True)
+    order = np.lexsort((tx.year_month, item_code))
+    item_code, month = item_code[order], tx.year_month[order]
+    dup = np.flatnonzero((item_code[1:] == item_code[:-1]) & (month[1:] == month[:-1]))
     if dup.size:
-        i = dup[0]
-        raise IntegrityError(f"duplicate record for item {str(cols['item_id'][i])!r} month {cols['month'][i]}")
-    return cols, events
+        i = order[dup[0]]
+        raise IntegrityError(f"duplicate record for item {str(tx.item_id[i])!r} month {tx.year_month[i]}")
+    return order
 
 
-# record columns copied into a pair twice, as lag_<name> and lead_<name>
-_PER_MONTH = ("month", "price", "inventory", "oos_days", "rating_count", "days_launched", "competitor_price")
-_PER_MONTH += ("substitute_available", "events")
+# pair column suffix -> Transactions field, copied into a pair twice, as
+# lag_<suffix> and lead_<suffix>
+_PER_MONTH = {
+    "month": "year_month",
+    **{name: name for name in ("price", "inventory", "oos_days", "rating_count", "days_launched")},
+    **{name: name for name in ("competitor_price", "substitute_available")},
+    "events": "event_flags",
+}
 
 
-def _join(rec: dict, lag: np.ndarray, lead: np.ndarray) -> dict:
-    """Pair columns for record rows ``lag`` and ``lead`` (see _record_columns)."""
-    cols = {name: rec[name][lag] for name in ("item_id", "brand", "size", "category", "subcategory")}
-    for name in _PER_MONTH:
-        cols[f"lag_{name}"] = rec[name][lag]
-        cols[f"lead_{name}"] = rec[name][lead]
+def _join(tx: Transactions, lag: np.ndarray, lead: np.ndarray) -> dict:
+    """Pair columns for transaction rows ``lag`` and ``lead``."""
+    cols = {name: getattr(tx, name)[lag] for name in ("item_id", "brand", "size", "category", "subcategory")}
+    for suffix, name in _PER_MONTH.items():
+        cols[f"lag_{suffix}"] = getattr(tx, name)[lag]
+        cols[f"lead_{suffix}"] = getattr(tx, name)[lead]
     return dict(
         cols,
         month_gap=month_gap(cols["lag_month"], cols["lead_month"]),
         price_change_pct=price_change_pct(cols["lag_price"], cols["lead_price"]),
-        lag_units=rec["units_sold"][lag],
-        target=rec["units_sold"][lead].astype(np.float64),
+        lag_units=tx.units_sold[lag],
+        target=tx.units_sold[lead].astype(np.float64),
     )
 
 
-def build_pairs(records) -> PairTable:
+def build_pairs(tx: Transactions) -> PairTable:
     """Self-join every item's months into valid (lag, lead) pairs.
 
     A pair is valid when the gap is 1..12 whole months and inventory is
     positive in both months. Output is sorted by (item_id, lag, lead).
     """
-    rec, events = _record_columns(records)
-    month = ym_index(rec["month"])
-    stocked = rec["inventory"] > 0
+    tx = tx.take(_item_month_order(tx))
+    month = ym_index(tx.year_month)
+    stocked = tx.inventory > 0
     lags, leads = [], []
-    # records are sorted with unique (item, month), so a lead within
+    # rows are sorted with unique (item, month), so a lead within
     # MAX_MONTH_GAP months of its lag is at most that many rows ahead
     for k in range(1, MAX_MONTH_GAP + 1):
         lag = np.arange(len(month) - k)
         lead = lag + k
         gap = month[lead] - month[lag]
-        ok = (rec["item_id"][lag] == rec["item_id"][lead]) & (gap >= MIN_MONTH_GAP) & (gap <= MAX_MONTH_GAP)
+        ok = (tx.item_id[lag] == tx.item_id[lead]) & (gap >= MIN_MONTH_GAP) & (gap <= MAX_MONTH_GAP)
         ok &= stocked[lag] & stocked[lead]
         lags.append(lag[ok])
         leads.append(lead[ok])
     lag, lead = np.concatenate(lags), np.concatenate(leads)
     order = np.lexsort((lead, lag))
-    return PairTable(**_join(rec, lag[order], lead[order]), event_names=events)
+    return PairTable(**_join(tx, lag[order], lead[order]), event_names=tx.event_names)
 
 
 # ---------------------------------------------------------------------------
@@ -567,123 +639,45 @@ def split(pairs: PairTable, seed: int, by_item: bool = False) -> DatasetSplit:
 # inference set
 
 
-def build_inference_set(records, as_of_month: int) -> tuple[PairTable, list[tuple[str, str]]]:
+def build_inference_set(tx: Transactions, as_of_month: int) -> tuple[PairTable, list[tuple[str, str]]]:
     """One lead = lag+1 row per item valid at as_of_month; unknown lead
     covariates are carried forward from the lag month, lead price starts at
     the lag price (price change 0) pending a counterfactual override."""
     validate_ym(as_of_month)
-    rec, events = _record_columns(records)
-    at = np.flatnonzero(rec["month"] == as_of_month)  # at most one row per item
-    stocked = rec["inventory"][at] > 0
-    found = set(rec["item_id"][at].tolist())
+    tx = tx.take(_item_month_order(tx))
+    at = np.flatnonzero(tx.year_month == as_of_month)  # at most one row per item
+    stocked = tx.inventory[at] > 0
+    found = set(tx.item_id[at].tolist())
     skipped = [
         (item_id, f"no record for month {as_of_month}")
-        for item_id in np.unique(rec["item_id"]).tolist()
+        for item_id in np.unique(tx.item_id).tolist()
         if item_id not in found
     ]
     skipped += [
-        (item_id, f"inventory is 0 in month {as_of_month}") for item_id in rec["item_id"][at[~stocked]].tolist()
+        (item_id, f"inventory is 0 in month {as_of_month}") for item_id in tx.item_id[at[~stocked]].tolist()
     ]
     skipped.sort()
 
     rows = at[stocked]
-    cols = _join(rec, rows, rows)
+    cols = _join(tx, rows, rows)
     cols.update(
         lead_month=np.full(len(rows), ym_add(as_of_month, 1), dtype=np.int64),
         month_gap=np.ones(len(rows), dtype=np.int64),
         target=np.full(len(rows), np.nan),
     )
-    return PairTable(**cols, event_names=events), skipped
+    return PairTable(**cols, event_names=tx.event_names), skipped
 
 
 # ---------------------------------------------------------------------------
 # dataset serialization (pairs CSV + manifest JSON)
 
-def _read_events(cells, event_names) -> np.ndarray:
-    known = set(event_names)
-    rows = {}
-    for cell in set(cells):
-        flags = {e for e in cell.split("|") if e}
-        if not flags <= known:
-            raise ValueError(f"unknown events {sorted(flags - known)}")
-        rows[cell] = [e in flags for e in event_names]
-    return np.array([rows[c] for c in cells], dtype=bool).reshape(len(cells), len(event_names))
-
-
-def _read_split(cells, event_names) -> np.ndarray:
-    labels = np.array(cells, dtype=str)
-    if not np.isin(labels, SPLITS).all():
-        raise ValueError("unknown split")
-    return labels
-
-
-def _write_events(col, event_names) -> list:
-    rows, inverse = np.unique(col, axis=0, return_inverse=True)
-    cells = np.array(["|".join(e for e, on in zip(event_names, row) if on) for row in rows.tolist()], dtype=object)
-    return cells[inverse].tolist()
-
-
-def _blank_nan(col, values) -> list:
-    """``values`` as Python objects, with an empty cell where ``col`` is NaN."""
-    out = values.astype(object)
-    out[np.isnan(col)] = ""
-    return out.tolist()
-
-
-# cell codecs by column kind: (cells, event names) -> column, and (column, event names) -> cells
-_READ = {
-    "str": lambda cells, events: np.array(cells, dtype=str),
-    "int": lambda cells, events: np.fromiter(map(int, cells), np.int64, len(cells)),
-    "float": lambda cells, events: np.fromiter(map(float, cells), np.float64, len(cells)),
-    "float?": lambda cells, events: np.array([float(c) if c else np.nan for c in cells], dtype=np.float64),
-    "int?": lambda cells, events: np.array([float(int(c)) if c else np.nan for c in cells], dtype=np.float64),
-    "bool": lambda cells, events: np.array(cells, dtype=str) == "true",
-    "events": _read_events,
-    "split": _read_split,
-}
-_WRITE = {
-    "str": lambda col, events: col.tolist(),
-    "int": lambda col, events: col.tolist(),
-    "float": lambda col, events: col.tolist(),  # csv writes a float as its repr
-    "float?": lambda col, events: _blank_nan(col, col),
-    "int?": lambda col, events: _blank_nan(col, np.nan_to_num(col).astype(np.int64)),
-    "bool": lambda col, events: np.where(col, "true", "false").tolist(),
-    "events": _write_events,
-    "split": lambda col, events: col.tolist(),
-}
-
-# pairs.csv has one column per PairTable field, in declaration order, then the
-# split label; a column's cells are integers unless listed here
-_CELL_KINDS = {
-    **dict.fromkeys(("item_id", "brand", "size", "category", "subcategory"), "str"),
-    **dict.fromkeys(("lag_price", "lead_price", "price_change_pct"), "float"),
-    **dict.fromkeys(("lag_competitor_price", "lead_competitor_price"), "float?"),
-    **dict.fromkeys(("lag_substitute_available", "lead_substitute_available"), "bool"),
-    **dict.fromkeys(("lag_events", "lead_events"), "events"),
-    "target": "int?",
-}
-_PAIR_COLUMNS = [(f.name, _CELL_KINDS.get(f.name, "int")) for f in fields(PairTable) if f.name != "event_names"]
-_PAIR_COLUMNS.append(("split", "split"))
-_PAIR_HEADER = [name for name, _ in _PAIR_COLUMNS]
-
-# pairs.csv is written this many rows at a time, part by part. Formatting all
-# 246,000 rows of a 1000-item dataset at once held ~550 MB of Python objects,
-# and the page faults that cost made `build`'s time spread twice as wide
-_CSV_CHUNK_ROWS = 4096
-
 
 def save_dataset(ds: DatasetSplit, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "pairs.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_PAIR_HEADER)
-        for label in SPLITS:
-            part = getattr(ds, label)
-            columns = {**part._columns(), "split": np.full(len(part), label)}
-            for lo in range(0, len(part), _CSV_CHUNK_ROWS):
-                chunk = {name: col[lo : lo + _CSV_CHUNK_ROWS] for name, col in columns.items()}
-                writer.writerows(zip(*(_WRITE[kind](chunk[name], part.event_names) for name, kind in _PAIR_COLUMNS)))
+    parts = {label: getattr(ds, label) for label in SPLITS}
+    columns = [{**part._columns(), "split": np.full(len(part), label)} for label, part in parts.items()]
+    _write_csv(out / "pairs.csv", _PAIR_COLUMNS, columns, ds.names.event_names)
     manifest = dict(ds.manifest)
     manifest["schema_hash"] = ds.schema_hash
     manifest["feature_list"] = {
@@ -695,29 +689,6 @@ def save_dataset(ds: DatasetSplit, out_dir) -> None:
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _read_pairs_csv(path, event_names) -> dict:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != _PAIR_HEADER:
-            raise ParseError(f"pairs.csv: unexpected header; expected {_PAIR_HEADER}")
-        rows = list(reader)
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != len(_PAIR_COLUMNS):
-            raise ParseError(f"line {line_no}: expected {len(_PAIR_COLUMNS)} fields, got {len(row)}")
-    columns = {}
-    for (name, kind), cells in zip(_PAIR_COLUMNS, list(zip(*rows)) or [()] * len(_PAIR_COLUMNS)):
-        try:
-            columns[name] = _READ[kind](cells, event_names)
-        except (ValueError, OverflowError):
-            for line_no, cell in enumerate(cells, start=2):
-                try:
-                    _READ[kind]((cell,), event_names)
-                except (ValueError, OverflowError):
-                    raise ParseError(f"line {line_no}: bad {name} {cell!r}") from None
-            raise
-    return columns
 
 
 def load_dataset(in_dir) -> DatasetSplit:
@@ -741,7 +712,7 @@ def load_dataset(in_dir) -> DatasetSplit:
             f"manifest schema hash {manifest['schema_hash']} does not match its event names "
             f"{list(names.event_names)} (hash {names.schema_hash()})"
         )
-    columns = _read_pairs_csv(src / "pairs.csv", names.event_names)
+    columns, _, _ = _read_csv(src / "pairs.csv", _PAIR_COLUMNS, names.event_names)
     labels = columns.pop("split")
     table = PairTable(**columns, event_names=names.event_names)
     return DatasetSplit(

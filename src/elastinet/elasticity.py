@@ -150,12 +150,8 @@ def evaluate_elasticities(model, inference, queries=None, dp_fraction=DEFAULT_DP
     return report
 
 
-def wmape(actuals, predictions, printed_variant: bool = False) -> float:
-    """Demand-weighted MAPE, in percent: sum|y - yhat| / sum y * 100.
-
-    ``printed_variant`` switches to sum(y*|y - yhat|)/sum(y), a weighted
-    absolute error rather than a percentage.
-    """
+def wmape(actuals, predictions) -> float:
+    """Demand-weighted MAPE, in percent: sum|y - yhat| / sum y * 100."""
     y = np.asarray(actuals, dtype=np.float64)
     yhat = np.asarray(predictions, dtype=np.float64)
     if y.shape != yhat.shape or y.size == 0:
@@ -163,10 +159,7 @@ def wmape(actuals, predictions, printed_variant: bool = False) -> float:
     denom = y.sum()
     if denom <= 0:
         raise MetricError(f"wmape undefined: total actual demand is {denom}")
-    err = np.abs(y - yhat)
-    if printed_variant:
-        return float((y * err).sum() / denom)
-    return float(err.sum() / denom * 100.0)
+    return float(np.abs(y - yhat).sum() / denom * 100.0)
 
 
 def mae_elasticity(truth, predicted) -> tuple[float, int]:

@@ -154,7 +154,11 @@ class FeatureEncoder:
         return out
 
 
-def build_vocabs(table: dt.PairTable, cat_names, seed: int, holdout_fraction: float = 0.01) -> dict:
+# share of levels left out of each vocabulary (of those with more than two)
+VOCAB_HOLDOUT_FRACTION = 0.01
+
+
+def build_vocabs(table: dt.PairTable, cat_names, seed: int) -> dict:
     """Level -> index maps from training pairs; a small random holdout of
     levels is left unmapped so the reserved unknown row receives training
     signal."""
@@ -162,7 +166,7 @@ def build_vocabs(table: dt.PairTable, cat_names, seed: int, holdout_fraction: fl
     vocabs: dict[str, dict[str, int]] = {}
     for name in cat_names:
         levels = np.unique(dt.category_column(table, name)).tolist()
-        kept = [lv for lv in levels if not (len(levels) > 2 and rng.random() < holdout_fraction)]
+        kept = [lv for lv in levels if not (len(levels) > 2 and rng.random() < VOCAB_HOLDOUT_FRACTION)]
         vocabs[name] = {lv: i + 1 for i, lv in enumerate(kept)}
     return vocabs
 

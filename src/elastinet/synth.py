@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TransactionMonth, month_of_year, ym_add
+from .data import TRANSACTIONS_COLUMNS, Transactions, month_of_year, ym_add
 from .errors import ConfigError, DomainError
 
 BRAND_POOL = [f"brand_{i:02d}" for i in range(10)]
@@ -110,12 +110,12 @@ def true_arc_elasticity(epsilon: float, p: float, dp: float) -> float:
     return ((p + dp) ** epsilon - p**epsilon) / p**epsilon * p / dp
 
 
-def generate(world: SyntheticWorld) -> tuple[list[TransactionMonth], list[ItemTruth]]:
-    """Emit monthly records and the per-item truth table, reproducibly."""
+def generate(world: SyntheticWorld) -> tuple[Transactions, list[ItemTruth]]:
+    """Emit monthly transactions and the per-item truth table, reproducibly."""
     rng = np.random.default_rng(world.seed)
     months = [ym_add(world.start_month, k) for k in range(world.n_months)]
 
-    records: list[TransactionMonth] = []
+    rows = []  # one tuple per item-month, in TRANSACTIONS_COLUMNS order
     truths: list[ItemTruth] = []
     for i in range(world.n_items):
         item_id = f"item_{i:04d}"
@@ -158,6 +158,7 @@ def generate(world: SyntheticWorld) -> tuple[list[TransactionMonth], list[ItemTr
         substitute = bool(rng.random() < 0.5)
         rating = int(rng.integers(0, 500))
         launched = int(rng.integers(30, 1000))
+        attributes = (brand, size, category, subcategory)
 
         for k, ym in enumerate(months):
             mult, flags = world.season_multiplier(month_of_year(ym))
@@ -171,32 +172,16 @@ def generate(world: SyntheticWorld) -> tuple[list[TransactionMonth], list[ItemTr
             oos = int(rng.integers(1, 6)) if rng.random() < world.oos_rate else 0
             # competitors track the item's stable market price level, not the
             # month-to-month own-price walk
-            comp = (
-                float(base_price * rng.uniform(0.85, 1.15))
-                if rng.random() < world.competitor_presence
-                else None
-            )
-            records.append(
-                TransactionMonth(
-                    item_id=item_id,
-                    year_month=ym,
-                    price=price,
-                    units_sold=units,
-                    inventory=inventory,
-                    oos_days=oos,
-                    rating_count=rating,
-                    days_launched=launched + 30 * k,
-                    competitor_price=comp,
-                    substitute_available=substitute,
-                    event_flags=flags,
-                    brand=brand,
-                    size=size,
-                    category=category,
-                    subcategory=subcategory,
-                )
+            comp = base_price * rng.uniform(0.85, 1.15) if rng.random() < world.competitor_presence else np.nan
+            rows.append(
+                (item_id, ym, price, units, inventory, oos, rating, launched + 30 * k, comp, substitute, flags)
+                + attributes
             )
             rating += int(round(units * 0.02))
-    return records, truths
+    columns = {name: np.array(col) for name, col in zip(TRANSACTIONS_COLUMNS, zip(*rows))}
+    events = tuple(sorted(set().union(*columns["event_flags"])))
+    columns["event_flags"] = np.array([[e in flags for e in events] for flags in columns["event_flags"]], dtype=bool)
+    return Transactions(**columns, event_names=events), truths
 
 
 TRUTH_COLUMNS = ["item_id", "epsilon", "epsilon_hi", "coeff", "base_price"]

@@ -32,7 +32,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0 or self.learning_rate < 0:
@@ -48,17 +47,15 @@ class TrainReport:
     final_param_norms: dict = field(default_factory=dict)
     wall_time_seconds: float = 0.0
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        """Losses and norms; the wall time is left out, so reruns write the same bytes."""
+        return {
             "epochs": [
                 {"epoch": i + 1, "train_loss": t, "val_loss": v}
                 for i, (t, v) in enumerate(zip(self.train_losses, self.val_losses))
             ],
             "final_param_norms": dict(sorted(self.final_param_norms.items())),
         }
-        if include_timing:
-            out["wall_time_seconds"] = self.wall_time_seconds
-        return out
 
 
 class Adam:
@@ -126,12 +123,11 @@ def prepare_model(
     split: dt.DatasetSplit,
     arch: ArchConfig | None = None,
     seed: int = 0,
-    holdout_fraction: float = 0.01,
 ) -> DemandModel:
     """Build an untrained model wired to a dataset: vocabs, stats, schema hash."""
     arch = arch or ArchConfig()
     names = split.names
-    vocabs = build_vocabs(split.train, names.categorical, seed=seed, holdout_fraction=holdout_fraction)
+    vocabs = build_vocabs(split.train, names.categorical, seed=seed)
     schema = build_schema(names, vocabs, arch)
     model = DemandModel(schema, arch, seed=seed)
     model.encoder = FeatureEncoder(vocabs=vocabs)
@@ -181,7 +177,7 @@ def train(
     report = TrainReport()
 
     for epoch in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         sq_err_sum = 0.0
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]

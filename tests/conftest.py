@@ -16,14 +16,14 @@ SMALL_ARCH = ArchConfig(trunk_widths=(24, 12), injection_width=16, post_widths=(
 @pytest.fixture(scope="session")
 def small_world():
     world = SyntheticWorld(n_items=24, n_months=16, seed=101, noise_sigma=0.05)
-    records, truths = generate(world)
-    return world, records, truths
+    tx, truths = generate(world)
+    return world, tx, truths
 
 
 @pytest.fixture(scope="session")
 def small_split(small_world):
-    _, records, _ = small_world
-    return dt.split(dt.build_pairs(records), seed=101)
+    _, tx, _ = small_world
+    return dt.split(dt.build_pairs(tx), seed=101)
 
 
 @pytest.fixture(scope="session")

@@ -44,10 +44,10 @@ def verdict(name: str, ok: bool, detail: str = "") -> None:
 def probe_world():
     """Small world for the structural checks; trained the full 25 epochs."""
     world = SyntheticWorld(n_items=40, n_months=16, seed=7)
-    records, truths = generate(world)
-    split_ = dt.split(dt.build_pairs(records), seed=7)
+    tx, truths = generate(world)
+    split_ = dt.split(dt.build_pairs(tx), seed=7)
     arch = ArchConfig(trunk_widths=(48, 24), injection_width=32, post_widths=(16,))
-    return world, records, split_, arch
+    return world, tx, split_, arch
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ def monotonicity_run(probe_world):
     each grid point is encoded once, before training; one equality check
     against predict_batch pins the probe to the public prediction path.
     """
-    _, records, split_, arch = probe_world
+    _, tx, split_, arch = probe_world
     rng = np.random.default_rng(7)
     pool = dt.PairTable.concat([split_.train, split_.validation])
     rows = pool.take(rng.integers(0, len(pool), size=1000))
@@ -85,7 +85,7 @@ def monotonicity_run(probe_world):
     probe(model)  # untrained
     train(model, split_, TrainConfig(seed=7, **TRAIN_DEFAULTS), epoch_callback=lambda e, m: probe(m))
     elapsed = time.perf_counter() - t0
-    return model, records, violations, elapsed
+    return model, tx, violations, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -95,14 +95,14 @@ def recovery_run():
     world = SyntheticWorld(
         n_items=200, n_months=27, seed=RECOVERY_SEED, noise_sigma=0.1, epsilon_range=(-3.0, -0.5)
     )
-    records, truths = generate(world)
-    split_ = dt.split(dt.build_pairs(records), seed=RECOVERY_SEED)
+    tx, truths = generate(world)
+    split_ = dt.split(dt.build_pairs(tx), seed=RECOVERY_SEED)
     model = prepare_model(split_, ArchConfig(), seed=RECOVERY_SEED)
     train(model, split_, TrainConfig(seed=RECOVERY_SEED, **TRAIN_DEFAULTS))
 
     ots_wmape = wmape(split_.out_of_time.target, model.predict_batch(split_.out_of_time))
 
-    inference, _ = dt.build_inference_set(records, max(r.year_month for r in records))
+    inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
     report = evaluate_elasticities(model, inference)
     truth_map = {t.item_id: t for t in truths}
     truth_arcs = {e.item_id: truth_map[e.item_id].arc_elasticity(e.p, e.dp) for e in report.valid_entries()}
@@ -122,12 +122,12 @@ def kinked_run():
         epsilon_range=(-3.0, -0.5),
         kinked=True,
     )
-    records, truths = generate(world)
-    split_ = dt.split(dt.build_pairs(records), seed=RECOVERY_SEED)
+    tx, truths = generate(world)
+    split_ = dt.split(dt.build_pairs(tx), seed=RECOVERY_SEED)
     model = prepare_model(split_, ArchConfig(), seed=RECOVERY_SEED)
     train(model, split_, TrainConfig(seed=RECOVERY_SEED, **TRAIN_DEFAULTS))
 
-    inference, _ = dt.build_inference_set(records, max(r.year_month for r in records))
+    inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
     report = evaluate_elasticities(model, inference)
     truth_map = {t.item_id: t for t in truths}
     truth_arcs = {e.item_id: truth_map[e.item_id].arc_elasticity(e.p, e.dp) for e in report.valid_entries()}
@@ -144,7 +144,7 @@ def kinked_run():
 
 
 def test_structural_monotonicity(monotonicity_run):
-    model, records, violations, elapsed = monotonicity_run
+    model, tx, violations, elapsed = monotonicity_run
     ok = violations["count"] == 0 and violations["checkpoints"] == 26  # untrained + 25 epochs
     verdict(
         "structural monotonicity (50-point grid, 1000 rows, every checkpoint)",
@@ -155,8 +155,8 @@ def test_structural_monotonicity(monotonicity_run):
 
 
 def test_structural_monotonicity_implies_nonpositive_elasticity(monotonicity_run):
-    model, records, _, _ = monotonicity_run
-    inference, _ = dt.build_inference_set(records, max(r.year_month for r in records))
+    model, tx, _, _ = monotonicity_run
+    inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
     rng = np.random.default_rng(11)
     queries = []
     for _ in range(1000):
@@ -218,20 +218,19 @@ def test_weight_sign_contract_after_full_training(monotonicity_run):
 
 
 def test_pair_construction_oracle():
-    from test_data import brute_force_pairs, make_record, pair_keys
+    from test_data import brute_force_pairs, make_tx, pair_keys, tx_row
 
     rng = np.random.default_rng(123)
     months = [dt.ym_add(202001, k) for k in range(30)]
     mismatches = 0
     for _ in range(50):
-        records = []
+        rows = []
         for i in range(int(rng.integers(1, 6))):
             chosen = rng.choice(len(months), size=int(rng.integers(2, 31)), replace=False)
             for m in sorted(chosen):
-                records.append(
-                    make_record(item=f"i{i}", ym=months[int(m)], inventory=int(rng.integers(0, 3)) * 5)
-                )
-        if set(pair_keys(dt.build_pairs(records))) != brute_force_pairs(records):
+                rows.append(tx_row(item=f"i{i}", ym=months[int(m)], inventory=int(rng.integers(0, 3)) * 5))
+        tx = make_tx(rows)
+        if set(pair_keys(dt.build_pairs(tx))) != brute_force_pairs(tx):
             mismatches += 1
     verdict("pair construction equals brute-force enumeration (50 instances)", mismatches == 0)
 
@@ -302,11 +301,11 @@ def test_pipeline_determinism(tmp_path):
 
 
 def test_save_load_round_trip(monotonicity_run, tmp_path):
-    model, records, _, _ = monotonicity_run
+    model, tx, _, _ = monotonicity_run
     path = tmp_path / "model.mdnm"
     save_model(model, path)
     loaded = load_model(path)
-    pairs = dt.build_pairs(records)
+    pairs = dt.build_pairs(tx)
     rng = np.random.default_rng(5)
     chosen = pairs.take(rng.integers(0, len(pairs), size=100))
     exact = np.array_equal(model.predict_batch(chosen), loaded.predict_batch(chosen))

@@ -113,6 +113,24 @@ class TestTrain:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{bad", "is not valid JSON"),
+            ("5", "must hold a JSON object, got int"),
+            ('{"epochs": "2"}', "config key 'epochs' must be int, got '2'"),
+            ('{"learning_rate": true}', "config key 'learning_rate' must be float, got True"),
+        ],
+    )
+    def test_malformed_config_file_exits_2(self, pipeline_dirs, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(
+            ["train", "--dataset", str(pipeline_dirs / "ds"), "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_metrics_json(self, pipeline_dirs, tmp_path):
@@ -176,7 +194,10 @@ class TestEvaluate:
         assert rc == 3
         assert "manifest.json needs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column, value", [("split", "trian"), ("lag_month", "20x3")])
+    @pytest.mark.parametrize(
+        "column, value",
+        [("split", "trian"), ("lag_month", "20x3"), ("lag_substitute_available", "maybe"), ("lead_price", "nan")],
+    )
     def test_malformed_pairs_csv_exits_2(self, pipeline_dirs, tmp_path, capsys, column, value):
         ds = tmp_path / "ds"
         shutil.copytree(pipeline_dirs / "ds", ds)

@@ -10,26 +10,46 @@ from elastinet.errors import ConfigError, DomainError, IntegrityError, ParseErro
 HEADER = ",".join(dt.TRANSACTIONS_COLUMNS)
 
 
-def make_record(item="a", ym=202301, price=10.0, units=5, inventory=20, **kw):
-    fields = dict(
-        item_id=item,
-        year_month=ym,
-        price=price,
-        units_sold=units,
-        inventory=inventory,
-        oos_days=0,
-        rating_count=3,
-        days_launched=100,
-        competitor_price=None,
-        substitute_available=False,
-        event_flags=frozenset(),
-        brand="b1",
-        size="M",
-        category="c1",
-        subcategory="s1",
-    )
-    fields.update(kw)
-    return dt.TransactionMonth(**fields)
+ROW = dict(
+    item_id="a",
+    year_month=202301,
+    price=10.0,
+    units_sold=5,
+    inventory=20,
+    oos_days=0,
+    rating_count=3,
+    days_launched=100,
+    competitor_price=None,
+    substitute_available=False,
+    event_flags=frozenset(),
+    brand="b1",
+    size="M",
+    category="c1",
+    subcategory="s1",
+)
+
+
+def tx_row(item="a", ym=202301, price=10.0, units=5, inventory=20, **kw):
+    """One transactions row as a dict keyed by TRANSACTIONS_COLUMNS."""
+    return {**ROW, "item_id": item, "year_month": ym, "price": price, "units_sold": units, "inventory": inventory, **kw}
+
+
+def make_tx(rows):
+    """A Transactions table from row dicts: None is an absent competitor
+    price, and the event names are every event some row flags."""
+    rows = list(rows)
+    events = tuple(sorted(set().union(*(r["event_flags"] for r in rows))))
+    columns = {}
+    for name in dt.TRANSACTIONS_COLUMNS:
+        values = [r[name] for r in rows]
+        if name == "event_flags":
+            flags = np.array([[e in v for e in events] for v in values], dtype=bool)
+            columns[name] = flags.reshape(len(rows), len(events))
+        elif name == "competitor_price":
+            columns[name] = np.array([np.nan if v is None else v for v in values], dtype=np.float64)
+        else:
+            columns[name] = np.array(values, dtype=type(ROW[name]))
+    return dt.Transactions(**columns, event_names=events)
 
 
 def write_csv(path, rows):
@@ -42,15 +62,14 @@ def pair_keys(table):
 
 
 def tables_equal(a, b):
-    if a.event_names != b.event_names or len(a) != len(b):
+    """Same type, event names and columns (NaN equal to NaN)."""
+    if type(a) is not type(b) or a.event_names != b.event_names or len(a) != len(b):
         return False
-    for f in dataclasses.fields(dt.PairTable):
+    for f in dataclasses.fields(a):
         if f.name == "event_names":
             continue
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if x.dtype.kind == "f" and not np.array_equal(x, y, equal_nan=True):
-            return False
-        if x.dtype.kind != "f" and not np.array_equal(x, y):
+        if x.dtype != y.dtype or not np.array_equal(x, y, equal_nan=x.dtype.kind == "f"):
             return False
     return True
 
@@ -79,10 +98,12 @@ class TestIngest:
                 "b,202301,9.0,2,15,0,1,50,,false,promo|holiday,b2,S,c2,s2",
             ],
         )
-        records = dt.ingest(f)
-        assert len(records) == 3
-        assert records[1].competitor_price == 12.5
-        assert records[2].event_flags == frozenset({"promo", "holiday"})
+        tx = dt.ingest(f)
+        assert len(tx) == 3
+        assert np.isnan(tx.competitor_price[0]) and tx.competitor_price[1] == 12.5
+        assert tx.event_names == ("holiday", "promo")
+        assert tx.event_flags.tolist() == [[False, False], [True, False], [True, True]]
+        assert tx.substitute_available.tolist() == [False, True, False]
 
     def test_duplicate_item_month(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -135,11 +156,31 @@ class TestIngest:
         with pytest.raises(ParseError, match="header"):
             dt.ingest(f)
 
-    def test_round_trip(self, tmp_path):
-        records = [make_record(ym=202301), make_record(ym=202302, competitor_price=3.25, event_flags=frozenset({"x"}))]
+    def test_accepted_spellings(self, tmp_path):
         f = tmp_path / "t.csv"
-        dt.write_transactions(records, f)
-        assert dt.ingest(f) == records
+        write_csv(
+            f,
+            [
+                "a,202301,3.5,5,20,0,3,100,  ,  TRUE ,,b1,M,c1,s1",
+                "",
+                "a,202302,3.5,5,20,0,3,100, 4.25 ,False,,b1,M,c1,s1",
+            ],
+        )
+        tx = dt.ingest(f)
+        assert tx.substitute_available.tolist() == [True, False]
+        assert np.isnan(tx.competitor_price[0]) and tx.competitor_price[1] == 4.25
+        write_csv(
+            f,
+            ["a,202301,3.5,5,20,0,3,100,,false,,b1,M,c1,s1", "", "a,202302,3.5,5,20,0,3,100,,maybe,,b1,M,c1,s1"],
+        )
+        with pytest.raises(ParseError, match="line 4: substitute_available must be true/false, got 'maybe'"):
+            dt.ingest(f)
+
+    def test_round_trip(self, tmp_path):
+        tx = make_tx([tx_row(ym=202301), tx_row(ym=202302, competitor_price=3.25, event_flags=frozenset({"x"}))])
+        f = tmp_path / "t.csv"
+        dt.write_transactions(tx, f)
+        assert tables_equal(dt.ingest(f), tx)
 
 
 class TestPriceChange:
@@ -153,23 +194,24 @@ class TestPriceChange:
             dt.price_change_pct(0.0, 5.0)
 
 
-def brute_force_pairs(records):
+def brute_force_pairs(tx):
     """Independent oracle: all ordered month pairs under the two constraints."""
+    rows = list(zip(tx.item_id.tolist(), tx.year_month.tolist(), tx.inventory.tolist()))
     out = set()
-    for lag in records:
-        for lead in records:
-            if lag.item_id != lead.item_id:
+    for lag_item, lag_month, lag_inventory in rows:
+        for lead_item, lead_month, lead_inventory in rows:
+            if lag_item != lead_item:
                 continue
-            gap = dt.month_gap(lag.year_month, lead.year_month)
-            if 1 <= gap <= 12 and lag.inventory > 0 and lead.inventory > 0:
-                out.add((lag.item_id, lag.year_month, lead.year_month))
+            gap = dt.month_gap(lag_month, lead_month)
+            if 1 <= gap <= 12 and lag_inventory > 0 and lead_inventory > 0:
+                out.add((lag_item, lag_month, lead_month))
     return out
 
 
 class TestBuildPairs:
     def test_three_months_give_three_pairs(self):
-        records = [make_record(ym=m) for m in (202301, 202302, 202303)]
-        pairs = dt.build_pairs(records)
+        rows = [tx_row(ym=m) for m in (202301, 202302, 202303)]
+        pairs = dt.build_pairs(make_tx(rows))
         assert list(zip(pairs.lag_month.tolist(), pairs.lead_month.tolist())) == [
             (202301, 202302),
             (202301, 202303),
@@ -177,27 +219,27 @@ class TestBuildPairs:
         ]
 
     def test_gap_over_twelve_excluded(self):
-        records = [make_record(ym=202301), make_record(ym=202403)]  # gap 14
-        assert len(dt.build_pairs(records)) == 0
+        rows = [tx_row(ym=202301), tx_row(ym=202403)]  # gap 14
+        assert len(dt.build_pairs(make_tx(rows))) == 0
 
     def test_zero_lead_inventory_excluded(self):
-        records = [make_record(ym=202301), make_record(ym=202302, inventory=0)]
-        assert len(dt.build_pairs(records)) == 0
+        rows = [tx_row(ym=202301), tx_row(ym=202302, inventory=0)]
+        assert len(dt.build_pairs(make_tx(rows))) == 0
 
     def test_zero_lag_inventory_excluded(self):
-        records = [make_record(ym=202301, inventory=0), make_record(ym=202302)]
-        assert len(dt.build_pairs(records)) == 0
+        rows = [tx_row(ym=202301, inventory=0), tx_row(ym=202302)]
+        assert len(dt.build_pairs(make_tx(rows))) == 0
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(0)
         months = [dt.ym_add(202201, k) for k in range(30)]
         for _ in range(50):
-            records = []
+            rows = []
             for i in range(int(rng.integers(1, 6))):
                 chosen = rng.choice(len(months), size=int(rng.integers(2, 31)), replace=False)
-                for m in rng.permutation(chosen):  # records need not arrive sorted
-                    records.append(
-                        make_record(
+                for m in rng.permutation(chosen):  # rows need not arrive sorted
+                    rows.append(
+                        tx_row(
                             item=f"i{i}",
                             ym=months[int(m)],
                             price=float(rng.uniform(1, 9)),
@@ -205,24 +247,25 @@ class TestBuildPairs:
                             inventory=int(rng.integers(0, 3)) * 10,
                         )
                     )
-            pairs = dt.build_pairs(records)
+            tx = make_tx(rows)
+            pairs = dt.build_pairs(tx)
             keys = pair_keys(pairs)
-            assert keys == sorted(brute_force_pairs(records))
-            by_key = {(r.item_id, r.year_month): r for r in records}
+            assert keys == sorted(brute_force_pairs(tx))
+            by_key = {(r["item_id"], r["year_month"]): r for r in rows}
             for k, (item_id, lag_month, lead_month) in enumerate(keys):
                 lag, lead = by_key[item_id, lag_month], by_key[item_id, lead_month]
                 assert pairs.month_gap[k] == dt.month_gap(lag_month, lead_month)
-                assert (pairs.lag_price[k], pairs.lead_price[k]) == (lag.price, lead.price)
-                assert pairs.price_change_pct[k] == (lead.price - lag.price) / lag.price
-                assert (pairs.lag_units[k], pairs.target[k]) == (lag.units_sold, lead.units_sold)
-                assert (pairs.lag_inventory[k], pairs.lead_inventory[k]) == (lag.inventory, lead.inventory)
+                assert (pairs.lag_price[k], pairs.lead_price[k]) == (lag["price"], lead["price"])
+                assert pairs.price_change_pct[k] == (lead["price"] - lag["price"]) / lag["price"]
+                assert (pairs.lag_units[k], pairs.target[k]) == (lag["units_sold"], lead["units_sold"])
+                assert (pairs.lag_inventory[k], pairs.lead_inventory[k]) == (lag["inventory"], lead["inventory"])
 
     def test_fields_copied_and_target_set(self):
-        records = [
-            make_record(ym=202301, price=10.0, units=7, oos_days=2, competitor_price=8.5, substitute_available=True),
-            make_record(ym=202302, price=12.0, units=9, oos_days=1, brand="b2"),
+        rows = [
+            tx_row(ym=202301, price=10.0, units=7, oos_days=2, competitor_price=8.5, substitute_available=True),
+            tx_row(ym=202302, price=12.0, units=9, oos_days=1, brand="b2"),
         ]
-        pair = dt.build_pairs(records)
+        pair = dt.build_pairs(make_tx(rows))
         assert len(pair) == 1
         assert pair.lag_units[0] == 7 and pair.target[0] == 9
         assert pair.price_change_pct[0] == pytest.approx(0.2)
@@ -232,25 +275,25 @@ class TestBuildPairs:
         assert pair.brand[0] == "b1"  # item attributes come from the lag month
 
     def test_duplicate_item_month_rejected(self):
-        records = [make_record(ym=202301), make_record(ym=202302), make_record(ym=202302, price=11.0)]
+        rows = [tx_row(ym=202301), tx_row(ym=202302), tx_row(ym=202302, price=11.0)]
         with pytest.raises(IntegrityError, match="202302"):
-            dt.build_pairs(records)
+            dt.build_pairs(make_tx(rows))
 
 
-def grid_records(n_items=3, n_months=27, seed=0):
+def grid_rows(n_items=3, n_months=27, seed=0):
     rng = np.random.default_rng(seed)
-    records = []
+    rows = []
     for i in range(n_items):
         for k in range(n_months):
-            records.append(
-                make_record(item=f"i{i}", ym=dt.ym_add(202301, k), price=float(rng.uniform(5, 15)))
+            rows.append(
+                tx_row(item=f"i{i}", ym=dt.ym_add(202301, k), price=float(rng.uniform(5, 15)))
             )
-    return records
+    return rows
 
 
 class TestSplit:
     def test_out_of_time_is_last_three_lead_months(self):
-        pairs = dt.build_pairs(grid_records())
+        pairs = dt.build_pairs(make_tx(grid_rows()))
         ds = dt.split(pairs, seed=0)
         last = int(pairs.lead_month.max())
         boundary = dt.ym_add(last, -2)
@@ -259,33 +302,33 @@ class TestSplit:
         assert np.all(dt.PairTable.concat([ds.train, ds.validation]).lead_month < boundary)
 
     def test_same_seed_identical_membership(self):
-        pairs = dt.build_pairs(grid_records())
+        pairs = dt.build_pairs(make_tx(grid_rows()))
         a = dt.split(pairs, seed=5)
         b = dt.split(pairs, seed=5)
         assert pair_keys(a.train) == pair_keys(b.train)
         assert pair_keys(a.validation) == pair_keys(b.validation)
 
     def test_parts_keep_pair_order(self):
-        pairs = dt.build_pairs(grid_records())
+        pairs = dt.build_pairs(make_tx(grid_rows()))
         ds = dt.split(pairs.take(np.random.default_rng(0).permutation(len(pairs))), seed=5)
         for part in (ds.train, ds.validation, ds.out_of_time):
             assert pair_keys(part) == sorted(pair_keys(part))
 
     def test_80_20_sizes(self):
-        pairs = dt.build_pairs(grid_records())
+        pairs = dt.build_pairs(make_tx(grid_rows()))
         ds = dt.split(pairs, seed=1)
         n = len(ds.train) + len(ds.validation)
         assert len(ds.train) == (n * 4) // 5
 
     def test_exactly_100_pairs_split_80_20(self):
-        full = dt.split(dt.build_pairs(grid_records()), seed=1)
+        full = dt.split(dt.build_pairs(make_tx(grid_rows())), seed=1)
         rest = dt.PairTable.concat([full.train, full.validation])
         subset = dt.PairTable.concat([rest.take(np.arange(100)), full.out_of_time])
         ds = dt.split(subset, seed=1)
         assert (len(ds.train), len(ds.validation)) == (80, 20)
 
     def test_no_leakage_between_splits(self):
-        pairs = dt.build_pairs(grid_records())
+        pairs = dt.build_pairs(make_tx(grid_rows()))
         ds = dt.split(pairs, seed=2)
         train = set(pair_keys(ds.train))
         val = set(pair_keys(ds.validation))
@@ -294,58 +337,58 @@ class TestSplit:
         assert len(train | val | ots) == len(pairs)
 
     def test_item_level_split(self):
-        pairs = dt.build_pairs(grid_records(n_items=10))
+        pairs = dt.build_pairs(make_tx(grid_rows(n_items=10)))
         ds = dt.split(pairs, seed=3, by_item=True)
         train_items = set(ds.train.item_id.tolist())
         val_items = set(ds.validation.item_id.tolist())
         assert not (train_items & val_items)
 
     def test_event_names_are_those_present_in_pairs(self):
-        records = grid_records()
-        records[0] = make_record(item="i0", ym=202301, event_flags=frozenset({"promo"}))
-        records.append(make_record(item="lonely", ym=202301, event_flags=frozenset({"clearance"})))
-        ds = dt.split(dt.build_pairs(records), seed=0)
+        rows = grid_rows()
+        rows[0] = tx_row(item="i0", ym=202301, event_flags=frozenset({"promo"}))
+        rows.append(tx_row(item="lonely", ym=202301, event_flags=frozenset({"clearance"})))
+        ds = dt.split(dt.build_pairs(make_tx(rows)), seed=0)
         assert ds.names.event_names == ("promo",)
         assert ds.train.event_names == ds.out_of_time.event_names == ("promo",)
 
     def test_too_short_span_rejected(self):
-        records = [make_record(ym=m) for m in (202301, 202302, 202303)]
+        rows = [tx_row(ym=m) for m in (202301, 202302, 202303)]
         with pytest.raises(ConfigError):
-            dt.split(dt.build_pairs(records), seed=0)
+            dt.split(dt.build_pairs(make_tx(rows)), seed=0)
 
 
 class TestInferenceSet:
     def test_valid_item_gets_one_gap_one_row(self):
-        records = [make_record(ym=202301, price=9.0), make_record(ym=202302, price=10.0)]
-        rows, skipped = dt.build_inference_set(records, 202302)
+        rows = [tx_row(ym=202301, price=9.0), tx_row(ym=202302, price=10.0)]
+        table, skipped = dt.build_inference_set(make_tx(rows), 202302)
         assert skipped == []
-        assert len(rows) == 1
-        assert rows.month_gap[0] == 1
-        assert rows.lead_month[0] == 202303
-        assert rows.lead_price[0] == rows.lag_price[0] == 10.0
-        assert rows.price_change_pct[0] == 0.0
-        assert np.isnan(rows.target[0])
+        assert len(table) == 1
+        assert table.month_gap[0] == 1
+        assert table.lead_month[0] == 202303
+        assert table.lead_price[0] == table.lag_price[0] == 10.0
+        assert table.price_change_pct[0] == 0.0
+        assert np.isnan(table.target[0])
 
     def test_zero_inventory_item_skipped_with_reason(self):
-        records = [make_record(item="a", ym=202302), make_record(item="b", ym=202302, inventory=0)]
-        rows, skipped = dt.build_inference_set(records, 202302)
-        assert rows.item_id.tolist() == ["a"]
+        rows = [tx_row(item="a", ym=202302), tx_row(item="b", ym=202302, inventory=0)]
+        table, skipped = dt.build_inference_set(make_tx(rows), 202302)
+        assert table.item_id.tolist() == ["a"]
         assert skipped == [("b", "inventory is 0 in month 202302")]
 
     def test_item_without_as_of_record_skipped(self):
-        records = [make_record(item="a", ym=202301)]
-        rows, skipped = dt.build_inference_set(records, 202302)
-        assert len(rows) == 0
+        rows = [tx_row(item="a", ym=202301)]
+        table, skipped = dt.build_inference_set(make_tx(rows), 202302)
+        assert len(table) == 0
         assert skipped[0][0] == "a"
 
     def test_empty_records(self):
-        rows, skipped = dt.build_inference_set([], 202301)
-        assert len(rows) == 0 and skipped == []
+        table, skipped = dt.build_inference_set(make_tx([]), 202301)
+        assert len(table) == 0 and skipped == []
 
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
-        pairs = dt.build_pairs(grid_records())
+        pairs = dt.build_pairs(make_tx(grid_rows()))
         ds = dt.split(pairs, seed=9)
         dt.save_dataset(ds, tmp_path)
         loaded = dt.load_dataset(tmp_path)
@@ -355,10 +398,10 @@ class TestDatasetIO:
         assert tables_equal(loaded.out_of_time, ds.out_of_time)
 
     def test_round_trip_with_events_and_absent_values(self, tmp_path):
-        records = grid_records()
-        records[1] = make_record(item="i0", ym=202302, competitor_price=4.5, event_flags=frozenset({"x", "y"}))
-        records[5] = make_record(item="i0", ym=202306, substitute_available=True, event_flags=frozenset({"y"}))
-        ds = dt.split(dt.build_pairs(records), seed=3)
+        rows = grid_rows()
+        rows[1] = tx_row(item="i0", ym=202302, competitor_price=4.5, event_flags=frozenset({"x", "y"}))
+        rows[5] = tx_row(item="i0", ym=202306, substitute_available=True, event_flags=frozenset({"y"}))
+        ds = dt.split(dt.build_pairs(make_tx(rows)), seed=3)
         dt.save_dataset(ds, tmp_path)
         loaded = dt.load_dataset(tmp_path)
         for part in dt.SPLITS:
@@ -366,18 +409,18 @@ class TestDatasetIO:
         assert "x|y" in (tmp_path / "pairs.csv").read_text()
 
     def test_pipeline_determinism_byte_identical(self, tmp_path):
-        records = grid_records(seed=4)
+        rows = grid_rows(seed=4)
         for d in ("one", "two"):
-            dt.save_dataset(dt.split(dt.build_pairs(records), seed=7), tmp_path / d)
+            dt.save_dataset(dt.split(dt.build_pairs(make_tx(rows)), seed=7), tmp_path / d)
         assert (tmp_path / "one" / "pairs.csv").read_bytes() == (tmp_path / "two" / "pairs.csv").read_bytes()
         assert (tmp_path / "one" / "manifest.json").read_bytes() == (
             tmp_path / "two" / "manifest.json"
         ).read_bytes()
 
     def test_chunked_write_matches_one_chunk(self, tmp_path, monkeypatch):
-        records = grid_records(seed=4)
-        records[1] = make_record(item="i0", ym=202302, competitor_price=4.5, event_flags=frozenset({"x", "y"}))
-        ds = dt.split(dt.build_pairs(records), seed=7)
+        rows = grid_rows(seed=4)
+        rows[1] = tx_row(item="i0", ym=202302, competitor_price=4.5, event_flags=frozenset({"x", "y"}))
+        ds = dt.split(dt.build_pairs(make_tx(rows)), seed=7)
         dt.save_dataset(ds, tmp_path / "one")
         monkeypatch.setattr(dt, "_CSV_CHUNK_ROWS", 2)
         dt.save_dataset(ds, tmp_path / "chunked")
@@ -385,7 +428,7 @@ class TestDatasetIO:
         assert (tmp_path / "one" / "pairs.csv").read_bytes() == (tmp_path / "chunked" / "pairs.csv").read_bytes()
 
     def test_manifest_contents(self, tmp_path):
-        ds = dt.split(dt.build_pairs(grid_records()), seed=7)
+        ds = dt.split(dt.build_pairs(make_tx(grid_rows())), seed=7)
         dt.save_dataset(ds, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["seed"] == 7
@@ -403,16 +446,35 @@ class TestDatasetIO:
             (lambda row: row[:8] + ["1.5"] + row[9:], "bad target '1.5'"),
             (lambda row: row[:21] + ["no_such_event"] + row[22:], "bad lag_events"),
             (lambda row: row[:-2], "expected 28 fields, got 26"),
+            (lambda row: row[:19] + ["maybe"] + row[20:], "lag_substitute_available must be true/false, got 'maybe'"),
+            (lambda row: row[:5] + ["nan"] + row[6:], "lead_price must be positive and finite, got nan"),
+            (lambda row: row[:4] + ["-inf"] + row[5:], "lag_price must be positive and finite, got -inf"),
+            (
+                lambda row: row[:17] + ["inf"] + row[18:],
+                "lag_competitor_price must be positive and finite when present, got inf",
+            ),
+            (lambda row: row[:6] + ["nan"] + row[7:], "price_change_pct must be finite, got nan"),
         ],
     )
     def test_malformed_pairs_csv_names_the_line(self, tmp_path, edit, message):
-        dt.save_dataset(dt.split(dt.build_pairs(grid_records()), seed=7), tmp_path)
+        dt.save_dataset(dt.split(dt.build_pairs(make_tx(grid_rows())), seed=7), tmp_path)
         path = tmp_path / "pairs.csv"
         lines = path.read_text().splitlines()
         lines[3] = ",".join(edit(lines[3].split(",")))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"line 4: {message}"):
             dt.load_dataset(tmp_path)
+
+    def test_bool_cells_read_as_ingest_reads_them(self, tmp_path):
+        ds = dt.split(dt.build_pairs(make_tx(grid_rows())), seed=7)
+        dt.save_dataset(ds, tmp_path)
+        path = tmp_path / "pairs.csv"
+        lines = path.read_text().splitlines()
+        row = lines[1].split(",")
+        lines[1] = ",".join(row[:19] + [" TRUE "] + row[20:])
+        path.write_text("\n".join(lines) + "\n")
+        loaded = dt.load_dataset(tmp_path)
+        assert loaded.train.lag_substitute_available.tolist() == [True] + [False] * (len(ds.train) - 1)
 
     @pytest.mark.parametrize(
         "edit",
@@ -425,7 +487,7 @@ class TestDatasetIO:
         ],
     )
     def test_manifest_without_its_keys_rejected(self, tmp_path, edit):
-        dt.save_dataset(dt.split(dt.build_pairs(grid_records()), seed=7), tmp_path)
+        dt.save_dataset(dt.split(dt.build_pairs(make_tx(grid_rows())), seed=7), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         edit(manifest)
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -433,13 +495,13 @@ class TestDatasetIO:
             dt.load_dataset(tmp_path)
 
     def test_manifest_not_json_rejected(self, tmp_path):
-        dt.save_dataset(dt.split(dt.build_pairs(grid_records()), seed=7), tmp_path)
+        dt.save_dataset(dt.split(dt.build_pairs(make_tx(grid_rows())), seed=7), tmp_path)
         (tmp_path / "manifest.json").write_text("{")
         with pytest.raises(SchemaMismatchError, match="manifest.json is not valid JSON"):
             dt.load_dataset(tmp_path)
 
     def test_edited_event_names_fail_the_schema_hash(self, tmp_path):
-        dt.save_dataset(dt.split(dt.build_pairs(grid_records()), seed=7), tmp_path)
+        dt.save_dataset(dt.split(dt.build_pairs(make_tx(grid_rows())), seed=7), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest["event_names"] = ["holiday"]
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -449,25 +511,20 @@ class TestDatasetIO:
 
 class TestFeatureView:
     def test_event_features(self):
-        pair = dt.build_pairs(
-            [
-                make_record(ym=202301, event_flags=frozenset({"holiday"})),
-                make_record(ym=202302),
-            ]
-        )
+        pair = dt.build_pairs(make_tx([tx_row(ym=202301, event_flags=frozenset({"holiday"})), tx_row(ym=202302)]))
         assert dt.feature_column(pair, "lag_event_holiday").tolist() == [1.0]
         assert dt.feature_column(pair, "lead_event_holiday").tolist() == [0.0]
         assert dt.feature_column(pair, "lag_event_unknown").tolist() == [0.0]  # no such column: 0
 
     def test_competitor_presence_flags(self):
-        pair = dt.build_pairs([make_record(ym=202301, competitor_price=4.0), make_record(ym=202302)])
+        pair = dt.build_pairs(make_tx([tx_row(ym=202301, competitor_price=4.0), tx_row(ym=202302)]))
         assert dt.feature_column(pair, "lag_competitor_price").tolist() == [4.0]
         assert dt.feature_column(pair, "lag_competitor_price_present").tolist() == [1.0]
         assert dt.feature_column(pair, "lead_competitor_price").tolist() == [0.0]
         assert dt.feature_column(pair, "lead_competitor_price_present").tolist() == [0.0]
 
     def test_month_of_year_categories(self):
-        pair = dt.build_pairs([make_record(ym=202312), make_record(ym=202401)])
+        pair = dt.build_pairs(make_tx([tx_row(ym=202312), tx_row(ym=202401)]))
         assert dt.category_column(pair, "lag_month_of_year").tolist() == ["12"]
         assert dt.category_column(pair, "lead_month_of_year").tolist() == ["1"]
 

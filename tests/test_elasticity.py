@@ -59,10 +59,6 @@ class TestWmape:
     def test_zero_predictions_give_100(self):
         assert wmape([5, 7], [0, 0]) == pytest.approx(100.0)
 
-    def test_printed_variant(self):
-        # sum(y * |y - yhat|) / sum(y): a weighted absolute error, not a percent
-        assert wmape([10, 20], [8, 22], printed_variant=True) == pytest.approx((10 * 2 + 20 * 2) / 30)
-
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         y = rng.uniform(1, 10, 20)
@@ -106,9 +102,9 @@ class TestMae:
 class TestEvaluateElasticities:
     def test_sign_guarantee_over_random_queries(self, trained_model, small_world):
         model, _ = trained_model
-        _, records, _ = small_world
-        as_of = max(r.year_month for r in records)
-        inference, _ = dt.build_inference_set(records, as_of)
+        _, tx, _ = small_world
+        as_of = int(tx.year_month.max())
+        inference, _ = dt.build_inference_set(tx, as_of)
         rng = np.random.default_rng(1)
         for _ in range(10):
             rows = inference.take(rng.integers(0, len(inference), size=100))
@@ -125,13 +121,13 @@ class TestEvaluateElasticities:
     def test_flat_model_gives_zero_elasticities(self, untrained_model, small_world):
         import copy
 
-        _, records, _ = small_world
+        _, tx, _ = small_world
         model = copy.deepcopy(untrained_model)
         # zero the head weights: predictions collapse to a positive constant
         model.head_w.data[...] = 0.0
         model.head_b.data[...] = 1.0
-        as_of = max(r.year_month for r in records)
-        inference, _ = dt.build_inference_set(records, as_of)
+        as_of = int(tx.year_month.max())
+        inference, _ = dt.build_inference_set(tx, as_of)
         report = evaluate_elasticities(model, inference)
         assert report.valid_entries()
         for e in report.valid_entries():
@@ -139,8 +135,8 @@ class TestEvaluateElasticities:
 
     def test_absent_item_gets_skip_entry(self, trained_model, small_world):
         model, _ = trained_model
-        _, records, _ = small_world
-        inference, _ = dt.build_inference_set(records, max(r.year_month for r in records))
+        _, tx, _ = small_world
+        inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
         report = evaluate_elasticities(model, inference, [ElasticityQuery("ghost_item")])
         (entry,) = report.entries
         assert entry.status == "item absent from inference set"
@@ -148,8 +144,8 @@ class TestEvaluateElasticities:
 
     def test_invalid_query_flagged_not_fatal(self, trained_model, small_world):
         model, _ = trained_model
-        _, records, _ = small_world
-        inference, _ = dt.build_inference_set(records, max(r.year_month for r in records))
+        _, tx, _ = small_world
+        inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
         queries = [ElasticityQuery(inference.item_id[0], dp=-2 * inference.lead_price[0])]
         queries += [ElasticityQuery(inference.item_id[1])]
         report = evaluate_elasticities(model, inference, queries)
@@ -159,8 +155,8 @@ class TestEvaluateElasticities:
 
     def test_report_sorted_and_default_dp(self, trained_model, small_world):
         model, _ = trained_model
-        _, records, _ = small_world
-        inference, _ = dt.build_inference_set(records, max(r.year_month for r in records))
+        _, tx, _ = small_world
+        inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
         report = evaluate_elasticities(model, inference)
         ids = [e.item_id for e in report.entries]
         assert ids == sorted(ids)
@@ -176,11 +172,11 @@ class TestEvaluateElasticities:
             season_amplitude=0.05,
             epsilon_range=(-1.0 - 1e-9, -1.0),
         )
-        records, truths = generate(world)
-        split_ = dt.split(dt.build_pairs(records), seed=33)
+        tx, truths = generate(world)
+        split_ = dt.split(dt.build_pairs(tx), seed=33)
         model = prepare_model(split_, SMALL_ARCH, seed=33)
         train(model, split_, TrainConfig(epochs=30, seed=33))
-        inference, _ = dt.build_inference_set(records, max(r.year_month for r in records))
+        inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
         report = evaluate_elasticities(model, inference)
         truth_arcs = {t.item_id: t.arc_elasticity for t in truths}
         close = 0
@@ -194,8 +190,8 @@ class TestEvaluateElasticities:
         import json
 
         model, _ = trained_model
-        _, records, _ = small_world
-        inference, _ = dt.build_inference_set(records, max(r.year_month for r in records))
+        _, tx, _ = small_world
+        inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
         report = evaluate_elasticities(model, inference)
         report.write_csv(tmp_path / "e.csv")
         report.write_summary_json(tmp_path / "s.json", extra={"mae_vs_truth": 0.1})
@@ -222,8 +218,8 @@ class TestLogLogBaseline:
             base_price_range=(10.0, 10.0),
             epsilon_range=(-2.0, -1.0),
         )
-        records, truths = generate(world)
-        pairs = dt.build_pairs(records)
+        tx, truths = generate(world)
+        pairs = dt.build_pairs(tx)
         slopes, skipped = loglog_baseline(pairs)
         assert not skipped
         for t in truths:
@@ -231,16 +227,16 @@ class TestLogLogBaseline:
 
     def test_two_pairs_skipped(self):
         world = SyntheticWorld(n_items=1, n_months=4, seed=2)
-        records, _ = generate(world)
-        pairs = dt.build_pairs(records).take([0, 1])
+        tx, _ = generate(world)
+        pairs = dt.build_pairs(tx).take([0, 1])
         slopes, skipped = loglog_baseline(pairs)
         assert slopes == {}
         assert "need at least 3" in skipped[0][1]
 
     def test_constant_price_skipped(self):
         world = SyntheticWorld(n_items=1, n_months=8, seed=3, fixed_prices=(10.0,) * 8)
-        records, _ = generate(world)
-        slopes, skipped = loglog_baseline(dt.build_pairs(records))
+        tx, _ = generate(world)
+        slopes, skipped = loglog_baseline(dt.build_pairs(tx))
         assert slopes == {}
         assert skipped[0][1] == "no price variation"
 
@@ -250,8 +246,8 @@ class TestArcAntisymmetrySanity:
         # the +dp and -dp arcs of the true power law differ by a bounded gap;
         # the trained model's two readings should stay within that envelope
         model, _ = trained_model
-        _, records, truths = small_world
-        inference, _ = dt.build_inference_set(records, max(r.year_month for r in records))
+        _, tx, truths = small_world
+        inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
         tm = {t.item_id: t for t in truths}
         gaps = [
             abs(tm[item_id].arc_elasticity(p, 0.05 * p) - tm[item_id].arc_elasticity(p, -0.05 * p))

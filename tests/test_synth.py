@@ -5,6 +5,8 @@ from elastinet import data as dt
 from elastinet.errors import ConfigError, DomainError
 from elastinet.synth import ItemTruth, SyntheticWorld, generate, read_truth, true_arc_elasticity, write_truth
 
+from test_data import tables_equal
+
 
 class TestTrueArcElasticity:
     def test_power_law_value(self):
@@ -72,15 +74,17 @@ def noiseless_world(**kw):
 class TestGenerate:
     def test_noiseless_law_is_exact(self):
         world = noiseless_world(fixed_prices=(10.0, 8.0, 12.0, 10.0, 9.0, 11.0))
-        records, (truth,) = generate(world)
+        tx, (truth,) = generate(world)
         # base demand 10 at base price 10 with eps -2 -> coeff 1000, units = round(1000 * p^-2)
         assert truth.coeff == pytest.approx(1000.0)
-        for rec in records:
-            assert rec.units_sold == round(truth.coeff * rec.price**-2.0)
+        for units, price in zip(tx.units_sold.tolist(), tx.price.tolist()):
+            assert units == round(truth.coeff * price**-2.0)
 
     def test_same_seed_identical_output(self):
         w = SyntheticWorld(n_items=5, n_months=8, seed=11)
-        assert generate(w) == generate(w)
+        (tx_a, truths_a), (tx_b, truths_b) = generate(w), generate(w)
+        assert tables_equal(tx_a, tx_b)
+        assert truths_a == truths_b
 
     def test_unit_elasticity_halves_units_when_price_doubles(self):
         world = noiseless_world(
@@ -88,8 +92,8 @@ class TestGenerate:
             base_demand_range=(800.0, 800.0),
             fixed_prices=(10.0, 20.0, 40.0, 80.0, 160.0, 320.0),
         )
-        records, _ = generate(world)
-        units = [r.units_sold for r in records]
+        tx, _ = generate(world)
+        units = tx.units_sold.tolist()
         for a, b in zip(units, units[1:]):
             assert b * 2 == a
 
@@ -98,30 +102,31 @@ class TestGenerate:
             base_demand_range=(100000.0, 100000.0),
             fixed_prices=(10.0, 10.5, 9.0, 11.0, 10.0, 9.5),
         )
-        records, (truth,) = generate(world)
-        for lag, lead in zip(records, records[1:]):
-            dp = lead.price - lag.price
-            realized = (lead.units_sold - lag.units_sold) / lag.units_sold * lag.price / dp
-            expected = truth.arc_elasticity(lag.price, dp)
+        tx, (truth,) = generate(world)
+        price, units = tx.price.tolist(), tx.units_sold.tolist()
+        for k in range(len(tx) - 1):
+            dp = price[k + 1] - price[k]
+            realized = (units[k + 1] - units[k]) / units[k] * price[k] / dp
+            expected = truth.arc_elasticity(price[k], dp)
             assert realized == pytest.approx(expected, abs=1e-3)  # count rounding only
 
     def test_generated_files_pass_ingest_and_build_pairs(self, tmp_path):
         world = SyntheticWorld(n_items=8, n_months=10, seed=5)
-        records, _ = generate(world)
+        tx, _ = generate(world)
         f = tmp_path / "t.csv"
-        dt.write_transactions(records, f)
+        dt.write_transactions(tx, f)
         loaded = dt.ingest(f)
-        assert loaded == records
+        assert tables_equal(loaded, tx)
         pairs = dt.build_pairs(loaded)
         assert len(pairs)  # every record has positive inventory by default
 
     def test_stockout_injection_zeroes_inventory_and_excludes_pairs(self):
         world = SyntheticWorld(n_items=10, n_months=12, seed=7, stockout_rate=0.3)
-        records, _ = generate(world)
-        zeroed = [r for r in records if r.inventory == 0]
-        assert zeroed
-        pairs = dt.build_pairs(records)
-        bad = {(r.item_id, r.year_month) for r in zeroed}
+        tx, _ = generate(world)
+        zeroed = tx.take(tx.inventory == 0)
+        assert len(zeroed)
+        pairs = dt.build_pairs(tx)
+        bad = set(zip(zeroed.item_id.tolist(), zeroed.year_month.tolist()))
         for item_id, lag_month, lead_month in zip(
             pairs.item_id.tolist(), pairs.lag_month.tolist(), pairs.lead_month.tolist()
         ):
