@@ -7,7 +7,7 @@ guarantees non-positive elasticities.
 
 from .data import PairTable, Transactions, build_inference_set, build_pairs, ingest, split
 from .elasticity import arc_elasticity, evaluate_elasticities, loglog_baseline, mae_elasticity, wmape
-from .model import ArchConfig, DemandModel, FeatureSchema, load_model, save_model
+from .model import ArchConfig, DemandModel, load_model, save_model
 from .synth import SyntheticWorld, generate, true_arc_elasticity
 from .training import TrainConfig, TrainReport, fit_stats, prepare_model, train
 
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArchConfig",
     "DemandModel",
-    "FeatureSchema",
     "PairTable",
     "SyntheticWorld",
     "TrainConfig",

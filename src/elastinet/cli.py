@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,9 +47,6 @@ EXIT_NUMERIC = 4
 
 GRADCHECK_TOLERANCE = 1e-5
 
-# TrainConfig fields settable from the `train` command line and config file
-TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "l2_decay", "seed")
-
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -56,9 +54,13 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _resolved_config(out_dir: Path, command: str, values: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / f"{command}_config.json", {"command": command, **values})
+def _resolved_config(args: argparse.Namespace, **resolved) -> None:
+    """Write ``<command>_config.json`` into ``--out``: the parsed arguments
+    but ``out`` and the parser's own entries, updated with ``resolved``."""
+    values = {k: v for k, v in vars(args).items() if k not in ("out", "func", "config", "_defaults")}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / f"{args.command}_config.json", {**values, **resolved})
 
 
 def _merge_config_file(args: argparse.Namespace) -> None:
@@ -109,21 +111,7 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dt.write_transactions(tx, out / "transactions.csv")
     synth.write_truth(truths, out / "truth.csv")
-    _resolved_config(
-        out,
-        "synth",
-        {
-            "items": args.items,
-            "months": args.months,
-            "start_month": args.start_month,
-            "seed": args.seed,
-            "sigma": args.sigma,
-            "epsilon_min": args.epsilon_min,
-            "epsilon_max": args.epsilon_max,
-            "world": args.world,
-            "stockout_rate": args.stockout_rate,
-        },
-    )
+    _resolved_config(args)
     print(f"wrote {len(tx)} records for {args.items} items to {out}")
     return EXIT_OK
 
@@ -133,11 +121,7 @@ def cmd_build(args) -> int:
     ds = dt.split(pairs, seed=args.seed, by_item=args.by_item)
     out = Path(args.out)
     dt.save_dataset(ds, out)
-    _resolved_config(
-        out,
-        "build",
-        {"transactions": str(args.transactions), "seed": args.seed, "by_item": args.by_item},
-    )
+    _resolved_config(args)
     counts = ds.manifest["row_counts"]
     print(f"pairs: train={counts['train']} validation={counts['validation']} out_of_time={counts['out_of_time']}")
     return EXIT_OK
@@ -145,7 +129,7 @@ def cmd_build(args) -> int:
 
 def cmd_train(args) -> int:
     ds = dt.load_dataset(args.dataset)
-    config = TrainConfig(**{key: getattr(args, key) for key in TRAIN_KEYS})
+    config = TrainConfig(**{key: getattr(args, key) for key in args._defaults})
     arch = ArchConfig()
     model = prepare_model(ds, arch, seed=args.seed)
     report = train(model, ds, config)
@@ -157,9 +141,7 @@ def cmd_train(args) -> int:
         fh.write("epoch,train_loss,val_loss\n")
         for i, (t, v) in enumerate(zip(report.train_losses, report.val_losses), start=1):
             fh.write(f"{i},{t!r},{v!r}\n")
-    _resolved_config(
-        out, "train", {"dataset": str(args.dataset), **{key: getattr(config, key) for key in TRAIN_KEYS}}
-    )
+    _resolved_config(args)
     print(
         f"trained {config.epochs} epochs; final train loss {report.train_losses[-1]:.6f}, "
         f"val loss {report.val_losses[-1]:.6f} ({report.wall_time_seconds:.1f}s)",
@@ -170,10 +152,8 @@ def cmd_train(args) -> int:
 
 
 def _check_schema(model, ds) -> None:
-    if model.dataset_schema_hash != ds.schema_hash:
-        raise SchemaMismatchError(
-            f"model was trained on schema {model.dataset_schema_hash}, dataset has {ds.schema_hash}"
-        )
+    if model.schema_hash != ds.schema_hash:
+        raise SchemaMismatchError(f"model was trained on schema {model.schema_hash}, dataset has {ds.schema_hash}")
 
 
 def cmd_evaluate(args) -> int:
@@ -189,14 +169,18 @@ def cmd_evaluate(args) -> int:
             continue
         metrics[name] = {"wmape_pct": wmape(pairs.target, model.predict_batch(pairs)), "rows": len(pairs)}
     _write_json(out / "metrics.json", metrics)
-    _resolved_config(out, "evaluate", {"dataset": str(args.dataset), "model": str(args.model)})
+    _resolved_config(args)
     for name, m in metrics.items():
         print(f"{name}: WMAPE {m['wmape_pct']:.2f}% over {m['rows']} rows")
     return EXIT_OK
 
 
 def cmd_elasticity(args) -> int:
+    if args.dp_pct is not None and not math.isfinite(args.dp_pct):
+        raise ConfigError(f"--dp-pct must be finite, got {args.dp_pct}")
     tx = dt.ingest(args.transactions)
+    if not len(tx):
+        raise ParseError(f"{args.transactions}: no transactions to read elasticities from")
     model = load_model(args.model)
     as_of = args.as_of if args.as_of is not None else int(tx.year_month.max())
     inference, skipped = dt.build_inference_set(tx, as_of)
@@ -229,17 +213,7 @@ def cmd_elasticity(args) -> int:
             extra["mae_vs_truth"] = mae
             extra["truth_coverage"] = coverage
     report.write_summary_json(out / "elasticity_summary.json", extra)
-    _resolved_config(
-        out,
-        "elasticity",
-        {
-            "transactions": str(args.transactions),
-            "model": str(args.model),
-            "as_of": as_of,
-            "dp_pct": args.dp_pct,
-            "truth": str(args.truth) if args.truth else None,
-        },
-    )
+    _resolved_config(args, as_of=as_of)
     summary = report.summary()
     print(f"elasticities: {summary['valid']} valid, {summary['skipped']} skipped; report in {out}")
     return EXIT_OK
@@ -254,7 +228,7 @@ def cmd_baseline(args) -> int:
         fh.write("item_id,elasticity\n")
         for item_id in sorted(slopes):
             fh.write(f"{item_id},{slopes[item_id]!r}\n")
-    _resolved_config(out, "baseline", {"dataset": str(args.dataset)})
+    _resolved_config(args)
     print(f"baseline: {len(slopes)} items fitted, {len(skipped)} skipped")
     return EXIT_OK
 
@@ -271,7 +245,7 @@ def cmd_gradcheck(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "gradcheck.json", payload)
-        _resolved_config(out, "gradcheck", {"seed": args.seed, "probes": args.probes})
+        _resolved_config(args)
     print(json.dumps({"max_rel_error": report.max_rel_error, "probes": report.probes}))
     if not report.passed(GRADCHECK_TOLERANCE):
         print(f"gradcheck FAILED: max relative error {report.max_rel_error:.3e}", file=sys.stderr)
@@ -318,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(
         func=cmd_train,
-        _defaults={f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name in TRAIN_KEYS},
+        _defaults={f.name: f.default for f in dataclasses.fields(TrainConfig)},
     )
 
     p = sub.add_parser("evaluate", help="WMAPE of a trained model on the held-out splits")

@@ -174,24 +174,42 @@ def _read_months(cells, events) -> np.ndarray:
     return months
 
 
-def _read_prices(cells, events, optional=False) -> np.ndarray:
-    """Positive finite prices; with ``optional``, a blank cell is an absent price, read as NaN."""
+def _read_floats(cells, events, positive, optional=False) -> np.ndarray:
+    """Finite floats, positive ones with ``positive``; with ``optional``, a
+    blank cell (whitespace allowed) is an absent value, read as NaN."""
     n = len(cells)
-    present = np.fromiter(map(bool, map(str.strip, cells)), bool, n) if optional else np.ones(n, dtype=bool)
-    values = np.full(n, np.nan)
-    values[present] = np.fromiter(map(float, compress(cells, present.tolist())), np.float64)
-    bad = np.flatnonzero(present & ~((values > 0) & (values < np.inf)))
+    if optional:
+        present = np.fromiter(map(bool, map(str.strip, cells)), bool, n)
+        values = np.full(n, np.nan)
+        values[present] = np.fromiter(map(float, compress(cells, present.tolist())), np.float64)
+    else:
+        present, values = True, np.fromiter(map(float, cells), np.float64, n)
+    ok = (values > 0) & (values < np.inf) if positive else np.isfinite(values)
+    bad = np.flatnonzero(present & ~ok)
     if bad.size:
+        rule = "positive and finite" if positive else "finite"
         when = " when present" if optional else ""
-        raise _RuleError(f"must be positive and finite{when}, got {float(values[bad[0]])}")
+        raise _RuleError(f"must be {rule}{when}, got {float(values[bad[0]])}")
     return values
 
 
-def _read_finite(cells, events) -> np.ndarray:
-    values = np.fromiter(map(float, cells), np.float64, len(cells))
-    bad = np.flatnonzero(~np.isfinite(values))
+def _read_counts(cells, events, most=None) -> np.ndarray:
+    """Non-negative integers, at most ``most`` when given."""
+    values = np.fromiter(map(int, cells), np.int64, len(cells))
+    if np.any(values < 0):
+        raise _RuleError(f"must be non-negative, got {values[np.argmax(values < 0)]}")
+    if most is not None and np.any(values > most):
+        raise _RuleError(f"must be 0..{most}, got {values[np.argmax(values > most)]}")
+    return values
+
+
+def _read_count_or_blank(cells, events) -> np.ndarray:
+    """Non-negative integers as floats; a blank cell (whitespace allowed) is
+    an absent count, read as NaN."""
+    values = np.array([float(int(c)) if c.strip() else np.nan for c in cells], dtype=np.float64)
+    bad = np.flatnonzero(values < 0)
     if bad.size:
-        raise _RuleError(f"must be finite, got {float(values[bad[0]])}")
+        raise _RuleError(f"must be non-negative when present, got {int(values[bad[0]])}")
     return values
 
 
@@ -241,30 +259,36 @@ def _blank_nan(col, values) -> list:
 
 
 # cell codecs by column kind: (cells, event names) -> column, and (column, event
-# names) -> cells. A reader raises ValueError or OverflowError for a cell it
+# names) -> cells; a kind ending in "?" allows a blank cell and parses the
+# others stripped. A reader raises ValueError or OverflowError for a cell it
 # cannot parse and _RuleError for a value its column does not allow
 _READ = {
     "str": lambda cells, events: np.array(cells, dtype=str),
     "int": lambda cells, events: np.fromiter(map(int, cells), np.int64, len(cells)),
+    "count": _read_counts,
+    "days": lambda cells, events: _read_counts(cells, events, most=31),  # days of one month
+    "count?": _read_count_or_blank,
     "month": _read_months,
-    "float": _read_finite,
-    "price": _read_prices,
-    "price?": lambda cells, events: _read_prices(cells, events, optional=True),
-    "int?": lambda cells, events: np.array([float(int(c)) if c else np.nan for c in cells], dtype=np.float64),
+    "float": lambda cells, events: _read_floats(cells, events, positive=False),
+    "float?": lambda cells, events: _read_floats(cells, events, positive=False, optional=True),
+    "price": lambda cells, events: _read_floats(cells, events, positive=True),
+    "price?": lambda cells, events: _read_floats(cells, events, positive=True, optional=True),
     "bool": _read_bools,
     "events": _read_events,
     "split": _read_split,
 }
 _WRITE = {
     # csv writes a float as its repr
-    **dict.fromkeys(("str", "int", "month", "float", "price", "split"), lambda col, events: col.tolist()),
-    "price?": lambda col, events: _blank_nan(col, col),
-    "int?": lambda col, events: _blank_nan(col, np.nan_to_num(col).astype(np.int64)),
+    **dict.fromkeys(
+        ("str", "int", "count", "days", "month", "float", "price", "split"), lambda col, events: col.tolist()
+    ),
+    **dict.fromkeys(("float?", "price?"), lambda col, events: _blank_nan(col, col)),
+    "count?": lambda col, events: _blank_nan(col, np.nan_to_num(col).astype(np.int64)),
     "bool": lambda col, events: np.where(col, "true", "false").tolist(),
     "events": _write_events,
 }
 
-# a column's cells are integers unless listed here
+# a column's cells are non-negative integers unless listed here
 _CELL_KINDS = {
     **dict.fromkeys(("item_id", "brand", "size", "category", "subcategory"), "str"),
     **dict.fromkeys(("year_month", "lag_month", "lead_month"), "month"),
@@ -272,13 +296,15 @@ _CELL_KINDS = {
     **dict.fromkeys(("competitor_price", "lag_competitor_price", "lead_competitor_price"), "price?"),
     **dict.fromkeys(("substitute_available", "lag_substitute_available", "lead_substitute_available"), "bool"),
     **dict.fromkeys(("event_flags", "lag_events", "lead_events"), "events"),
+    **dict.fromkeys(("oos_days", "lag_oos_days", "lead_oos_days"), "days"),
+    "month_gap": "int",
     "price_change_pct": "float",
-    "target": "int?",
+    "target": "count?",
 }
 
 
 def _csv_columns(table_type) -> list[tuple[str, str]]:
-    return [(f.name, _CELL_KINDS.get(f.name, "int")) for f in fields(table_type) if f.name != "event_names"]
+    return [(f.name, _CELL_KINDS.get(f.name, "count")) for f in fields(table_type) if f.name != "event_names"]
 
 
 _TRANSACTION_COLUMNS = _csv_columns(Transactions)
@@ -345,7 +371,7 @@ def _read_csv(path, columns, event_names=None) -> tuple[dict, Sequence[int], tup
                 except _RuleError as exc:
                     raise ParseError(f"line {line_no}: {name} {exc}") from None
                 except (ValueError, OverflowError):
-                    shown = cell.strip() if kind == "price?" else cell  # an optional price is parsed stripped
+                    shown = cell.strip() if kind.endswith("?") else cell  # an optional cell is parsed stripped
                     raise ParseError(f"line {line_no}: bad {name} {shown!r}") from None
             raise
     return out, lines, event_names
@@ -355,21 +381,12 @@ def _read_csv(path, columns, event_names=None) -> tuple[dict, Sequence[int], tup
 # ingestion
 
 
-_COUNTS = ("units_sold", "inventory", "oos_days", "rating_count", "days_launched")
-
-
 def ingest(path) -> Transactions:
     """Parse and validate a transactions CSV (columns as TRANSACTIONS_COLUMNS).
 
     Rows keep file order; the event names are those the file names.
     """
-    columns, lines, events = _read_csv(path, _TRANSACTION_COLUMNS)
-    checks = [(columns[name] < 0, name, f"{name} must be non-negative, got") for name in _COUNTS]
-    checks.append((columns["oos_days"] > 31, "oos_days", "oos_days must be 0..31, got"))
-    for bad, name, message in checks:
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ParseError(f"line {lines[i]}: {message} {columns[name][i]}")
+    columns, _, events = _read_csv(path, _TRANSACTION_COLUMNS)
     tx = Transactions(**columns, event_names=events)
     _item_month_order(tx)  # rejects a repeated (item, month)
     return tx
@@ -691,6 +708,22 @@ def save_dataset(ds: DatasetSplit, out_dir) -> None:
         fh.write("\n")
 
 
+def _check_derived_columns(columns: dict, lines) -> None:
+    """Reject a pairs.csv row whose month gap or price change is not the one
+    its own months and prices give; ParseError names the row's line."""
+    gap = columns["month_gap"]
+    pct = price_change_pct(columns["lag_price"], columns["lead_price"])
+    rules = (
+        ("month_gap", (gap < MIN_MONTH_GAP) | (gap > MAX_MONTH_GAP), f"be {MIN_MONTH_GAP}..{MAX_MONTH_GAP}"),
+        ("month_gap", gap != month_gap(columns["lag_month"], columns["lead_month"]), "match lag_month and lead_month"),
+        ("price_change_pct", columns["price_change_pct"] != pct, "be (lead_price - lag_price) / lag_price"),
+    )
+    for name, bad, rule in rules:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParseError(f"line {lines[i]}: {name} must {rule}, got {columns[name][i]}")
+
+
 def load_dataset(in_dir) -> DatasetSplit:
     """Read a dataset directory; the manifest's schema hash must match its event names."""
     src = Path(in_dir)
@@ -712,7 +745,8 @@ def load_dataset(in_dir) -> DatasetSplit:
             f"manifest schema hash {manifest['schema_hash']} does not match its event names "
             f"{list(names.event_names)} (hash {names.schema_hash()})"
         )
-    columns, _, _ = _read_csv(src / "pairs.csv", _PAIR_COLUMNS, names.event_names)
+    columns, lines, _ = _read_csv(src / "pairs.csv", _PAIR_COLUMNS, names.event_names)
+    _check_derived_columns(columns, lines)
     labels = columns.pop("split")
     table = PairTable(**columns, event_names=names.event_names)
     return DatasetSplit(

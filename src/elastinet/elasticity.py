@@ -125,7 +125,7 @@ def evaluate_elasticities(model, inference, queries=None, dp_fraction=DEFAULT_DP
             continue
         p = q.p if q.p is not None else float(inference.lead_price[i])
         dp = q.dp if q.dp is not None else dp_fraction * p
-        if p <= 0 or dp == 0 or p + dp <= 0:
+        if not (np.isfinite(p) and np.isfinite(dp) and p > 0 and dp != 0 and p + dp > 0):
             report.entries.append(
                 ElasticityEntry(q.item_id, p, dp, None, None, None, f"invalid query (p={p}, dp={dp})")
             )

@@ -6,8 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data as dt
 from .errors import NumericError
-from .model import ArchConfig, CategoricalSpec, DemandModel, FeatureSchema
+from .model import ArchConfig, DemandModel
 from .tensor import Parameter, Tensor, backward, mse_loss, sum_sq
 
 # Relative error uses max(|analytic|, |numeric|, REL_FLOOR) as denominator; the
@@ -97,13 +98,10 @@ def check_demand_model(seed: int, probes_per_param: int) -> tuple[DemandModel, G
     the loss is MSE plus the L2 term. Raw weights within 1e-3 of the |w|
     kink are not probed.
     """
-    schema = FeatureSchema(
-        (CategoricalSpec("item_id", 6, 3), CategoricalSpec("brand", 4, 2)),
-        ("lag_price", "lag_units"),
-        (("lead_price", -1), ("price_change_pct", -1)),
-    )
+    names = dt.FeatureNames(("item_id", "brand"), ("lag_price", "lag_units"), tuple(dt.MONOTONE_FEATURES), ())
+    vocabs = {"item_id": {f"item_{k}": k for k in range(1, 6)}, "brand": {f"brand_{k}": k for k in range(1, 4)}}
     arch = ArchConfig(trunk_widths=(8,), injection_width=8, post_widths=(4,), encoder_width=3)
-    model = DemandModel(schema, arch, seed=seed)
+    model = DemandModel(names, vocabs, arch, seed=seed)
     rng = np.random.default_rng(seed)
     n = 12
     cat = np.column_stack([rng.integers(0, 6, n), rng.integers(0, 4, n)])

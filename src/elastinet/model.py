@@ -16,8 +16,9 @@ import hashlib
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,37 +40,6 @@ def default_embedding_dim(cardinality: int) -> int:
 
 
 @dataclass(frozen=True)
-class CategoricalSpec:
-    name: str
-    cardinality: int  # includes the reserved unknown row
-    embedding_dim: int
-
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    categoricals: tuple[CategoricalSpec, ...]
-    continuous: tuple[str, ...]
-    monotone: tuple[tuple[str, int], ...]  # (name, direction)
-
-    def __post_init__(self):
-        names = [c.name for c in self.categoricals] + list(self.continuous) + [m[0] for m in self.monotone]
-        if len(names) != len(set(names)):
-            raise ConfigError("feature names must be unique across groups")
-        mono = dict(self.monotone)
-        for required in ("lead_price", "price_change_pct"):
-            if required not in mono:
-                raise ConfigError(f"monotone feature group must include {required!r}")
-            if mono[required] != -1:
-                raise ConfigError(f"{required!r} must have monotone direction -1, got {mono[required]}")
-        for name, direction in self.monotone:
-            if direction not in (-1, 1):
-                raise ConfigError(f"monotone direction for {name!r} must be -1 or +1, got {direction}")
-        for c in self.categoricals:
-            if c.cardinality < 1 or c.embedding_dim < 1:
-                raise ConfigError(f"categorical {c.name!r} needs positive cardinality and embedding dim")
-
-
-@dataclass(frozen=True)
 class ArchConfig:
     trunk_widths: tuple[int, ...] = (128, 64)
     injection_width: int = 64
@@ -77,7 +47,6 @@ class ArchConfig:
     encoder_width: int = 8
     activation: str = "relu"
     split: tuple[float, float, float] = (7 / 16, 7 / 16, 2 / 16)
-    embedding_dims: dict = field(default_factory=dict, hash=False)  # per-feature overrides
 
     def __post_init__(self):
         widths = (*self.trunk_widths, self.injection_width, *self.post_widths, self.encoder_width)
@@ -175,10 +144,19 @@ def build_vocabs(table: dt.PairTable, cat_names, seed: int) -> dict:
 class StandardizationStats:
     """Train-split feature means/stds (std floored at 1e-8) and target scaling."""
 
-    means: dict
-    stds: dict
+    means: dict[str, float]
+    stds: dict[str, float]
     target_mean: float
     target_std: float
+
+    def __post_init__(self):
+        if set(self.means) != set(self.stds):
+            raise ConfigError(f"means and stds name different features: {sorted(set(self.means) ^ set(self.stds))}")
+        values = [*self.means.values(), *self.stds.values(), self.target_mean, self.target_std]
+        if not np.all(np.isfinite(values)):
+            raise ConfigError("standardization stats must be finite")
+        if min(self.stds.values(), default=1.0) <= 0 or self.target_std <= 0:
+            raise ConfigError("standardization stds must be positive")
 
     def standardize(self, matrix: np.ndarray, names) -> np.ndarray:
         mu = np.array([self.means[n] for n in names])
@@ -199,26 +177,44 @@ class StandardizationStats:
 
 
 class DemandModel:
-    """Trained (or trainable) demand network with its feature plumbing."""
+    """Trained (or trainable) demand network with its feature plumbing.
 
-    def __init__(self, schema: FeatureSchema, config: ArchConfig, seed: int = 0):
-        self.schema = schema
+    ``names`` is the dataset's feature list and ``vocabs`` maps each
+    categorical feature's levels to 1..n; embedding sizes, the injection
+    indicator and the schema hash follow from them. Only the
+    standardization ``stats`` are attached later.
+    """
+
+    def __init__(self, names: dt.FeatureNames, vocabs: dict, config: ArchConfig, seed: int = 0):
+        unknown = sorted(set(names.monotone) - set(dt.MONOTONE_DIRECTIONS))
+        if unknown:
+            raise ConfigError(f"monotone features {unknown} have no direction in {dt.MONOTONE_DIRECTIONS}")
+        if set(vocabs) != set(names.categorical):
+            raise ConfigError(f"vocabularies {sorted(vocabs)} do not match categorical features {names.categorical}")
+        for name, vocab in vocabs.items():
+            if sorted(vocab.values()) != list(range(1, len(vocab) + 1)):
+                raise ConfigError(f"vocabulary {name!r} must map its {len(vocab)} levels to 1..{len(vocab)}")
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
+        self.names = names
+        self.schema_hash = names.schema_hash()
         self.config = config
         self.seed = seed
+        self.encoder = FeatureEncoder(vocabs)
+        self.stats: StandardizationStats | None = None  # attached after the dataset is known
         rng = np.random.default_rng(seed)
         split = config.activation_split()
         act = config.activation
 
         self.embeddings: dict[str, Parameter] = {}
-        for spec in schema.categoricals:
-            table = rng.uniform(-0.05, 0.05, size=(spec.cardinality, spec.embedding_dim))
-            self.embeddings[spec.name] = Parameter(table, name=f"emb.{spec.name}")
+        for name in names.categorical:
+            cardinality = len(vocabs[name]) + 1  # plus the unknown row
+            table = rng.uniform(-0.05, 0.05, size=(cardinality, default_embedding_dim(cardinality)))
+            self.embeddings[name] = Parameter(table, name=f"emb.{name}")
 
-        self.encoders = ColumnDenseLayer(len(schema.continuous), config.encoder_width, act, rng=rng, name="enc")
+        self.encoders = ColumnDenseLayer(len(names.continuous), config.encoder_width, act, rng=rng, name="enc")
 
-        trunk_in = sum(s.embedding_dim for s in schema.categoricals) + config.encoder_width * len(
-            schema.continuous
-        )
+        trunk_in = sum(e.cols for e in self.embeddings.values()) + config.encoder_width * len(names.continuous)
         if trunk_in == 0:
             raise ConfigError("schema has no categorical or continuous features")
         self.trunk: list[DenseLayer] = []
@@ -227,7 +223,7 @@ class DemandModel:
             self.trunk.append(DenseLayer(w_in, w_out, act, rng=rng, name=f"trunk.{i}"))
             w_in = w_out
 
-        mono_dirs = [direction for _, direction in schema.monotone]
+        mono_dirs = [dt.MONOTONE_DIRECTIONS[name] for name in names.monotone]
         inj_indicator = np.concatenate([np.zeros(w_in), np.array(mono_dirs, dtype=np.float64)])
         self.injection = MonoDenseLayer(
             w_in + len(mono_dirs), config.injection_width, inj_indicator, split, act, rng=rng, name="inj"
@@ -245,15 +241,10 @@ class DemandModel:
         self.head_b = Parameter(np.zeros((1, 1)), name="head.b")
         self._head_indicator = np.ones(w_in)
 
-        # attached after the dataset is known
-        self.encoder: FeatureEncoder | None = None
-        self.stats: StandardizationStats | None = None
-        self.dataset_schema_hash: str | None = None
-
     # -- parameters --------------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        params = [self.embeddings[s.name] for s in self.schema.categoricals]
+        params = list(self.embeddings.values())
         params.extend(self.encoders.parameters())
         for layer in self.trunk:
             params.extend(layer.parameters())
@@ -283,8 +274,8 @@ class DemandModel:
     def forward(self, cat_idx: np.ndarray, cont_std: np.ndarray, mono_std: np.ndarray) -> Tensor:
         """Scaled-space prediction for pre-encoded, standardized inputs."""
         parts = []
-        for j, spec in enumerate(self.schema.categoricals):
-            parts.append(embedding_lookup(self.embeddings[spec.name], cat_idx[:, j]))
+        for j, table in enumerate(self.embeddings.values()):
+            parts.append(embedding_lookup(table, cat_idx[:, j]))
         parts.append(self.encoders(cont_std))
         h = concat_cols(parts)
         for layer in self.trunk:
@@ -298,8 +289,8 @@ class DemandModel:
     # -- pair tables ----------------------------------------------------------
 
     def _require_fitted(self):
-        if self.encoder is None or self.stats is None:
-            raise ConfigError("model has no feature encoder/stats attached; train or load it first")
+        if self.stats is None:
+            raise ConfigError("model has no standardization stats attached; train or load it first")
 
     def encode(self, table: dt.PairTable, lead_price=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Standardized (cat, cont, mono) inputs of ``forward`` for a pair table.
@@ -313,11 +304,10 @@ class DemandModel:
             table = replace(
                 table, lead_price=lead_price, price_change_pct=dt.price_change_pct(table.lag_price, lead_price)
             )
-        cat_names = tuple(s.name for s in self.schema.categoricals)
-        mono_names = tuple(name for name, _ in self.schema.monotone)
-        cat = self.encoder.cat_matrix(table, cat_names)
-        cont = self.stats.standardize(self.encoder.cont_matrix(table, self.schema.continuous), self.schema.continuous)
-        mono = self.stats.standardize(self.encoder.cont_matrix(table, mono_names), mono_names)
+        names = self.names
+        cat = self.encoder.cat_matrix(table, names.categorical)
+        cont = self.stats.standardize(self.encoder.cont_matrix(table, names.continuous), names.continuous)
+        mono = self.stats.standardize(self.encoder.cont_matrix(table, names.monotone), names.monotone)
         return cat, cont, mono
 
     def predict_batch(self, table: dt.PairTable, override_prices=None) -> np.ndarray:
@@ -348,37 +338,17 @@ class DemandModel:
         return bool(np.all(head_eff >= 0))
 
 
-def build_schema(names: dt.FeatureNames, vocabs: dict, config: ArchConfig) -> FeatureSchema:
-    cats = []
-    for name in names.categorical:
-        cardinality = len(vocabs[name]) + 1  # plus the unknown row
-        dim = config.embedding_dims.get(name, default_embedding_dim(cardinality))
-        cats.append(CategoricalSpec(name, cardinality, dim))
-    monotone = tuple((m, dt.MONOTONE_DIRECTIONS[m]) for m in names.monotone)
-    return FeatureSchema(tuple(cats), names.continuous, monotone)
-
-
 # ---------------------------------------------------------------------------
-# model container file: magic, version, schema JSON, named f64 blobs, CRCs
+# model container file: magic, version, metadata JSON, named f64 blobs, CRCs
 
 MAGIC = b"MDNM"
-FORMAT_VERSION = 2  # 2: one "enc.w"/"enc.b" pair replaces per-feature "enc.<name>.w"/".b"
+# 2: one "enc.w"/"enc.b" pair replaces per-feature "enc.<name>.w"/".b"
+# 3: the metadata holds the feature names, not sizes and directions derived from them
+FORMAT_VERSION = 3
 
-# every key save_model writes, by enclosing section ("" is the top level)
-_META_KEYS = {
-    "": ("config", "dataset_schema_hash", "format", "schema", "seed", "stats", "vocabs"),
-    "schema": ("categoricals", "continuous", "monotone"),
-    "config": (
-        "activation",
-        "embedding_dims",
-        "encoder_width",
-        "injection_width",
-        "post_widths",
-        "split",
-        "trunk_widths",
-    ),
-    "stats": ("means", "stds", "target_mean", "target_std"),
-}
+_META_KEYS = ("config", "features", "format", "seed", "stats", "vocabs")
+# the JSON type of "vocabs": each feature's [level, index] pairs in index order
+_VOCABS = dict[str, tuple[tuple[str, int], ...]]
 
 
 def save_model(model: DemandModel, path) -> None:
@@ -390,30 +360,10 @@ def save_model(model: DemandModel, path) -> None:
     meta = {
         "format": FORMAT_VERSION,
         "seed": model.seed,
-        "schema": {
-            "categoricals": [
-                [s.name, s.cardinality, s.embedding_dim] for s in model.schema.categoricals
-            ],
-            "continuous": list(model.schema.continuous),
-            "monotone": [[name, direction] for name, direction in model.schema.monotone],
-        },
-        "config": {
-            "trunk_widths": list(model.config.trunk_widths),
-            "injection_width": model.config.injection_width,
-            "post_widths": list(model.config.post_widths),
-            "encoder_width": model.config.encoder_width,
-            "activation": model.config.activation,
-            "split": list(model.config.split),
-            "embedding_dims": dict(model.config.embedding_dims),
-        },
+        "config": asdict(model.config),
+        "features": asdict(model.names),
         "vocabs": {name: sorted(v.items(), key=lambda kv: kv[1]) for name, v in model.encoder.vocabs.items()},
-        "stats": {
-            "means": model.stats.means,
-            "stds": model.stats.stds,
-            "target_mean": model.stats.target_mean,
-            "target_std": model.stats.target_std,
-        },
-        "dataset_schema_hash": model.dataset_schema_hash,
+        "stats": asdict(model.stats),
     }
     blob = bytearray()
     blob += MAGIC
@@ -432,6 +382,32 @@ def save_model(model: DemandModel, path) -> None:
         blob += payload
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
     Path(path).write_bytes(bytes(blob))
+
+
+def _from_json(value, hint, where: str):
+    """JSON ``value`` as type ``hint``: a dataclass (in its ``asdict`` form),
+    ``tuple[...]``, ``dict[str, ...]``, str, int or float; lists become
+    tuples. A value of another type raises ModelIOError naming ``where``."""
+    if is_dataclass(hint):
+        keys = [f.name for f in fields(hint)]
+        if not isinstance(value, dict) or set(value) != set(keys):
+            got = sorted(value) if isinstance(value, dict) else type(value).__name__
+            raise ModelIOError(f"model metadata {where}: keys {got}, expected {keys}")
+        hints = get_type_hints(hint)
+        return hint(**{k: _from_json(value[k], hints[k], f"{where}.{k}") for k in keys})
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple and isinstance(value, list):
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(args) == len(value):
+            return tuple(_from_json(v, a, where) for v, a in zip(value, args))
+    elif origin is dict and isinstance(value, dict):  # JSON object keys are strings
+        return {k: _from_json(v, args[1], f"{where}.{k}") for k, v in value.items()}
+    elif hint is float and type(value) in (int, float):
+        return float(value)
+    elif origin is None and type(value) is hint:
+        return value
+    raise ModelIOError(f"model metadata {where}: expected {hint if origin else hint.__name__}, got {value!r:.40}")
 
 
 class _Cursor:
@@ -470,36 +446,26 @@ def load_model(path) -> DemandModel:
         meta = json.loads(cur.take(cur.u64()).decode("utf-8"))
     except ValueError as exc:
         raise ModelIOError(f"model metadata is not valid JSON: {exc}") from None
-    for section, keys in _META_KEYS.items():
-        obj = meta[section] if section else meta
-        if not isinstance(obj, dict) or set(obj) != set(keys):
-            got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
-            raise ModelIOError(f"model metadata {section or 'top level'}: keys {got}, expected {list(keys)}")
-
-    schema = FeatureSchema(
-        tuple(CategoricalSpec(n, c, d) for n, c, d in meta["schema"]["categoricals"]),
-        tuple(meta["schema"]["continuous"]),
-        tuple((name, direction) for name, direction in meta["schema"]["monotone"]),
-    )
-    cfg = meta["config"]
-    config = ArchConfig(
-        trunk_widths=tuple(cfg["trunk_widths"]),
-        injection_width=cfg["injection_width"],
-        post_widths=tuple(cfg["post_widths"]),
-        encoder_width=cfg["encoder_width"],
-        activation=cfg["activation"],
-        split=tuple(cfg["split"]),
-        embedding_dims=dict(cfg["embedding_dims"]),
-    )
-    model = DemandModel(schema, config, seed=meta["seed"])
-    model.encoder = FeatureEncoder(vocabs={name: dict(items) for name, items in meta["vocabs"].items()})
-    model.stats = StandardizationStats(
-        means=meta["stats"]["means"],
-        stds=meta["stats"]["stds"],
-        target_mean=meta["stats"]["target_mean"],
-        target_std=meta["stats"]["target_std"],
-    )
-    model.dataset_schema_hash = meta["dataset_schema_hash"]
+    if not isinstance(meta, dict) or set(meta) != set(_META_KEYS):
+        got = sorted(meta) if isinstance(meta, dict) else type(meta).__name__
+        raise ModelIOError(f"model metadata top level: keys {got}, expected {list(_META_KEYS)}")
+    if meta["format"] != FORMAT_VERSION:
+        raise ModelIOError(f"model metadata format {meta['format']!r} does not match container version {version}")
+    names = _from_json(meta["features"], dt.FeatureNames, "features")
+    known = dt.feature_names(names.event_names)  # every feature a pair table with these events has
+    unknown = [n for group in fields(known) for n in getattr(names, group.name) if n not in getattr(known, group.name)]
+    if unknown:
+        raise ModelIOError(f"model metadata features: unknown features {unknown}")
+    try:
+        vocabs = {name: dict(pairs) for name, pairs in _from_json(meta["vocabs"], _VOCABS, "vocabs").items()}
+        config = _from_json(meta["config"], ArchConfig, "config")
+        model = DemandModel(names, vocabs, config, seed=_from_json(meta["seed"], int, "seed"))
+        stats = _from_json(meta["stats"], StandardizationStats, "stats")
+    except ConfigError as exc:
+        raise ModelIOError(f"model metadata: {exc}") from None
+    if set(stats.means) != {*names.continuous, *names.monotone}:
+        raise ModelIOError("model metadata stats: means and stds must name the continuous and monotone features")
+    model.stats = stats
 
     by_name = {p.name: p for p in model.parameters()}
     n_blobs = cur.u32()

@@ -9,13 +9,11 @@ form. Every generated file round-trips through the ingestion pipeline.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import TRANSACTIONS_COLUMNS, Transactions, month_of_year, ym_add
+from .data import TRANSACTIONS_COLUMNS, Transactions, _read_csv, _write_csv, month_of_year, validate_ym, ym_add
 from .errors import ConfigError, DomainError
 
 BRAND_POOL = [f"brand_{i:02d}" for i in range(10)]
@@ -51,10 +49,11 @@ class SyntheticWorld:
 
     def __post_init__(self):
         lo, hi = self.epsilon_range
-        if lo >= 0 or hi >= 0 or lo > hi:
-            raise ConfigError(f"epsilon range must be negative with lo <= hi, got {self.epsilon_range}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise sigma must be non-negative, got {self.noise_sigma}")
+        if not (np.isfinite(lo) and lo <= hi < 0):
+            raise ConfigError(f"epsilon range must be finite and negative with lo <= hi, got {self.epsilon_range}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigError(f"noise sigma must be finite and non-negative, got {self.noise_sigma}")
+        validate_ym(self.start_month)
         if self.n_items < 1 or self.n_months < 1:
             raise ConfigError("need at least one item and one month")
         if not 0 <= self.stockout_rate < 1:
@@ -184,36 +183,26 @@ def generate(world: SyntheticWorld) -> tuple[Transactions, list[ItemTruth]]:
     return Transactions(**columns, event_names=events), truths
 
 
-TRUTH_COLUMNS = ["item_id", "epsilon", "epsilon_hi", "coeff", "base_price"]
+# truth.csv: one row per item; epsilon_hi is blank unless the world is kinked
+_TRUTH_COLUMNS = [
+    ("item_id", "str"),
+    ("epsilon", "float"),
+    ("epsilon_hi", "float?"),
+    ("coeff", "price"),
+    ("base_price", "price"),
+]
+TRUTH_COLUMNS = [name for name, _ in _TRUTH_COLUMNS]
 
 
 def write_truth(truths, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_COLUMNS)
-        for t in truths:
-            writer.writerow(
-                [
-                    t.item_id,
-                    repr(t.epsilon),
-                    "" if t.epsilon_hi is None else repr(t.epsilon_hi),
-                    repr(t.coeff),
-                    repr(t.base_price),
-                ]
-            )
+    columns = {name: np.array([getattr(t, name) for t in truths]) for name in TRUTH_COLUMNS if name != "epsilon_hi"}
+    columns["epsilon_hi"] = np.array([np.nan if t.epsilon_hi is None else t.epsilon_hi for t in truths])
+    _write_csv(path, _TRUTH_COLUMNS, [columns], ())
 
 
 def read_truth(path) -> list[ItemTruth]:
-    truths = []
-    with open(Path(path), newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            truths.append(
-                ItemTruth(
-                    item_id=row["item_id"],
-                    epsilon=float(row["epsilon"]),
-                    epsilon_hi=None if row["epsilon_hi"] == "" else float(row["epsilon_hi"]),
-                    coeff=float(row["coeff"]),
-                    base_price=float(row["base_price"]),
-                )
-            )
-    return truths
+    """The rows of a truth table; a cell that breaks its column's rule
+    raises ParseError with its line number."""
+    columns, _, _ = _read_csv(path, _TRUTH_COLUMNS, ())
+    rows = zip(*(columns[name].tolist() for name in TRUTH_COLUMNS))
+    return [ItemTruth(item, eps, None if np.isnan(hi) else hi, coeff, base) for item, eps, hi, coeff, base in rows]

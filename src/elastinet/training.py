@@ -9,17 +9,15 @@ import numpy as np
 
 from . import data as dt
 from .errors import ConfigError, NumericError
-from .model import (
-    ArchConfig,
-    DemandModel,
-    FeatureEncoder,
-    StandardizationStats,
-    build_schema,
-    build_vocabs,
-)
+from .model import ArchConfig, DemandModel, StandardizationStats, build_vocabs
 from .tensor import Parameter, backward, mse_loss, sum_sq, Tensor
 
 STD_FLOOR = 1e-8
+
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -28,16 +26,13 @@ class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 0.01
     l2_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.learning_rate < 0:
-            raise ConfigError("epochs and batch_size must be positive, learning_rate non-negative")
-        if self.l2_decay < 0:
-            raise ConfigError(f"l2_decay must be non-negative, got {self.l2_decay}")
+        if self.epochs <= 0 or self.batch_size <= 0 or not 0 <= self.learning_rate < np.inf:
+            raise ConfigError("epochs and batch_size must be positive, learning_rate finite and non-negative")
+        if not 0 <= self.l2_decay < np.inf:
+            raise ConfigError(f"l2_decay must be finite and non-negative, got {self.l2_decay}")
 
 
 @dataclass
@@ -88,15 +83,14 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        cfg = self.cfg
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         m, v, g = self.m, self.v, self.grad
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        self.data -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        self.data -= self.cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -124,15 +118,11 @@ def prepare_model(
     arch: ArchConfig | None = None,
     seed: int = 0,
 ) -> DemandModel:
-    """Build an untrained model wired to a dataset: vocabs, stats, schema hash."""
-    arch = arch or ArchConfig()
+    """Build an untrained model wired to a dataset: its features, vocabs and stats."""
     names = split.names
     vocabs = build_vocabs(split.train, names.categorical, seed=seed)
-    schema = build_schema(names, vocabs, arch)
-    model = DemandModel(schema, arch, seed=seed)
-    model.encoder = FeatureEncoder(vocabs=vocabs)
-    model.stats = fit_stats(split.train, schema.continuous, names.monotone)
-    model.dataset_schema_hash = split.schema_hash
+    model = DemandModel(names, vocabs, arch or ArchConfig(), seed=seed)
+    model.stats = fit_stats(split.train, names.continuous, names.monotone)
     return model
 
 

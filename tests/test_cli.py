@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from elastinet.cli import main
+from elastinet.data import TRANSACTIONS_COLUMNS
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +161,7 @@ class TestEvaluate:
 
         model = mdl.load_model(pipeline_dirs / "run" / "model.mdnm")
         ds = dt.load_dataset(other / "ds")
-        assert model.dataset_schema_hash != ds.schema_hash
+        assert model.schema_hash != ds.schema_hash
         rc = main(
             [
                 "evaluate",
@@ -226,6 +227,93 @@ class TestEvaluate:
         rc = main(["evaluate", "--dataset", str(dataset), "--model", str(model), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "unsupported container version 1" in capsys.readouterr().err
+
+
+def _set(*path, value):
+    """An edit_model_file edit that sets the metadata entry at ``path`` to ``value``."""
+
+    def edit(container):
+        section = container["meta"]
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+
+    return edit
+
+
+def _del(*path):
+    def edit(container):
+        section = container["meta"]
+        for key in path[:-1]:
+            section = section[key]
+        del section[path[-1]]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("seed", value="x"),
+        _set("seed", value=-1),
+        _set("config", "trunk_widths", value=5),
+        _set("vocabs", "brand", value=7),
+        _set("vocabs", "brand", 0, 1, value=999),
+        _set("vocabs", "brand", 0, 1, value=-1),
+        _set("vocabs", "extra", value=[]),
+        _del("stats", "means", "lag_units"),
+        _set("stats", "target_std", value="a"),
+        _set("config", "split", value=[1, 1]),
+        _set("config", "activation", value="tanh"),
+        _set("config", "injection_width", value=0),
+        _set("stats", "target_std", value=float("nan")),
+        _set("stats", "stds", "lag_units", value=0.0),
+        _set("stats", "means", "lag_units", value=float("inf")),
+        _set("features", "monotone", value=["lead_price", "lag_price"]),
+        _set("features", "continuous", 0, value="no_such_feature"),
+        _set("format", value=2),
+        lambda c: c.update(version=2),
+    ],
+)
+def test_malformed_model_metadata_exits_3(pipeline_dirs, tmp_path, edit_model_file, capsys, edit):
+    model = tmp_path / "edited.mdnm"
+    edit_model_file(pipeline_dirs / "run" / "model.mdnm", model, edit)
+    for argv in (
+        ["evaluate", "--dataset", str(pipeline_dirs / "ds")],
+        ["elasticity", "--transactions", str(pipeline_dirs / "data" / "transactions.csv")],
+    ):
+        assert main(argv + ["--model", str(model), "--out", str(tmp_path / argv[0])]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / argv[0]).exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--sigma", "nan"], "noise sigma must be finite"),
+        (["synth", "--epsilon-min", "nan"], "epsilon range must be finite"),
+        (["synth", "--start-month", "202313"], "invalid year-month 202313"),
+        (["train", "--dataset", "{ds}", "--l2-decay", "nan"], "l2_decay must be finite"),
+        (["train", "--dataset", "{ds}", "--config", "{nan_config}"], "l2_decay must be finite"),
+        (["train", "--dataset", "{ds}", "--learning-rate", "inf"], "learning_rate finite"),
+        (["elasticity", "--transactions", "{tx}", "--model", "{model}", "--dp-pct", "nan"], "--dp-pct must be finite"),
+        (["elasticity", "--transactions", "{header_only}", "--model", "{model}"], "no transactions"),
+    ],
+)
+def test_unusable_values_exit_2(pipeline_dirs, tmp_path, capsys, argv, message):
+    paths = {
+        "ds": pipeline_dirs / "ds",
+        "tx": pipeline_dirs / "data" / "transactions.csv",
+        "model": pipeline_dirs / "run" / "model.mdnm",
+        "nan_config": tmp_path / "nan.json",
+        "header_only": tmp_path / "header_only.csv",
+    }
+    paths["nan_config"].write_text('{"l2_decay": NaN}')
+    paths["header_only"].write_text(",".join(TRANSACTIONS_COLUMNS) + "\n")
+    out = tmp_path / "out"
+    assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestElasticity:

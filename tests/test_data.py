@@ -150,6 +150,21 @@ class TestIngest:
         with pytest.raises(ParseError, match="units_sold"):
             dt.ingest(f)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a,202301,3.50,-5,20,0,3,100,,false,,b1,M,c1,s1", "units_sold must be non-negative, got -5"),
+            ("a,202301,3.50,5,20,-1,3,100,,false,,b1,M,c1,s1", "oos_days must be non-negative, got -1"),
+            ("a,202301,3.50,5,20,40,3,100,,false,,b1,M,c1,s1", "oos_days must be 0..31, got 40"),
+            ("a,202301,3.50,5,20,0,3,-100,,false,,b1,M,c1,s1", "days_launched must be non-negative, got -100"),
+        ],
+    )
+    def test_count_rules_name_the_line(self, tmp_path, row, message):
+        f = tmp_path / "t.csv"
+        write_csv(f, ["a,202212,3.50,5,20,0,3,100,,false,,b1,M,c1,s1", row])
+        with pytest.raises(ParseError, match=f"^line 3: {message}$"):
+            dt.ingest(f)
+
     def test_bad_header(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("item,month\na,202301\n")
@@ -454,6 +469,12 @@ class TestDatasetIO:
                 "lag_competitor_price must be positive and finite when present, got inf",
             ),
             (lambda row: row[:6] + ["nan"] + row[7:], "price_change_pct must be finite, got nan"),
+            (lambda row: row[:3] + ["7"] + row[4:], "month_gap must match lag_month and lead_month, got 7"),
+            (lambda row: row[:3] + ["13"] + row[4:], "month_gap must be 1..12, got 13"),
+            (lambda row: row[:6] + ["0.5"] + row[7:], "price_change_pct must be .*, got 0.5"),
+            (lambda row: row[:8] + ["-3"] + row[9:], "target must be non-negative when present, got -3"),
+            (lambda row: row[:9] + ["-50"] + row[10:], "lag_inventory must be non-negative, got -50"),
+            (lambda row: row[:12] + ["32"] + row[13:], "lead_oos_days must be 0..31, got 32"),
         ],
     )
     def test_malformed_pairs_csv_names_the_line(self, tmp_path, edit, message):

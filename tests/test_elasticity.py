@@ -153,6 +153,15 @@ class TestEvaluateElasticities:
         assert sum(s == "ok" for s in statuses) == 1
         assert any(s.startswith("invalid query") for s in statuses)
 
+    @pytest.mark.parametrize("p, dp", [(None, np.nan), (np.nan, None), (np.inf, None), (None, np.inf), (None, -np.inf)])
+    def test_non_finite_query_flagged(self, trained_model, small_world, p, dp):
+        model, _ = trained_model
+        _, tx, _ = small_world
+        inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
+        report = evaluate_elasticities(model, inference, [ElasticityQuery(inference.item_id[0], p=p, dp=dp)])
+        (entry,) = report.entries
+        assert entry.status.startswith("invalid query") and entry.elasticity is None
+
     def test_report_sorted_and_default_dp(self, trained_model, small_world):
         model, _ = trained_model
         _, tx, _ = small_world

@@ -5,11 +5,10 @@ from elastinet import data as dt
 from elastinet.errors import ConfigError, DomainError, ModelIOError, NumericError
 from elastinet.model import (
     ArchConfig,
-    CategoricalSpec,
     ColumnDenseLayer,
     DemandModel,
     DenseLayer,
-    FeatureSchema,
+    StandardizationStats,
     default_embedding_dim,
     load_model,
     save_model,
@@ -17,21 +16,33 @@ from elastinet.model import (
 from elastinet.tensor import Tensor, backward, concat_cols, mse_loss
 from elastinet.training import Adam, TrainConfig
 
-MONO = (("lead_price", -1), ("price_change_pct", -1))
+
+def model_for(categorical=(), continuous=(), config=ArchConfig(), monotone=tuple(dt.MONOTONE_FEATURES)):
+    """A DemandModel whose categorical features map {name: level count} and
+    whose continuous features are ``continuous``."""
+    names = dt.FeatureNames(tuple(dict(categorical)), tuple(continuous), monotone, ())
+    vocabs = {name: {f"{name}_{i}": i for i in range(1, n + 1)} for name, n in dict(categorical).items()}
+    return DemandModel(names, vocabs, config, seed=0)
 
 
 class TestSchema:
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ConfigError, match="unique"):
-            FeatureSchema((CategoricalSpec("x", 3, 2),), ("x",), MONO)
+    def test_monotone_feature_without_direction_rejected(self):
+        with pytest.raises(ConfigError, match="no direction"):
+            model_for(continuous=("a",), monotone=("lead_price", "lag_price"))
 
-    def test_missing_lead_price_rejected(self):
-        with pytest.raises(ConfigError, match="lead_price"):
-            FeatureSchema((), ("a",), (("price_change_pct", -1),))
+    @pytest.mark.parametrize(
+        "vocabs",
+        [{}, {"c": {"x": 1}, "d": {"y": 1}}, {"c": {"x": 0}}, {"c": {"x": 1, "y": 3}}, {"c": {"x": 2, "y": 2}}],
+    )
+    def test_vocabs_must_map_each_categorical_to_1_to_n(self, vocabs):
+        names = dt.FeatureNames(("c",), (), tuple(dt.MONOTONE_FEATURES), ())
+        with pytest.raises(ConfigError, match="vocabular"):
+            DemandModel(names, vocabs, ArchConfig())
 
-    def test_wrong_direction_rejected(self):
-        with pytest.raises(ConfigError, match="direction"):
-            FeatureSchema((), ("a",), (("lead_price", 1), ("price_change_pct", -1)))
+    def test_embedding_sizes_follow_the_vocabularies(self):
+        model = model_for(categorical={"c1": 9, "c2": 200})
+        assert model.embeddings["c1"].shape == (10, 4)
+        assert model.embeddings["c2"].shape == (201, 15)
 
     def test_default_embedding_dim(self):
         assert default_embedding_dim(4) == 2
@@ -41,13 +52,8 @@ class TestSchema:
 
 class TestBuildModel:
     def test_parameter_count_matches_hand_count(self):
-        schema = FeatureSchema(
-            (CategoricalSpec("c1", 10, 4), CategoricalSpec("c2", 5, 3)),
-            ("f1", "f2", "f3"),
-            MONO,
-        )
         config = ArchConfig(trunk_widths=(16, 8), injection_width=8, post_widths=(4,), encoder_width=2)
-        model = DemandModel(schema, config, seed=0)
+        model = model_for({"c1": 9, "c2": 4}, ("f1", "f2", "f3"), config)
         embeddings = 10 * 4 + 5 * 3
         encoders = 3 * (1 * 2 + 2)
         trunk_in = 4 + 3 + 3 * 2  # embedding dims + encoder widths
@@ -58,29 +64,25 @@ class TestBuildModel:
         assert model.parameter_count() == embeddings + encoders + trunk + injection + post + head
 
     def test_empty_categoricals_builds_dense_only_encoder(self):
-        schema = FeatureSchema((), ("f1", "f2"), MONO)
-        model = DemandModel(schema, ArchConfig(), seed=0)
+        model = model_for(continuous=("f1", "f2"))
         x_cont = np.random.default_rng(0).normal(size=(4, 2))
         out = model.forward(np.zeros((4, 0), dtype=np.int64), x_cont, np.zeros((4, 2)))
         assert out.shape == (4, 1)
 
     def test_no_features_at_all_rejected(self):
-        schema = FeatureSchema((), (), MONO)
         with pytest.raises(ConfigError):
-            DemandModel(schema, ArchConfig(), seed=0)
+            model_for()
 
     def test_zero_width_rejected(self):
         with pytest.raises(ConfigError):
             ArchConfig(trunk_widths=(0,))
 
     def test_unknown_activation_rejected(self):
-        schema = FeatureSchema((), ("f",), MONO)
         with pytest.raises(ConfigError):
-            DemandModel(schema, ArchConfig(activation="tanh"), seed=0)
+            model_for(continuous=("f",), config=ArchConfig(activation="tanh"))
 
     def test_no_continuous_features(self):
-        schema = FeatureSchema((CategoricalSpec("c", 5, 3),), (), MONO)
-        model = DemandModel(schema, ArchConfig(trunk_widths=(8,), injection_width=8, post_widths=(4,)), seed=0)
+        model = model_for({"c": 4}, config=ArchConfig(trunk_widths=(8,), injection_width=8, post_widths=(4,)))
         assert model.encoders.weights.shape == (0, 8)
         rng = np.random.default_rng(0)
         cat, mono = rng.integers(0, 5, size=(6, 1)), rng.normal(size=(6, 2))
@@ -92,8 +94,7 @@ class TestBuildModel:
         assert np.all(np.isfinite(after)) and not np.array_equal(before, after)
 
     def test_injection_indicator_layout(self):
-        schema = FeatureSchema((), ("f",), MONO)
-        model = DemandModel(schema, ArchConfig(trunk_widths=(6,)), seed=0)
+        model = model_for(continuous=("f",), config=ArchConfig(trunk_widths=(6,)))
         t = model.injection.indicator
         assert t.shape == (8,)
         assert np.all(t[:6] == 0) and np.all(t[6:] == -1)
@@ -130,7 +131,7 @@ class TestColumnDenseLayer:
     def test_parameter_names(self, untrained_model):
         names = [p.name for p in untrained_model.parameters()]
         assert [name for name in names if name.startswith("enc.")] == ["enc.w", "enc.b"]
-        k = len(untrained_model.schema.continuous)
+        k = len(untrained_model.names.continuous)
         assert untrained_model.encoders.weights.shape == (k, untrained_model.config.encoder_width)
         assert untrained_model.encoders.weights in untrained_model.decayed_parameters()
 
@@ -193,9 +194,9 @@ class TestPredict:
         model, _ = trained_model
         pairs = small_split.train.take(np.arange(50))
         cat, cont, mono = model.encode(pairs)
-        assert cat.shape == (50, len(model.schema.categoricals))
-        assert cont.shape == (50, len(model.schema.continuous))
-        j = model.schema.continuous.index("lag_units")
+        assert cat.shape == (50, len(model.names.categorical))
+        assert cont.shape == (50, len(model.names.continuous))
+        j = model.names.continuous.index("lag_units")
         expected = (pairs.lag_units - model.stats.means["lag_units"]) / model.stats.stds["lag_units"]
         assert np.array_equal(cont[:, j], expected)
         expected = (pairs.price_change_pct - model.stats.means["price_change_pct"]) / model.stats.stds[
@@ -240,8 +241,10 @@ class TestSaveLoad:
         for p, q in zip(model.parameters(), loaded.parameters()):
             assert p.name == q.name
             assert np.array_equal(p.data, q.data)
-        assert loaded.dataset_schema_hash == model.dataset_schema_hash
+        assert loaded.schema_hash == model.schema_hash
+        assert loaded.names == model.names
         assert loaded.encoder.vocabs == model.encoder.vocabs
+        assert loaded.stats == model.stats and loaded.config == model.config and loaded.seed == model.seed
 
     def test_corrupted_magic_rejected(self, trained_model, tmp_path):
         model, _ = trained_model
@@ -287,7 +290,7 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize(
         "path",
-        [("seed",), ("stats", "target_std"), ("config", "activation"), ("schema", "continuous"), ("extra",)],
+        [("seed",), ("stats", "target_std"), ("config", "activation"), ("features", "continuous"), ("extra",)],
     )
     def test_missing_or_unknown_meta_key_rejected(self, trained_model, tmp_path, edit_model_file, path):
         def edit(container):
@@ -322,9 +325,17 @@ class TestSaveLoad:
         with pytest.raises(ModelIOError, match="'head.w' has non-finite values"):
             load_model(tmp_path / "nan.mdnm")
 
+    def test_model_on_a_subset_of_the_features_round_trips(self, tmp_path):
+        model = model_for({"brand": 3}, ("lag_units",))
+        names = ("lag_units", *dt.MONOTONE_FEATURES)
+        model.stats = StandardizationStats(dict.fromkeys(names, 1.0), dict.fromkeys(names, 2.0), 5.0, 3.0)
+        save_model(model, tmp_path / "m.mdnm")
+        loaded = load_model(tmp_path / "m.mdnm")
+        assert loaded.names == model.names and loaded.stats == model.stats
+        assert all(np.array_equal(p.data, q.data) for p, q in zip(model.parameters(), loaded.parameters()))
+
     def test_unfitted_model_cannot_be_saved(self, tmp_path):
-        schema = FeatureSchema((), ("f",), MONO)
-        model = DemandModel(schema, ArchConfig(), seed=0)
+        model = model_for(continuous=("f",))
         with pytest.raises(ConfigError):
             save_model(model, tmp_path / "m.mdnm")
 

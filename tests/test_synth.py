@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from elastinet import data as dt
-from elastinet.errors import ConfigError, DomainError
-from elastinet.synth import ItemTruth, SyntheticWorld, generate, read_truth, true_arc_elasticity, write_truth
+from elastinet.errors import ConfigError, DomainError, ParseError
+from elastinet.synth import (
+    TRUTH_COLUMNS,
+    ItemTruth,
+    SyntheticWorld,
+    generate,
+    read_truth,
+    true_arc_elasticity,
+    write_truth,
+)
 
 from test_data import tables_equal
 
@@ -49,6 +57,21 @@ class TestWorldValidation:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):
             SyntheticWorld(noise_sigma=-0.1)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(noise_sigma=float("nan")), "noise sigma must be finite"),
+            (dict(noise_sigma=float("inf")), "noise sigma must be finite"),
+            (dict(epsilon_range=(float("nan"), -0.5)), "epsilon range must be finite"),
+            (dict(epsilon_range=(float("-inf"), -0.5)), "epsilon range must be finite"),
+            (dict(epsilon_range=(-3.0, float("nan"))), "epsilon range must be finite"),
+            (dict(start_month=202313), "invalid year-month 202313"),
+        ],
+    )
+    def test_non_finite_or_invalid_values_rejected(self, kw, message):
+        with pytest.raises((ConfigError, DomainError), match=message):
+            SyntheticWorld(**kw)
 
     def test_fixed_prices_length_checked(self):
         with pytest.raises(ConfigError):
@@ -149,3 +172,30 @@ class TestGenerate:
         f = tmp_path / "truth.csv"
         write_truth(truths, f)
         assert read_truth(f) == truths
+        assert all(type(t.epsilon) is float and type(t.epsilon_hi) is float for t in read_truth(f))
+
+    def test_constant_world_truth_round_trips_byte_identically(self, tmp_path):
+        _, truths = generate(SyntheticWorld(n_items=4, n_months=5, seed=3))
+        write_truth(truths, tmp_path / "a.csv")
+        assert read_truth(tmp_path / "a.csv") == truths
+        assert all(t.epsilon_hi is None for t in truths)
+        write_truth(read_truth(tmp_path / "a.csv"), tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "header, row, message",
+        [
+            (None, "item_0000,abc,,1.0,2.0", "line 2: bad epsilon 'abc'"),
+            (None, "item_0000,nan,,1.0,2.0", "line 2: epsilon must be finite, got nan"),
+            (None, "item_0000,-1.5,inf,1.0,2.0", "line 2: epsilon_hi must be finite when present, got inf"),
+            (None, "item_0000,-1.5,,0,2.0", "line 2: coeff must be positive and finite, got 0.0"),
+            (None, "item_0000,-1.5,,1.0,-2.0", "line 2: base_price must be positive and finite, got -2.0"),
+            (None, "item_0000,-1.5,,1.0", "line 2: expected 5 fields, got 4"),
+            ("item_id,epsilon", "item_0000,-1.5", "unexpected header"),
+        ],
+    )
+    def test_malformed_truth_names_the_line(self, tmp_path, header, row, message):
+        f = tmp_path / "truth.csv"
+        f.write_text((header or ",".join(TRUTH_COLUMNS)) + "\n" + row + "\n")
+        with pytest.raises(ParseError, match=message):
+            read_truth(f)

@@ -9,7 +9,7 @@ from elastinet.errors import ConfigError, NumericError
 from elastinet.gradcheck import gradcheck
 from elastinet.model import ArchConfig
 from elastinet.tensor import Parameter, Tensor, mse_loss, sum_sq
-from elastinet.training import Adam, TrainConfig, fit_stats, prepare_model, train
+from elastinet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, TrainConfig, fit_stats, prepare_model, train
 
 from conftest import SMALL_ARCH
 from test_data import make_tx, tx_row
@@ -107,13 +107,13 @@ class TestAdam:
             for p, g in zip(params, grads):
                 p.grad += g
             opt.step()
-            bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            bc1, bc2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
             for r, mi, vi, g in zip(ref, m, v, grads):  # the per-parameter form of the update
-                mi *= cfg.beta1
-                mi += (1.0 - cfg.beta1) * g
-                vi *= cfg.beta2
-                vi += (1.0 - cfg.beta2) * (g * g)
-                r -= cfg.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + cfg.eps)
+                mi *= ADAM_BETA1
+                mi += (1.0 - ADAM_BETA1) * g
+                vi *= ADAM_BETA2
+                vi += (1.0 - ADAM_BETA2) * (g * g)
+                r -= cfg.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + ADAM_EPS)
             for p, r in zip(params, ref):
                 assert np.array_equal(p.data, r)
 
@@ -211,3 +211,8 @@ class TestTrainLoop:
             TrainConfig(epochs=0)
         with pytest.raises(ConfigError):
             TrainConfig(l2_decay=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                TrainConfig(l2_decay=bad)
+            with pytest.raises(ConfigError, match="finite"):
+                TrainConfig(learning_rate=bad)
