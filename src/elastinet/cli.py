@@ -120,7 +120,7 @@ def cmd_build(args) -> int:
     pairs = dt.build_pairs(dt.ingest(args.transactions))
     ds = dt.split(pairs, seed=args.seed, by_item=args.by_item)
     out = Path(args.out)
-    dt.save_dataset(ds, out)
+    dt.save_dataset(ds, args.transactions, out)
     _resolved_config(args)
     counts = ds.manifest["row_counts"]
     print(f"pairs: train={counts['train']} validation={counts['validation']} out_of_time={counts['out_of_time']}")

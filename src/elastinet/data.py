@@ -5,7 +5,8 @@ same item. Valid pairs have a month gap of 1..12 and positive inventory in
 both months; the target is the lead month's units sold. The out-of-time
 split holds out every pair whose lead month falls in the last three calendar
 months of the data span; the remainder is shuffled into an 80/20
-train/validation split.
+train/validation split. A dataset directory stores the transactions and each
+pair's split label, and the pairs are rebuilt from them on load.
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ class PairTable(_Table):
 
 
 # ---------------------------------------------------------------------------
-# CSV files: transactions.csv and pairs.csv have one column per table field,
-# in declaration order, and share one cell codec per column kind
+# CSV files: each file has a list of (column, cell kind), and the files share
+# one cell codec per column kind
 
 
 class _RuleError(ValueError):
@@ -203,16 +204,6 @@ def _read_counts(cells, events, most=None) -> np.ndarray:
     return values
 
 
-def _read_count_or_blank(cells, events) -> np.ndarray:
-    """Non-negative integers as floats; a blank cell (whitespace allowed) is
-    an absent count, read as NaN."""
-    values = np.array([float(int(c)) if c.strip() else np.nan for c in cells], dtype=np.float64)
-    bad = np.flatnonzero(values < 0)
-    if bad.size:
-        raise _RuleError(f"must be non-negative when present, got {int(values[bad[0]])}")
-    return values
-
-
 def _read_bools(cells, events) -> np.ndarray:
     """``true`` or ``false`` in any case, with surrounding whitespace allowed."""
     values = {}
@@ -229,12 +220,7 @@ def _event_sets(cells) -> dict:
 
 
 def _read_events(cells, event_names) -> np.ndarray:
-    known = set(event_names)
-    rows = {}
-    for cell, flags in _event_sets(cells).items():
-        if not flags <= known:
-            raise ValueError(f"unknown events {sorted(flags - known)}")
-        rows[cell] = [e in flags for e in event_names]
+    rows = {cell: [e in flags for e in event_names] for cell, flags in _event_sets(cells).items()}
     return np.array([rows[c] for c in cells], dtype=bool).reshape(len(cells), len(event_names))
 
 
@@ -251,9 +237,9 @@ def _write_events(col, event_names) -> list:
     return cells[inverse].tolist()
 
 
-def _blank_nan(col, values) -> list:
-    """``values`` as Python objects, with an empty cell where ``col`` is NaN."""
-    out = values.astype(object)
+def _blank_nan(col) -> list:
+    """``col`` as Python floats, with an empty cell where it is NaN."""
+    out = col.astype(object)
     out[np.isnan(col)] = ""
     return out.tolist()
 
@@ -264,10 +250,8 @@ def _blank_nan(col, values) -> list:
 # cannot parse and _RuleError for a value its column does not allow
 _READ = {
     "str": lambda cells, events: np.array(cells, dtype=str),
-    "int": lambda cells, events: np.fromiter(map(int, cells), np.int64, len(cells)),
     "count": _read_counts,
     "days": lambda cells, events: _read_counts(cells, events, most=31),  # days of one month
-    "count?": _read_count_or_blank,
     "month": _read_months,
     "float": lambda cells, events: _read_floats(cells, events, positive=False),
     "float?": lambda cells, events: _read_floats(cells, events, positive=False, optional=True),
@@ -279,61 +263,47 @@ _READ = {
 }
 _WRITE = {
     # csv writes a float as its repr
-    **dict.fromkeys(
-        ("str", "int", "count", "days", "month", "float", "price", "split"), lambda col, events: col.tolist()
-    ),
-    **dict.fromkeys(("float?", "price?"), lambda col, events: _blank_nan(col, col)),
-    "count?": lambda col, events: _blank_nan(col, np.nan_to_num(col).astype(np.int64)),
+    **dict.fromkeys(("str", "count", "days", "month", "float", "price", "split"), lambda col, events: col.tolist()),
+    **dict.fromkeys(("float?", "price?"), lambda col, events: _blank_nan(col)),
     "bool": lambda col, events: np.where(col, "true", "false").tolist(),
     "events": _write_events,
 }
 
-# a column's cells are non-negative integers unless listed here
+# a transactions column's cells are non-negative integers unless listed here
 _CELL_KINDS = {
     **dict.fromkeys(("item_id", "brand", "size", "category", "subcategory"), "str"),
-    **dict.fromkeys(("year_month", "lag_month", "lead_month"), "month"),
-    **dict.fromkeys(("price", "lag_price", "lead_price"), "price"),
-    **dict.fromkeys(("competitor_price", "lag_competitor_price", "lead_competitor_price"), "price?"),
-    **dict.fromkeys(("substitute_available", "lag_substitute_available", "lead_substitute_available"), "bool"),
-    **dict.fromkeys(("event_flags", "lag_events", "lead_events"), "events"),
-    **dict.fromkeys(("oos_days", "lag_oos_days", "lead_oos_days"), "days"),
-    "month_gap": "int",
-    "price_change_pct": "float",
-    "target": "count?",
+    "year_month": "month",
+    "price": "price",
+    "competitor_price": "price?",
+    "substitute_available": "bool",
+    "event_flags": "events",
+    "oos_days": "days",
 }
+TRANSACTIONS_COLUMNS = [f.name for f in fields(Transactions) if f.name != "event_names"]
+_TRANSACTION_COLUMNS = [(name, _CELL_KINDS.get(name, "count")) for name in TRANSACTIONS_COLUMNS]
+# a dataset's pairs.csv: each pair's key and split label
+_PAIR_KEY_COLUMNS = [("item_id", "str"), ("lag_month", "month"), ("lead_month", "month"), ("split", "split")]
 
-
-def _csv_columns(table_type) -> list[tuple[str, str]]:
-    return [(f.name, _CELL_KINDS.get(f.name, "count")) for f in fields(table_type) if f.name != "event_names"]
-
-
-_TRANSACTION_COLUMNS = _csv_columns(Transactions)
-TRANSACTIONS_COLUMNS = [name for name, _ in _TRANSACTION_COLUMNS]
-# pairs.csv ends with each pair's split label
-_PAIR_COLUMNS = _csv_columns(PairTable) + [("split", "split")]
-
-# a CSV file is written this many rows at a time. Formatting all 246,000 rows
-# of a 1000-item pairs.csv at once held ~550 MB of Python objects, and the
-# page faults that cost made `build`'s time spread twice as wide
+# a CSV file is written this many rows at a time, so the Python objects that
+# csv formats exist for one chunk at once, not for the whole table
 _CSV_CHUNK_ROWS = 4096
 
 
-def _write_csv(path, columns, parts, event_names) -> None:
-    """Write ``parts``, dicts of equal-length columns named as in ``columns``,
-    one after another under one header row."""
+def _write_csv(path, columns, table, event_names) -> None:
+    """Write ``table``, a dict of equal-length columns named as in ``columns``,
+    under one header row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([name for name, _ in columns])
-        for part in parts:
-            for lo in range(0, len(part["item_id"]), _CSV_CHUNK_ROWS):
-                chunk = {name: col[lo : lo + _CSV_CHUNK_ROWS] for name, col in part.items()}
-                writer.writerows(zip(*(_WRITE[kind](chunk[name], event_names) for name, kind in columns)))
+        for lo in range(0, len(table["item_id"]), _CSV_CHUNK_ROWS):
+            chunk = {name: col[lo : lo + _CSV_CHUNK_ROWS] for name, col in table.items()}
+            writer.writerows(zip(*(_WRITE[kind](chunk[name], event_names) for name, kind in columns)))
 
 
-def _read_csv(path, columns, event_names=None) -> tuple[dict, Sequence[int], tuple[str, ...]]:
+def _read_csv(path, columns) -> tuple[dict, Sequence[int], tuple[str, ...]]:
     """Read a CSV file written by _write_csv: its columns, the line number of
-    each row and the event names. Blank lines are skipped. Without
-    ``event_names``, they are the events the file names, sorted.
+    each row and the event names, which are the events the file names,
+    sorted. Blank lines are skipped.
 
     A cell that does not fit its column's kind raises ParseError with its
     line number.
@@ -354,12 +324,11 @@ def _read_csv(path, columns, event_names=None) -> tuple[dict, Sequence[int], tup
         line_no, row = next((line_no, row) for line_no, row in zip(lines, rows) if len(row) != len(columns))
         raise ParseError(f"line {line_no}: expected {len(columns)} fields, got {len(row)}")
     cells = dict(zip(names, zip(*rows))) or dict.fromkeys(names, ())
-    if event_names is None:
-        named = set()
-        for name, kind in columns:
-            if kind == "events":
-                named.update(*_event_sets(cells[name]).values())
-        event_names = tuple(sorted(named))
+    named = set()
+    for name, kind in columns:
+        if kind == "events":
+            named.update(*_event_sets(cells[name]).values())
+    event_names = tuple(sorted(named))
     out = {}
     for name, kind in columns:
         try:
@@ -393,7 +362,7 @@ def ingest(path) -> Transactions:
 
 
 def write_transactions(tx: Transactions, path) -> None:
-    _write_csv(path, _TRANSACTION_COLUMNS, [tx._columns()], tx.event_names)
+    _write_csv(path, _TRANSACTION_COLUMNS, tx._columns(), tx.event_names)
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +565,15 @@ CARRY_FORWARD_POLICY = {
 }
 
 
-def split(pairs: PairTable, seed: int, by_item: bool = False) -> DatasetSplit:
-    """Chronological out-of-time holdout plus a seeded 80/20 shuffle split.
+def _pair_order(item_id, lag_month, lead_month) -> np.ndarray:
+    """Row indices sorting pairs by (item_id, lag_month, lead_month)."""
+    _, item_code = np.unique(item_id, return_inverse=True)
+    return np.lexsort((lead_month, lag_month, item_code))
 
-    Each part keeps (item_id, lag, lead) order; only the events that occur
-    in some pair stay in the tables and the feature names.
-    """
+
+def _boundary_month(pairs: PairTable) -> int:
+    """The first out-of-time month: pairs leading into the last
+    OUT_OF_TIME_MONTHS months of the span are held out."""
     if not len(pairs):
         raise ConfigError("no pairs to split")
     first, last = int(pairs.lag_month.min()), int(pairs.lead_month.max())
@@ -609,47 +581,58 @@ def split(pairs: PairTable, seed: int, by_item: bool = False) -> DatasetSplit:
         raise ConfigError(
             f"data spans {month_gap(first, last) + 1} months; need at least {OUT_OF_TIME_MONTHS + 1}"
         )
-    boundary = ym_add(last, -(OUT_OF_TIME_MONTHS - 1))  # first out-of-time month
+    return ym_add(last, -(OUT_OF_TIME_MONTHS - 1))
 
+
+def _draw_labels(pairs: PairTable, order: np.ndarray, seed: int, by_item: bool) -> np.ndarray:
+    """The split label of pair ``order[i]`` for each i: out_of_time from the
+    boundary month on, else a seeded 80/20 draw of train and validation over
+    pairs, or over items with ``by_item``."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    labels = np.where(pairs.lead_month[order] >= _boundary_month(pairs), "out_of_time", "validation")
+    rest = np.flatnonzero(labels == "validation")  # the train/validation pool, in pair order
+    rng = np.random.default_rng(seed)
+    if by_item:
+        item_id = pairs.item_id[order[rest]]
+        items = np.unique(item_id)
+        chosen = items[rng.permutation(len(items))[: (len(items) * 4) // 5]]
+        train = rest[np.isin(item_id, chosen)]
+    else:
+        train = rest[rng.permutation(len(rest))[: (len(rest) * 4) // 5]]
+    labels[train] = "train"
+    return labels
+
+
+def _take_parts(pairs: PairTable, order: np.ndarray, labels: np.ndarray, manifest: dict) -> DatasetSplit:
+    """The pairs ``order`` lists, parted by their ``labels``; ``manifest``
+    gains the boundary month and row counts. Only the events that occur in
+    some pair stay in the tables and the feature names."""
     present = pairs.lag_events.any(axis=0) | pairs.lead_events.any(axis=0)
     events = tuple(e for e, keep in zip(pairs.event_names, present) if keep)
     pairs = replace(
         pairs, lag_events=pairs.lag_events[:, present], lead_events=pairs.lead_events[:, present], event_names=events
     )
-    _, item_code = np.unique(pairs.item_id, return_inverse=True)
-    order = np.lexsort((pairs.lead_month, pairs.lag_month, item_code))
-    held_out = pairs.lead_month[order] >= boundary
-    rest = order[~held_out]  # row indices of the train/validation pool, in order
-
-    rng = np.random.default_rng(seed)
-    if by_item:
-        items = np.unique(pairs.item_id[rest])
-        perm = rng.permutation(len(items))
-        n_train = (len(items) * 4) // 5
-        in_train = np.isin(pairs.item_id[rest], items[perm[:n_train]])
-    else:
-        perm = rng.permutation(len(rest))
-        n_train = (len(rest) * 4) // 5
-        in_train = np.zeros(len(rest), dtype=bool)
-        in_train[perm[:n_train]] = True
-    train, val, ots = (pairs.take(idx) for idx in (rest[in_train], rest[~in_train], order[held_out]))
-
+    parts = {name: pairs.take(order[labels == name]) for name in SPLITS}
     names = feature_names(events)
     manifest = {
-        "seed": seed,
-        "boundary_month": boundary,
-        "split_mode": "item" if by_item else "pair",
-        "row_counts": {"train": len(train), "validation": len(val), "out_of_time": len(ots)},
+        **manifest,
+        "boundary_month": _boundary_month(pairs),
+        "row_counts": {name: len(part) for name, part in parts.items()},
         "carry_forward_policy": CARRY_FORWARD_POLICY,
     }
-    return DatasetSplit(
-        train=train,
-        validation=val,
-        out_of_time=ots,
-        schema_hash=names.schema_hash(),
-        names=names,
-        manifest=manifest,
-    )
+    return DatasetSplit(**parts, schema_hash=names.schema_hash(), names=names, manifest=manifest)
+
+
+def split(pairs: PairTable, seed: int, by_item: bool = False) -> DatasetSplit:
+    """Chronological out-of-time holdout plus a seeded 80/20 shuffle split.
+
+    Each part keeps (item_id, lag, lead) order; only the events that occur
+    in some pair stay in the tables and the feature names.
+    """
+    order = _pair_order(pairs.item_id, pairs.lag_month, pairs.lead_month)
+    labels = _draw_labels(pairs, order, seed, by_item)
+    return _take_parts(pairs, order, labels, {"seed": seed, "split_mode": "item" if by_item else "pair"})
 
 
 # ---------------------------------------------------------------------------
@@ -686,15 +669,21 @@ def build_inference_set(tx: Transactions, as_of_month: int) -> tuple[PairTable, 
 
 
 # ---------------------------------------------------------------------------
-# dataset serialization (pairs CSV + manifest JSON)
+# dataset directory: manifest JSON, a byte copy of the transactions CSV, and
+# pairs.csv with each pair's split label; the pairs are rebuilt on load
 
 
-def save_dataset(ds: DatasetSplit, out_dir) -> None:
+def save_dataset(ds: DatasetSplit, transactions, out_dir) -> None:
+    """Write ``ds``, split from the pairs of the ``transactions`` file, into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    parts = {label: getattr(ds, label) for label in SPLITS}
-    columns = [{**part._columns(), "split": np.full(len(part), label)} for label, part in parts.items()]
-    _write_csv(out / "pairs.csv", _PAIR_COLUMNS, columns, ds.names.event_names)
+    raw = Path(transactions).read_bytes()
+    (out / "transactions.csv").write_bytes(raw)
+    parts = [getattr(ds, name) for name in SPLITS]
+    keys = {name: np.concatenate([getattr(p, name) for p in parts]) for name in ("item_id", "lag_month", "lead_month")}
+    keys["split"] = np.repeat(SPLITS, [len(part) for part in parts])
+    order = _pair_order(keys["item_id"], keys["lag_month"], keys["lead_month"])
+    _write_csv(out / "pairs.csv", _PAIR_KEY_COLUMNS, {name: col[order] for name, col in keys.items()}, ())
     manifest = dict(ds.manifest)
     manifest["schema_hash"] = ds.schema_hash
     manifest["feature_list"] = {
@@ -703,29 +692,22 @@ def save_dataset(ds: DatasetSplit, out_dir) -> None:
         "monotone": {name: MONOTONE_DIRECTIONS[name] for name in ds.names.monotone},
     }
     manifest["event_names"] = list(ds.names.event_names)
+    manifest["transactions_sha256"] = hashlib.sha256(raw).hexdigest()
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _check_derived_columns(columns: dict, lines) -> None:
-    """Reject a pairs.csv row whose month gap or price change is not the one
-    its own months and prices give; ParseError names the row's line."""
-    gap = columns["month_gap"]
-    pct = price_change_pct(columns["lag_price"], columns["lead_price"])
-    rules = (
-        ("month_gap", (gap < MIN_MONTH_GAP) | (gap > MAX_MONTH_GAP), f"be {MIN_MONTH_GAP}..{MAX_MONTH_GAP}"),
-        ("month_gap", gap != month_gap(columns["lag_month"], columns["lead_month"]), "match lag_month and lead_month"),
-        ("price_change_pct", columns["price_change_pct"] != pct, "be (lead_price - lag_price) / lag_price"),
-    )
-    for name, bad, rule in rules:
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ParseError(f"line {lines[i]}: {name} must {rule}, got {columns[name][i]}")
-
-
 def load_dataset(in_dir) -> DatasetSplit:
-    """Read a dataset directory; the manifest's schema hash must match its event names."""
+    """Rebuild the dataset that save_dataset wrote into ``in_dir``.
+
+    The transactions copy must have the manifest's SHA-256. Its pairs are
+    rebuilt and parted by the labels in pairs.csv, which must list exactly
+    those pairs, in order. The schema hash, boundary month and row counts
+    must come out as the manifest records them. A mismatch raises
+    SchemaMismatchError; a cell that breaks its column's rule, ParseError
+    with its line number.
+    """
     src = Path(in_dir)
     with open(src / "manifest.json", encoding="utf-8") as fh:
         try:
@@ -745,13 +727,25 @@ def load_dataset(in_dir) -> DatasetSplit:
             f"manifest schema hash {manifest['schema_hash']} does not match its event names "
             f"{list(names.event_names)} (hash {names.schema_hash()})"
         )
-    columns, lines, _ = _read_csv(src / "pairs.csv", _PAIR_COLUMNS, names.event_names)
-    _check_derived_columns(columns, lines)
-    labels = columns.pop("split")
-    table = PairTable(**columns, event_names=names.event_names)
-    return DatasetSplit(
-        **{name: table.take(labels == name) for name in SPLITS},
-        schema_hash=manifest["schema_hash"],
-        names=names,
-        manifest={k: v for k, v in manifest.items() if k not in ("schema_hash", "feature_list", "event_names")},
-    )
+    digest = hashlib.sha256((src / "transactions.csv").read_bytes()).hexdigest()
+    if digest != manifest.get("transactions_sha256"):
+        raise SchemaMismatchError(
+            f"transactions.csv has SHA-256 {digest}; the manifest records {manifest.get('transactions_sha256')!r}"
+        )
+    pairs = build_pairs(ingest(src / "transactions.csv"))
+    stored, lines, _ = _read_csv(src / "pairs.csv", _PAIR_KEY_COLUMNS)
+    labels = stored.pop("split")
+    if len(labels) != len(pairs) or not all(np.array_equal(col, getattr(pairs, k)) for k, col in stored.items()):
+        raise SchemaMismatchError("pairs.csv must list each pair of transactions.csv once, in (item, lag, lead) order")
+    order = np.arange(len(pairs))  # build_pairs gives (item_id, lag, lead) order
+    ds = _take_parts(pairs, order, labels, {k: v for k, v in manifest.items() if k in ("seed", "split_mode")})
+    boundary = ds.manifest["boundary_month"]
+    wrong = (labels == "out_of_time") != (pairs.lead_month >= boundary)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise SchemaMismatchError(f"pairs.csv line {lines[i]}: {labels[i]} crosses the boundary month {boundary}")
+    recomputed = {"schema_hash": ds.schema_hash, "boundary_month": boundary, "row_counts": ds.manifest["row_counts"]}
+    for key, value in recomputed.items():
+        if manifest.get(key) != value:
+            raise SchemaMismatchError(f"manifest {key} is {manifest.get(key)!r}; the dataset gives {value!r}")
+    return ds

@@ -29,6 +29,7 @@ from .monodense import (
     MonoDenseLayer,
     constrained_weights,
     glorot_uniform,
+    validate_indicator,
 )
 from .tensor import Parameter, Tensor, activate, add_bias, column_dense, concat_cols, embedding_lookup, matmul
 
@@ -239,7 +240,7 @@ class DemandModel:
 
         self.head_w = Parameter(glorot_uniform(rng, w_in, 1), name="head.w")
         self.head_b = Parameter(np.zeros((1, 1)), name="head.b")
-        self._head_indicator = np.ones(w_in)
+        self._head_indicator = validate_indicator(np.ones(w_in), w_in)
 
     # -- parameters --------------------------------------------------------
 

@@ -74,13 +74,13 @@ def effective_weight(raw_w: float, t_i: int) -> float:
     return float(t_i) * abs(float(raw_w))
 
 
-def constrained_weights(w: Tensor, indicator) -> Tensor:
-    """Apply the indicator sign constraint row-wise to a weight matrix.
+def constrained_weights(w: Tensor, indicator: np.ndarray) -> Tensor:
+    """Apply a checked indicator (see validate_indicator) row-wise to a weight matrix.
 
     Gradients flow through the reparameterization with d|w|/dw = sign(w),
     which is 0 at w == 0 (initialization avoids exact zeros).
     """
-    t = validate_indicator(indicator, w.rows).reshape(-1, 1)
+    t = indicator.reshape(-1, 1)
     unconstrained = t == 0.0
     eff = np.where(unconstrained, w.data, t * np.abs(w.data))
     dmul = np.where(unconstrained, 1.0, t * np.sign(w.data))

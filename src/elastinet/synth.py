@@ -54,6 +54,8 @@ class SyntheticWorld:
         if not 0 <= self.noise_sigma < np.inf:
             raise ConfigError(f"noise sigma must be finite and non-negative, got {self.noise_sigma}")
         validate_ym(self.start_month)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_items < 1 or self.n_months < 1:
             raise ConfigError("need at least one item and one month")
         if not 0 <= self.stockout_rate < 1:
@@ -197,12 +199,12 @@ TRUTH_COLUMNS = [name for name, _ in _TRUTH_COLUMNS]
 def write_truth(truths, path) -> None:
     columns = {name: np.array([getattr(t, name) for t in truths]) for name in TRUTH_COLUMNS if name != "epsilon_hi"}
     columns["epsilon_hi"] = np.array([np.nan if t.epsilon_hi is None else t.epsilon_hi for t in truths])
-    _write_csv(path, _TRUTH_COLUMNS, [columns], ())
+    _write_csv(path, _TRUTH_COLUMNS, columns, ())
 
 
 def read_truth(path) -> list[ItemTruth]:
     """The rows of a truth table; a cell that breaks its column's rule
     raises ParseError with its line number."""
-    columns, _, _ = _read_csv(path, _TRUTH_COLUMNS, ())
+    columns, _, _ = _read_csv(path, _TRUTH_COLUMNS)
     rows = zip(*(columns[name].tolist() for name in TRUTH_COLUMNS))
     return [ItemTruth(item, eps, None if np.isnan(hi) else hi, coeff, base) for item, eps, hi, coeff, base in rows]

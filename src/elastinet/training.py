@@ -33,6 +33,8 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be positive, learning_rate finite and non-negative")
         if not 0 <= self.l2_decay < np.inf:
             raise ConfigError(f"l2_decay must be finite and non-negative, got {self.l2_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

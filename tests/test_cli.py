@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -62,6 +63,7 @@ class TestBuild:
     def test_writes_dataset(self, pipeline_dirs):
         ds = pipeline_dirs / "ds"
         assert (ds / "pairs.csv").exists()
+        assert (ds / "transactions.csv").read_bytes() == (pipeline_dirs / "data" / "transactions.csv").read_bytes()
         manifest = json.loads((ds / "manifest.json").read_text())
         assert manifest["row_counts"]["train"] > 0
 
@@ -195,10 +197,7 @@ class TestEvaluate:
         assert rc == 3
         assert "manifest.json needs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "column, value",
-        [("split", "trian"), ("lag_month", "20x3"), ("lag_substitute_available", "maybe"), ("lead_price", "nan")],
-    )
+    @pytest.mark.parametrize("column, value", [("split", "trian"), ("lag_month", "20x3")])
     def test_malformed_pairs_csv_exits_2(self, pipeline_dirs, tmp_path, capsys, column, value):
         ds = tmp_path / "ds"
         shutil.copytree(pipeline_dirs / "ds", ds)
@@ -227,6 +226,105 @@ class TestEvaluate:
         rc = main(["evaluate", "--dataset", str(dataset), "--model", str(model), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "unsupported container version 1" in capsys.readouterr().err
+
+
+def _edit_lines(name, edit, rehash=False):
+    """A dataset edit that rewrites the lines of file ``name`` with ``edit``;
+    with ``rehash``, the manifest then records the edited file's SHA-256."""
+
+    def apply(ds):
+        path = ds / name
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+        if rehash:
+            _edit_manifest(lambda m: m.update(transactions_sha256=hashlib.sha256(path.read_bytes()).hexdigest()))(ds)
+
+    return apply
+
+
+def _edit_manifest(edit):
+    def apply(ds):
+        manifest = json.loads((ds / "manifest.json").read_text())
+        edit(manifest)
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+
+    return apply
+
+
+def _swap_train_and_out_of_time(lines):
+    """``lines`` with the first train pair and the first out-of-time pair
+    trading labels, so every row count stays the same."""
+    i = next(i for i, line in enumerate(lines) if line.endswith(",train\n"))
+    j = next(j for j, line in enumerate(lines) if line.endswith(",out_of_time\n"))
+    lines = list(lines)
+    lines[i], lines[j] = lines[i].replace(",train\n", ",out_of_time\n"), lines[j].replace(",out_of_time\n", ",train\n")
+    return lines
+
+
+def _set_cell(column, value, line_no):
+    def edit(lines):
+        header = lines[0].rstrip("\n").split(",")
+        row = lines[line_no - 1].rstrip("\n").split(",")
+        row[header.index(column)] = value
+        return lines[: line_no - 1] + [",".join(row) + "\n"] + lines[line_no:]
+
+    return edit
+
+
+def _bad_copy_cell(column, value):
+    """Set ``column`` on line 5 of the transactions copy and record its new hash."""
+    return _edit_lines("transactions.csv", _set_cell(column, value, 5), rehash=True)
+
+
+def _more_row_counts(manifest):
+    manifest["row_counts"]["train"] += 1
+
+
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        (_edit_lines("transactions.csv", lambda ls: ls[:1] + [ls[1].replace(",", ", ", 1)] + ls[2:]), 3, "SHA-256"),
+        (_edit_lines("transactions.csv", lambda ls: ls[:-1]), 3, "SHA-256"),
+        (_bad_copy_cell("substitute_available", "maybe"), 2, "line 5: substitute_available must be true/false"),
+        (_bad_copy_cell("price", "nan"), 2, "line 5: price must be positive and finite, got nan"),
+        (_bad_copy_cell("units_sold", "1.5"), 2, "line 5: bad units_sold '1.5'"),
+        (_bad_copy_cell("units_sold", "9" * 20), 2, f"line 5: bad units_sold '{'9' * 20}'"),
+        (_edit_lines("pairs.csv", lambda ls: ls[:2] + ls[3:]), 3, "pairs.csv must list each pair"),
+        (_edit_lines("pairs.csv", lambda ls: ls[:3] + ls[2:]), 3, "pairs.csv must list each pair"),
+        (_edit_lines("pairs.csv", lambda ls: ls + ["zz,202301,202302,train\n"]), 3, "pairs.csv must list each pair"),
+        (_edit_lines("pairs.csv", _set_cell("split", "trian", 3)), 2, "line 3: bad split 'trian'"),
+        (_edit_lines("pairs.csv", _swap_train_and_out_of_time), 3, "crosses the boundary month"),
+        (_edit_manifest(_more_row_counts), 3, "manifest row_counts"),
+        (_edit_manifest(lambda m: m.update(boundary_month=202301)), 3, "manifest boundary_month"),
+        (_edit_manifest(lambda m: m.pop("transactions_sha256")), 3, "the manifest records None"),
+        (lambda ds: (ds / "transactions.csv").unlink(), 2, "transactions.csv"),
+    ],
+    ids=[
+        "copy-edited",
+        "copy-truncated",
+        "copy-maybe-rehashed",
+        "copy-nan-price-rehashed",
+        "copy-fraction-rehashed",
+        "copy-overflow-rehashed",
+        "key-missing",
+        "key-duplicated",
+        "key-extra",
+        "label-unknown",
+        "label-across-boundary",
+        "row-counts-edited",
+        "boundary-edited",
+        "hash-missing",
+        "copy-missing",
+    ],
+)
+def test_edited_dataset_directory_exits_with_its_code(pipeline_dirs, tmp_path, capsys, edit, code, message):
+    ds = tmp_path / "ds"
+    shutil.copytree(pipeline_dirs / "ds", ds)
+    edit(ds)
+    model = pipeline_dirs / "run" / "model.mdnm"
+    assert main(["evaluate", "--dataset", str(ds), "--model", str(model), "--out", str(tmp_path / "e")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "e").exists()
 
 
 def _set(*path, value):
@@ -298,6 +396,10 @@ def test_malformed_model_metadata_exits_3(pipeline_dirs, tmp_path, edit_model_fi
         (["train", "--dataset", "{ds}", "--learning-rate", "inf"], "learning_rate finite"),
         (["elasticity", "--transactions", "{tx}", "--model", "{model}", "--dp-pct", "nan"], "--dp-pct must be finite"),
         (["elasticity", "--transactions", "{header_only}", "--model", "{model}"], "no transactions"),
+        (["synth", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["build", "--transactions", "{tx}", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["train", "--dataset", "{ds}", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["train", "--dataset", "{ds}", "--config", "{seed_config}"], "seed must be non-negative, got -1"),
     ],
 )
 def test_unusable_values_exit_2(pipeline_dirs, tmp_path, capsys, argv, message):
@@ -307,8 +409,10 @@ def test_unusable_values_exit_2(pipeline_dirs, tmp_path, capsys, argv, message):
         "model": pipeline_dirs / "run" / "model.mdnm",
         "nan_config": tmp_path / "nan.json",
         "header_only": tmp_path / "header_only.csv",
+        "seed_config": tmp_path / "seed.json",
     }
     paths["nan_config"].write_text('{"l2_decay": NaN}')
+    paths["seed_config"].write_text('{"seed": -1}')
     paths["header_only"].write_text(",".join(TRANSACTIONS_COLUMNS) + "\n")
     out = tmp_path / "out"
     assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
@@ -420,6 +524,7 @@ class TestDeterminism:
             outs.append(root)
         for rel in (
             "d/transactions.csv",
+            "ds/transactions.csv",
             "ds/pairs.csv",
             "ds/manifest.json",
             "m/model.mdnm",

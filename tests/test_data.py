@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -401,12 +402,27 @@ class TestInferenceSet:
         assert len(table) == 0 and skipped == []
 
 
+def save(tmp_path, rows, seed=7, by_item=False):
+    """Write ``rows`` as a transactions file, build and split its pairs and
+    save the dataset into ``tmp_path / "ds"``; returns the split and that path."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    tx_path = tmp_path / "input.csv"
+    dt.write_transactions(make_tx(rows), tx_path)
+    ds = dt.split(dt.build_pairs(dt.ingest(tx_path)), seed=seed, by_item=by_item)
+    dt.save_dataset(ds, tx_path, tmp_path / "ds")
+    return ds, tmp_path / "ds"
+
+
+def splits_equal(a, b):
+    """Same parts column for column, feature names and schema hash."""
+    parts_equal = all(tables_equal(getattr(a, part), getattr(b, part)) for part in dt.SPLITS)
+    return parts_equal and a.names == b.names and a.schema_hash == b.schema_hash
+
+
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
-        pairs = dt.build_pairs(make_tx(grid_rows()))
-        ds = dt.split(pairs, seed=9)
-        dt.save_dataset(ds, tmp_path)
-        loaded = dt.load_dataset(tmp_path)
+        ds, path = save(tmp_path, grid_rows(), seed=9)
+        loaded = dt.load_dataset(path)
         assert loaded.schema_hash == ds.schema_hash
         assert tables_equal(loaded.train, ds.train)
         assert tables_equal(loaded.validation, ds.validation)
@@ -416,86 +432,73 @@ class TestDatasetIO:
         rows = grid_rows()
         rows[1] = tx_row(item="i0", ym=202302, competitor_price=4.5, event_flags=frozenset({"x", "y"}))
         rows[5] = tx_row(item="i0", ym=202306, substitute_available=True, event_flags=frozenset({"y"}))
-        ds = dt.split(dt.build_pairs(make_tx(rows)), seed=3)
-        dt.save_dataset(ds, tmp_path)
-        loaded = dt.load_dataset(tmp_path)
+        ds, path = save(tmp_path, rows, seed=3)
+        loaded = dt.load_dataset(path)
         for part in dt.SPLITS:
             assert tables_equal(getattr(loaded, part), getattr(ds, part))
-        assert "x|y" in (tmp_path / "pairs.csv").read_text()
+        assert "x|y" in (path / "transactions.csv").read_text()
+
+    @pytest.mark.parametrize("by_item", [False, True], ids=["pair", "item"])
+    @pytest.mark.parametrize("seed", [24, 57])
+    def test_load_equals_the_split_of_the_rebuilt_pairs(self, tmp_path, seed, by_item):
+        from elastinet import synth
+
+        tx, _ = synth.generate(synth.SyntheticWorld(n_items=15, n_months=27, seed=seed))
+        tx_path = tmp_path / "transactions.csv"
+        dt.write_transactions(tx, tx_path)
+        dt.save_dataset(dt.split(dt.build_pairs(dt.ingest(tx_path)), seed, by_item), tx_path, tmp_path / "ds")
+        loaded = dt.load_dataset(tmp_path / "ds")
+        assert splits_equal(loaded, dt.split(dt.build_pairs(dt.ingest(tx_path)), seed, by_item))
+        assert len(loaded.names.event_names) == 2
 
     def test_pipeline_determinism_byte_identical(self, tmp_path):
         rows = grid_rows(seed=4)
         for d in ("one", "two"):
-            dt.save_dataset(dt.split(dt.build_pairs(make_tx(rows)), seed=7), tmp_path / d)
-        assert (tmp_path / "one" / "pairs.csv").read_bytes() == (tmp_path / "two" / "pairs.csv").read_bytes()
-        assert (tmp_path / "one" / "manifest.json").read_bytes() == (
-            tmp_path / "two" / "manifest.json"
-        ).read_bytes()
+            save(tmp_path / d, rows, seed=7)
+        for name in ("transactions.csv", "pairs.csv", "manifest.json"):
+            assert (tmp_path / "one" / "ds" / name).read_bytes() == (tmp_path / "two" / "ds" / name).read_bytes()
 
     def test_chunked_write_matches_one_chunk(self, tmp_path, monkeypatch):
         rows = grid_rows(seed=4)
         rows[1] = tx_row(item="i0", ym=202302, competitor_price=4.5, event_flags=frozenset({"x", "y"}))
-        ds = dt.split(dt.build_pairs(make_tx(rows)), seed=7)
-        dt.save_dataset(ds, tmp_path / "one")
+        ds, path = save(tmp_path / "one", rows, seed=7)
         monkeypatch.setattr(dt, "_CSV_CHUNK_ROWS", 2)
-        dt.save_dataset(ds, tmp_path / "chunked")
+        _, chunked = save(tmp_path / "chunked", rows, seed=7)
         assert len(ds.train) > 2
-        assert (tmp_path / "one" / "pairs.csv").read_bytes() == (tmp_path / "chunked" / "pairs.csv").read_bytes()
+        for name in ("transactions.csv", "pairs.csv"):
+            assert (path / name).read_bytes() == (chunked / name).read_bytes()
 
     def test_manifest_contents(self, tmp_path):
-        ds = dt.split(dt.build_pairs(make_tx(grid_rows())), seed=7)
-        dt.save_dataset(ds, tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        ds, path = save(tmp_path, grid_rows(), seed=7)
+        manifest = json.loads((path / "manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["schema_hash"] == ds.schema_hash
-        assert set(manifest["row_counts"]) == {"train", "validation", "out_of_time"}
+        assert manifest["row_counts"] == {name: len(getattr(ds, name)) for name in dt.SPLITS}
         assert "lead_price" in manifest["feature_list"]["monotone"]
         assert "carry_forward_policy" in manifest
+        raw = (tmp_path / "input.csv").read_bytes()
+        assert manifest["transactions_sha256"] == hashlib.sha256(raw).hexdigest()
+        assert sorted(p.name for p in path.iterdir()) == ["manifest.json", "pairs.csv", "transactions.csv"]
+        assert (path / "transactions.csv").read_bytes() == raw
+        lines = (path / "pairs.csv").read_text().splitlines()
+        assert lines[0] == "item_id,lag_month,lead_month,split"
+        assert len(lines) == 1 + sum(manifest["row_counts"].values())
 
     @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda row: row[:-1] + ["trian"], "bad split 'trian'"),
             (lambda row: [row[0], "20x3"] + row[2:], "bad lag_month '20x3'"),
-            (lambda row: row[:7] + ["99999999999999999999"] + row[8:], "bad lag_units '99999999999999999999'"),
-            (lambda row: row[:8] + ["1.5"] + row[9:], "bad target '1.5'"),
-            (lambda row: row[:21] + ["no_such_event"] + row[22:], "bad lag_events"),
-            (lambda row: row[:-2], "expected 28 fields, got 26"),
-            (lambda row: row[:19] + ["maybe"] + row[20:], "lag_substitute_available must be true/false, got 'maybe'"),
-            (lambda row: row[:5] + ["nan"] + row[6:], "lead_price must be positive and finite, got nan"),
-            (lambda row: row[:4] + ["-inf"] + row[5:], "lag_price must be positive and finite, got -inf"),
-            (
-                lambda row: row[:17] + ["inf"] + row[18:],
-                "lag_competitor_price must be positive and finite when present, got inf",
-            ),
-            (lambda row: row[:6] + ["nan"] + row[7:], "price_change_pct must be finite, got nan"),
-            (lambda row: row[:3] + ["7"] + row[4:], "month_gap must match lag_month and lead_month, got 7"),
-            (lambda row: row[:3] + ["13"] + row[4:], "month_gap must be 1..12, got 13"),
-            (lambda row: row[:6] + ["0.5"] + row[7:], "price_change_pct must be .*, got 0.5"),
-            (lambda row: row[:8] + ["-3"] + row[9:], "target must be non-negative when present, got -3"),
-            (lambda row: row[:9] + ["-50"] + row[10:], "lag_inventory must be non-negative, got -50"),
-            (lambda row: row[:12] + ["32"] + row[13:], "lead_oos_days must be 0..31, got 32"),
+            (lambda row: row[:-2], "expected 4 fields, got 2"),
         ],
     )
     def test_malformed_pairs_csv_names_the_line(self, tmp_path, edit, message):
-        dt.save_dataset(dt.split(dt.build_pairs(make_tx(grid_rows())), seed=7), tmp_path)
-        path = tmp_path / "pairs.csv"
-        lines = path.read_text().splitlines()
+        _, path = save(tmp_path, grid_rows(), seed=7)
+        lines = (path / "pairs.csv").read_text().splitlines()
         lines[3] = ",".join(edit(lines[3].split(",")))
-        path.write_text("\n".join(lines) + "\n")
+        (path / "pairs.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"line 4: {message}"):
-            dt.load_dataset(tmp_path)
-
-    def test_bool_cells_read_as_ingest_reads_them(self, tmp_path):
-        ds = dt.split(dt.build_pairs(make_tx(grid_rows())), seed=7)
-        dt.save_dataset(ds, tmp_path)
-        path = tmp_path / "pairs.csv"
-        lines = path.read_text().splitlines()
-        row = lines[1].split(",")
-        lines[1] = ",".join(row[:19] + [" TRUE "] + row[20:])
-        path.write_text("\n".join(lines) + "\n")
-        loaded = dt.load_dataset(tmp_path)
-        assert loaded.train.lag_substitute_available.tolist() == [True] + [False] * (len(ds.train) - 1)
+            dt.load_dataset(path)
 
     @pytest.mark.parametrize(
         "edit",
@@ -508,26 +511,26 @@ class TestDatasetIO:
         ],
     )
     def test_manifest_without_its_keys_rejected(self, tmp_path, edit):
-        dt.save_dataset(dt.split(dt.build_pairs(make_tx(grid_rows())), seed=7), tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        _, path = save(tmp_path, grid_rows(), seed=7)
+        manifest = json.loads((path / "manifest.json").read_text())
         edit(manifest)
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SchemaMismatchError, match="manifest.json needs"):
-            dt.load_dataset(tmp_path)
+            dt.load_dataset(path)
 
     def test_manifest_not_json_rejected(self, tmp_path):
-        dt.save_dataset(dt.split(dt.build_pairs(make_tx(grid_rows())), seed=7), tmp_path)
-        (tmp_path / "manifest.json").write_text("{")
+        _, path = save(tmp_path, grid_rows(), seed=7)
+        (path / "manifest.json").write_text("{")
         with pytest.raises(SchemaMismatchError, match="manifest.json is not valid JSON"):
-            dt.load_dataset(tmp_path)
+            dt.load_dataset(path)
 
     def test_edited_event_names_fail_the_schema_hash(self, tmp_path):
-        dt.save_dataset(dt.split(dt.build_pairs(make_tx(grid_rows())), seed=7), tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        _, path = save(tmp_path, grid_rows(), seed=7)
+        manifest = json.loads((path / "manifest.json").read_text())
         manifest["event_names"] = ["holiday"]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SchemaMismatchError, match="does not match its event names"):
-            dt.load_dataset(tmp_path)
+            dt.load_dataset(path)
 
 
 class TestFeatureView:

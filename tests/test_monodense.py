@@ -10,6 +10,7 @@ from elastinet.monodense import (
     concave_activation,
     constrained_weights,
     effective_weight,
+    validate_indicator,
 )
 from elastinet.tensor import Parameter, Tensor
 
@@ -32,7 +33,7 @@ class TestEffectiveWeight:
         rng = np.random.default_rng(0)
         w = Parameter(rng.normal(size=(3, 4)), name="w")
         t = [-1, 0, 1]
-        eff = constrained_weights(w, t).data
+        eff = constrained_weights(w, validate_indicator(t, 3)).data
         for i, t_i in enumerate(t):
             for j in range(4):
                 assert eff[i, j] == effective_weight(w.data[i, j], t_i)
@@ -41,16 +42,17 @@ class TestEffectiveWeight:
         from elastinet.tensor import backward, tsum
 
         w = Parameter([[-2.0], [3.0], [1.5]], name="w")
-        backward(tsum(constrained_weights(w, [1, -1, 0])))
+        backward(tsum(constrained_weights(w, validate_indicator([1, -1, 0], 3))))
         # d|w|/dw = sign(w); negated branch flips it; t=0 passes through
         assert w.grad[:, 0].tolist() == [-1.0, -1.0, 1.0]
 
     def test_bad_indicator_rejected(self):
-        w = Parameter(np.ones((2, 2)), name="w")
-        with pytest.raises(ConfigError):
-            constrained_weights(w, [2, 0])
-        with pytest.raises(ConfigError):
-            constrained_weights(w, [1, 0, -1])
+        rng = np.random.default_rng(0)
+        for indicator in ([2, 0], [1, 0, -1]):
+            with pytest.raises(ConfigError):
+                validate_indicator(indicator, 2)
+            with pytest.raises(ConfigError):
+                MonoDenseLayer(2, 2, indicator, rng=rng, name="m")
 
 
 class TestConcaveActivation:
