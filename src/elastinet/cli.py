@@ -18,8 +18,8 @@ from pathlib import Path
 from . import data as dt
 from . import synth
 from .elasticity import (
+    DEFAULT_DP_FRACTION,
     ElasticityEntry,
-    ElasticityQuery,
     evaluate_elasticities,
     loglog_baseline,
     mae_elasticity,
@@ -176,21 +176,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_elasticity(args) -> int:
-    if args.dp_pct is not None and not math.isfinite(args.dp_pct):
-        raise ConfigError(f"--dp-pct must be finite, got {args.dp_pct}")
+    if args.dp_pct is not None and not (math.isfinite(args.dp_pct) and args.dp_pct != 0 and args.dp_pct > -100):
+        raise ConfigError(f"--dp-pct must be finite, non-zero and above -100, got {args.dp_pct}")
     tx = dt.ingest(args.transactions)
     if not len(tx):
         raise ParseError(f"{args.transactions}: no transactions to read elasticities from")
     model = load_model(args.model)
     as_of = args.as_of if args.as_of is not None else int(tx.year_month.max())
     inference, skipped = dt.build_inference_set(tx, as_of)
-    queries = None
-    if args.dp_pct is not None:
-        queries = [
-            ElasticityQuery(item_id, dp=args.dp_pct / 100.0 * price)
-            for item_id, price in zip(inference.item_id.tolist(), inference.lead_price.tolist())
-        ]
-    report = evaluate_elasticities(model, inference, queries)
+    dp_fraction = DEFAULT_DP_FRACTION if args.dp_pct is None else args.dp_pct / 100.0
+    report = evaluate_elasticities(model, inference, dp_fraction=dp_fraction)
     for item_id, reason in skipped:
         report.entries.append(ElasticityEntry(item_id, None, None, None, None, None, reason))
     report.entries.sort(key=lambda e: e.item_id)

@@ -34,6 +34,7 @@ from .monodense import (
 from .tensor import Parameter, Tensor, activate, add_bias, column_dense, concat_cols, embedding_lookup, matmul
 
 UNKNOWN_INDEX = 0  # reserved row for categorical levels unseen at training time
+PREDICT_ROWS = 4096  # rows per forward-only pass when scoring
 
 
 def default_embedding_dim(cardinality: int) -> int:
@@ -296,12 +297,18 @@ class DemandModel:
     def encode(self, table: dt.PairTable, lead_price=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Standardized (cat, cont, mono) inputs of ``forward`` for a pair table.
 
-        ``lead_price`` replaces the table's lead prices, and the price change
-        is then recomputed against the lag price.
+        ``lead_price``, one positive finite price per row, replaces the
+        table's lead prices, and the price change is then recomputed against
+        the lag price.
         """
         self._require_fitted()
         if lead_price is not None:
             lead_price = np.asarray(lead_price, dtype=np.float64)
+            if lead_price.shape != (len(table),):
+                raise DomainError(f"need one lead price for each of {len(table)} rows, got shape {lead_price.shape}")
+            bad = lead_price[~((lead_price > 0) & (lead_price < np.inf))]
+            if bad.size:
+                raise DomainError(f"lead price must be positive and finite, got {bad[0]}")
             table = replace(
                 table, lead_price=lead_price, price_change_pct=dt.price_change_pct(table.lag_price, lead_price)
             )
@@ -311,26 +318,20 @@ class DemandModel:
         mono = self.stats.standardize(self.encoder.cont_matrix(table, names.monotone), names.monotone)
         return cat, cont, mono
 
-    def predict_batch(self, table: dt.PairTable, override_prices=None) -> np.ndarray:
-        """Demand predictions in original units; optional counterfactual prices.
+    def _passes(self, cat: np.ndarray, cont: np.ndarray, mono: np.ndarray):
+        """(rows, scaled predictions) of ``forward``, ``PREDICT_ROWS`` rows at
+        a time, so each pass's tape is freed before the next one runs."""
+        for lo in range(0, cat.shape[0], PREDICT_ROWS):
+            rows = slice(lo, lo + PREDICT_ROWS)
+            yield rows, self.forward(cat[rows], cont[rows], mono[rows]).data
 
-        A non-NaN override price replaces the row's lead price. The
-        price-change feature is always recomputed from the lead and lag
-        prices.
-        """
+    def predict_batch(self, table: dt.PairTable, lead_price=None) -> np.ndarray:
+        """Demand predictions in original units, at ``lead_price`` if given (see ``encode``)."""
         self._require_fitted()
         if not len(table):
             return np.zeros(0)
-        lead_price = table.lead_price
-        if override_prices is not None:
-            override = np.asarray(override_prices, dtype=np.float64)
-            chosen = ~np.isnan(override)
-            if np.any(override[chosen] <= 0):
-                bad = override[chosen][override[chosen] <= 0][0]
-                raise DomainError(f"override lead price must be positive, got {bad}")
-            lead_price = np.where(chosen, override, lead_price)
-        out = self.forward(*self.encode(table, lead_price))
-        return self.stats.unscale_target(out.data[:, 0])
+        passes = self._passes(*self.encode(table, lead_price))
+        return self.stats.unscale_target(np.concatenate([pred[:, 0] for _, pred in passes]))
 
     def sign_contracts_hold(self) -> bool:
         if not all(layer.sign_contract_holds() for layer in self.monodense_layers()):

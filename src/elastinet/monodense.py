@@ -43,8 +43,8 @@ class ActivationSplit:
 
     def __post_init__(self):
         fr = (self.convex, self.concave, self.bounded)
-        if any(f < 0 for f in fr):
-            raise ConfigError(f"activation split fractions must be non-negative, got {fr}")
+        if not all(0 <= f < np.inf for f in fr):
+            raise ConfigError(f"activation split fractions must be finite and non-negative, got {fr}")
         if abs(sum(fr) - 1.0) > 1e-9:
             raise ConfigError(f"activation split fractions must sum to 1, got {fr}")
 

@@ -128,15 +128,12 @@ def prepare_model(
     return model
 
 
-def _batched_loss(model: DemandModel, cat, cont, mono, target, batch_size=4096) -> float:
-    """Full-pass MSE in scaled space, forward only."""
-    n = target.shape[0]
+def _validation_loss(model: DemandModel, inputs, target) -> float:
+    """MSE in scaled space over the encoded validation rows, forward only."""
     total = 0.0
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        pred = model.forward(cat[lo:hi], cont[lo:hi], mono[lo:hi]).data
-        total += float(np.sum((pred - target[lo:hi]) ** 2))
-    return total / n
+    for rows, pred in model._passes(*inputs):
+        total += float(np.sum((pred - target[rows]) ** 2))
+    return total / target.shape[0]
 
 
 def train(
@@ -157,9 +154,8 @@ def train(
 
     cat_tr, cont_tr, mono_tr = model.encode(split.train)
     y_tr = model.stats.scale_target(split.train.target[:, None])
-    val_data = None
-    if len(split.validation):
-        val_data = (*model.encode(split.validation), model.stats.scale_target(split.validation.target[:, None]))
+    val_inputs = model.encode(split.validation) if len(split.validation) else None
+    y_val = model.stats.scale_target(split.validation.target[:, None])
 
     params = model.parameters()
     decayed = model.decayed_parameters()
@@ -190,10 +186,8 @@ def train(
             opt.step()
             sq_err_sum += batch_mse.item() * idx.shape[0]
         report.train_losses.append(sq_err_sum / n)
-        if val_data is not None:
-            report.val_losses.append(_batched_loss(model, *val_data))
-        else:
-            report.val_losses.append(float("nan"))
+        val_loss = float("nan") if val_inputs is None else _validation_loss(model, val_inputs, y_val)
+        report.val_losses.append(val_loss)
         if epoch_callback is not None:
             epoch_callback(epoch + 1, model)
 

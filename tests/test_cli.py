@@ -370,6 +370,8 @@ def _del(*path):
         _set("features", "monotone", value=["lead_price", "lag_price"]),
         _set("features", "continuous", 0, value="no_such_feature"),
         _set("format", value=2),
+        _set("config", "split", value=[float("nan"), 0.5, 0.5]),
+        _set("config", "split", value=[0.5, 0.5, float("nan")]),
         lambda c: c.update(version=2),
     ],
 )
@@ -400,6 +402,9 @@ def test_malformed_model_metadata_exits_3(pipeline_dirs, tmp_path, edit_model_fi
         (["build", "--transactions", "{tx}", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["train", "--dataset", "{ds}", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["train", "--dataset", "{ds}", "--config", "{seed_config}"], "seed must be non-negative, got -1"),
+        (["elasticity", "--transactions", "{tx}", "--model", "{model}", "--dp-pct", "0"], "above -100, got 0.0"),
+        (["elasticity", "--transactions", "{tx}", "--model", "{model}", "--dp-pct", "-100"], "above -100, got -100.0"),
+        (["elasticity", "--transactions", "{tx}", "--model", "{model}", "--dp-pct", "-150"], "above -100, got -150.0"),
     ],
 )
 def test_unusable_values_exit_2(pipeline_dirs, tmp_path, capsys, argv, message):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from elastinet import data as dt
+from elastinet import model as model_module
 from elastinet.errors import ConfigError, DomainError, ModelIOError, NumericError
 from elastinet.model import (
     ArchConfig,
@@ -147,13 +148,42 @@ class TestPredict:
         with pytest.raises(DomainError):
             model.predict_batch(small_split.validation.take([0]), [-1.0])
 
-    def test_nan_override_keeps_stored_price(self, trained_model, small_split):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_lead_price_must_be_positive_and_finite(self, trained_model, small_split, bad):
         model, _ = trained_model
-        pairs = small_split.validation.take(np.arange(6))
-        overrides = np.where(np.arange(6) % 2 == 0, np.nan, pairs.lead_price * 1.3)
-        mixed = model.predict_batch(pairs, overrides)
-        assert np.array_equal(mixed[::2], model.predict_batch(pairs)[::2])
-        assert np.array_equal(mixed[1::2], model.predict_batch(pairs, pairs.lead_price * 1.3)[1::2])
+        pairs = small_split.validation.take(np.arange(3))
+        prices = pairs.lead_price.copy()
+        prices[1] = bad
+        for score in (model.encode, model.predict_batch):
+            with pytest.raises(DomainError, match="positive and finite"):
+                score(pairs, prices)
+
+    def test_lead_price_needs_one_value_per_row(self, trained_model, small_split):
+        model, _ = trained_model
+        pairs = small_split.validation.take(np.arange(3))
+        for prices in (pairs.lead_price[0], pairs.lead_price[:1], pairs.lead_price[:2]):
+            with pytest.raises(DomainError, match="one lead price for each of 3 rows"):
+                model.predict_batch(pairs, prices)
+
+    def test_scores_in_fixed_row_passes(self, trained_model, small_split, monkeypatch):
+        model, _ = trained_model
+        pairs = small_split.validation.take(np.arange(300))
+        prices = pairs.lead_price * 0.9
+        inputs = model.encode(pairs, prices)
+        one_pass = model.stats.unscale_target(model.forward(*inputs).data[:, 0])
+        calls = []
+
+        def forward(cat, cont, mono):
+            calls.append((cat, cont, mono))
+            return DemandModel.forward(model, cat, cont, mono)
+
+        monkeypatch.setattr(model_module, "PREDICT_ROWS", 64)
+        monkeypatch.setattr(model, "forward", forward)
+        out = model.predict_batch(pairs, prices)
+        assert [len(cat) for cat, _, _ in calls] == [64, 64, 64, 64, 44]
+        for j, part in enumerate(inputs):  # every row once, in table order
+            assert np.array_equal(np.concatenate([call[j] for call in calls]), part)
+        np.testing.assert_allclose(out, one_pass, rtol=1e-12, atol=0)
 
     def test_price_monotonicity_over_random_draws(self, trained_model, small_split):
         model, _ = trained_model
