@@ -190,26 +190,17 @@ def cmd_elasticity(args) -> int:
         report.entries.append(ElasticityEntry(item_id, None, None, None, None, None, reason))
     report.entries.sort(key=lambda e: e.item_id)
 
+    summary = {**report.summary(), "as_of_month": as_of}
+    if args.truth:
+        truth_arcs = report.truth_arcs(synth.read_truth(args.truth))
+        if truth_arcs:
+            summary["mae_vs_truth"], summary["truth_coverage"] = mae_elasticity(truth_arcs, report.elasticities())
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "elasticity.csv")
-
-    extra = {"as_of_month": as_of}
-    if args.truth:
-        truths = {t.item_id: t for t in synth.read_truth(args.truth)}
-        predicted = report.elasticities()
-        truth_arcs = {}
-        for e in report.valid_entries():
-            t = truths.get(e.item_id)
-            if t is not None:
-                truth_arcs[e.item_id] = t.arc_elasticity(e.p, e.dp)
-        if truth_arcs:
-            mae, coverage = mae_elasticity(truth_arcs, predicted)
-            extra["mae_vs_truth"] = mae
-            extra["truth_coverage"] = coverage
-    report.write_summary_json(out / "elasticity_summary.json", extra)
+    _write_json(out / "elasticity_summary.json", summary)
     _resolved_config(args, as_of=as_of)
-    summary = report.summary()
     print(f"elasticities: {summary['valid']} valid, {summary['skipped']} skipped; report in {out}")
     return EXIT_OK
 

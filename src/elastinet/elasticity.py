@@ -9,7 +9,6 @@ valid entry satisfies E <= 0.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +32,6 @@ def arc_elasticity(y_base: float, y_pert: float, p: float, dp: float) -> float:
     if y_base <= DEMAND_FLOOR:
         raise DegenerateDemandError(f"baseline demand {y_base} is at or below the floor {DEMAND_FLOOR}")
     return (y_pert - y_base) / y_base * p / dp
-
-
-@dataclass(frozen=True)
-class ElasticityQuery:
-    item_id: str
-    p: float | None = None  # None -> the inference row's lead price
-    dp: float | None = None  # None -> DEFAULT_DP_FRACTION * p
 
 
 @dataclass
@@ -94,58 +86,49 @@ class ElasticityReport:
                     ]
                 )
 
-    def write_summary_json(self, path, extra: dict | None = None) -> None:
-        payload = self.summary()
-        if extra:
-            payload.update(extra)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    def truth_arcs(self, truths) -> dict[str, float]:
+        """The true arc at each valid entry's own (p, dp), for the items of
+        ``truths`` (each with ``item_id`` and ``arc_elasticity(p, dp)``)."""
+        law = {t.item_id: t for t in truths}
+        return {e.item_id: law[e.item_id].arc_elasticity(e.p, e.dp) for e in self.valid_entries() if e.item_id in law}
 
 
-def evaluate_elasticities(model, inference, queries=None, dp_fraction=DEFAULT_DP_FRACTION) -> ElasticityReport:
-    """Two counterfactual predictions per item of an inference PairTable,
-    then the arc quotient.
+def evaluate_elasticities(model, inference, dp_fraction=DEFAULT_DP_FRACTION) -> ElasticityReport:
+    """Two counterfactual predictions per row of an inference PairTable, at
+    the row's lead price p and at p + dp with dp = dp_fraction * p, then the
+    arc quotient.
 
-    Per-item failures become flagged entries; the batch never aborts. The
-    report is ordered by item_id.
+    ``dp_fraction`` is one float or one value per row. A row whose p or dp
+    cannot be used, or whose demand is degenerate, becomes a flagged entry;
+    the batch never aborts. The entries follow the rows, stably sorted by
+    item_id.
     """
-    row_of = {item_id: i for i, item_id in enumerate(inference.item_id.tolist())}
-    if queries is None:
-        queries = [ElasticityQuery(item_id) for item_id in sorted(row_of)]
+    frac = np.asarray(dp_fraction, dtype=np.float64)
+    if frac.ndim and frac.shape != (len(inference),):
+        raise DomainError(f"dp_fraction must be one value or one per row ({len(inference)}), got shape {frac.shape}")
+    p = inference.lead_price
+    dp = frac * p
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, and NaN is masked
+        ok = np.isfinite(p) & np.isfinite(dp) & (p > 0) & (dp != 0) & (p + dp > 0)
+    y_base = np.full(len(inference), np.nan)
+    y_pert = np.full(len(inference), np.nan)
+    if ok.any():
+        rows = inference.take(np.flatnonzero(ok))
+        y_base[ok] = model.predict_batch(rows, p[ok])
+        y_pert[ok] = model.predict_batch(rows, p[ok] + dp[ok])
 
     report = ElasticityReport()
-    resolved = []
-    for q in sorted(queries, key=lambda q: q.item_id):
-        i = row_of.get(q.item_id)
-        if i is None:
-            report.entries.append(
-                ElasticityEntry(q.item_id, q.p, q.dp, None, None, None, "item absent from inference set")
-            )
-            continue
-        p = q.p if q.p is not None else float(inference.lead_price[i])
-        dp = q.dp if q.dp is not None else dp_fraction * p
-        if not (np.isfinite(p) and np.isfinite(dp) and p > 0 and dp != 0 and p + dp > 0):
-            report.entries.append(
-                ElasticityEntry(q.item_id, p, dp, None, None, None, f"invalid query (p={p}, dp={dp})")
-            )
-            continue
-        resolved.append((q.item_id, i, p, dp))
-
-    if resolved:
-        rows = inference.take([i for _, i, _, _ in resolved])
-        base_prices = np.array([p for _, _, p, _ in resolved])
-        pert_prices = np.array([p + dp for _, _, p, dp in resolved])
-        y_base = model.predict_batch(rows, base_prices)
-        y_pert = model.predict_batch(rows, pert_prices)
-        for (item_id, _, p, dp), yb, yp in zip(resolved, y_base, y_pert):
+    for item_id, usable, pi, dpi, yb, yp in zip(
+        inference.item_id.tolist(), ok.tolist(), p.tolist(), dp.tolist(), y_base.tolist(), y_pert.tolist()
+    ):
+        if not usable:
+            entry = ElasticityEntry(item_id, pi, dpi, None, None, None, f"invalid query (p={pi}, dp={dpi})")
+        else:
             try:
-                e = arc_elasticity(float(yb), float(yp), p, dp)
-                entry = ElasticityEntry(item_id, p, dp, float(yb), float(yp), e, "ok")
+                entry = ElasticityEntry(item_id, pi, dpi, yb, yp, arc_elasticity(yb, yp, pi, dpi), "ok")
             except DegenerateDemandError as exc:
-                entry = ElasticityEntry(item_id, p, dp, float(yb), float(yp), None, str(exc))
-            report.entries.append(entry)
-
+                entry = ElasticityEntry(item_id, pi, dpi, yb, yp, None, str(exc))
+        report.entries.append(entry)
     report.entries.sort(key=lambda e: e.item_id)
     return report
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as dt
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .model import ArchConfig, DemandModel
 from .tensor import Parameter, Tensor, backward, mse_loss, sum_sq
 
@@ -47,6 +47,8 @@ def gradcheck(
     (param, row, col) -> bool restricts which entries may be probed, e.g. to
     stay away from the |w| reparameterization kink.
     """
+    if probes_per_param < 1:
+        raise ConfigError(f"probes per parameter must be at least 1, got {probes_per_param}")
     rng = np.random.default_rng(seed)
     report = GradCheckReport()
 

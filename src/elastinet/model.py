@@ -12,7 +12,6 @@ so the composed map is non-increasing in price by construction.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import zlib
@@ -170,12 +169,6 @@ class StandardizationStats:
 
     def unscale_target(self, y: np.ndarray) -> np.ndarray:
         return y * self.target_std + self.target_mean
-
-    def digest(self) -> str:
-        payload = json.dumps(
-            [sorted(self.means.items()), sorted(self.stds.items()), self.target_mean, self.target_std]
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 class DemandModel:

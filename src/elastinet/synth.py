@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TRANSACTIONS_COLUMNS, Transactions, _read_csv, _write_csv, month_of_year, validate_ym, ym_add
-from .errors import ConfigError, DomainError
+from .elasticity import arc_elasticity
+from .errors import ConfigError, DegenerateDemandError, DomainError, ParseError
 
 BRAND_POOL = [f"brand_{i:02d}" for i in range(10)]
 SIZE_POOL = ["XS", "S", "M", "L", "XL"]
@@ -87,17 +88,21 @@ class ItemTruth:
         """Noiseless demand law, piecewise for kinked items."""
         if price <= 0:
             raise DomainError(f"price must be positive, got {price}")
-        if self.epsilon_hi is None or price <= self.base_price:
-            return self.coeff * price**self.epsilon * season_mult
-        # continuity at the base price fixes the upper-segment coefficient
-        coeff_hi = self.coeff * self.base_price ** (self.epsilon - self.epsilon_hi)
-        return coeff_hi * price**self.epsilon_hi * season_mult
+        try:
+            if self.epsilon_hi is None or price <= self.base_price:
+                return self.coeff * price**self.epsilon * season_mult
+            # continuity at the base price fixes the upper-segment coefficient
+            coeff_hi = self.coeff * self.base_price ** (self.epsilon - self.epsilon_hi)
+            return coeff_hi * price**self.epsilon_hi * season_mult
+        except OverflowError:
+            raise DomainError(f"demand law of {self.item_id} overflows at price {price}") from None
 
     def arc_elasticity(self, p: float, dp: float) -> float:
         """True arc elasticity of this law at (p, p+dp); season cancels."""
-        y0 = self.expected_units(p)
-        y1 = self.expected_units(p + dp)
-        return (y1 - y0) / y0 * p / dp
+        try:
+            return arc_elasticity(self.expected_units(p), self.expected_units(p + dp), p, dp)
+        except DegenerateDemandError as exc:
+            raise DomainError(f"demand law of {self.item_id} at p={p}, dp={dp}: {exc}") from None
 
 
 def true_arc_elasticity(epsilon: float, p: float, dp: float) -> float:
@@ -203,8 +208,13 @@ def write_truth(truths, path) -> None:
 
 
 def read_truth(path) -> list[ItemTruth]:
-    """The rows of a truth table; a cell that breaks its column's rule
-    raises ParseError with its line number."""
-    columns, _, _ = _read_csv(path, _TRUTH_COLUMNS)
+    """The rows of a truth table; a cell that breaks its column's rule, or
+    a repeated item_id, raises ParseError with its line number."""
+    columns, lines, _ = _read_csv(path, _TRUTH_COLUMNS)
+    seen = set()
+    for line_no, item in zip(lines, columns["item_id"].tolist()):
+        if item in seen:
+            raise ParseError(f"line {line_no}: repeated item_id {item!r}")
+        seen.add(item)
     rows = zip(*(columns[name].tolist() for name in TRUTH_COLUMNS))
     return [ItemTruth(item, eps, None if np.isnan(hi) else hi, coeff, base) for item, eps, hi, coeff, base in rows]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from elastinet import synth
 from elastinet.cli import main
 from elastinet.data import TRANSACTIONS_COLUMNS
 
@@ -405,6 +407,20 @@ def test_malformed_model_metadata_exits_3(pipeline_dirs, tmp_path, edit_model_fi
         (["elasticity", "--transactions", "{tx}", "--model", "{model}", "--dp-pct", "0"], "above -100, got 0.0"),
         (["elasticity", "--transactions", "{tx}", "--model", "{model}", "--dp-pct", "-100"], "above -100, got -100.0"),
         (["elasticity", "--transactions", "{tx}", "--model", "{model}", "--dp-pct", "-150"], "above -100, got -150.0"),
+        (["gradcheck", "--probes", "0"], "probes per parameter must be at least 1, got 0"),
+        (["gradcheck", "--probes", "-1"], "probes per parameter must be at least 1, got -1"),
+        (
+            ["elasticity", "--transactions", "{tx}", "--model", "{model}", "--truth", "{repeated_truth}"],
+            "line 14: repeated item_id 'item_0000'",
+        ),
+        (
+            ["elasticity", "--transactions", "{tx}", "--model", "{model}", "--truth", "{vanishing_truth}"],
+            "demand law of item_0000",
+        ),
+        (
+            ["elasticity", "--transactions", "{tx}", "--model", "{model}", "--truth", "{overflowing_truth}"],
+            "demand law of item_0000",
+        ),
     ],
 )
 def test_unusable_values_exit_2(pipeline_dirs, tmp_path, capsys, argv, message):
@@ -419,6 +435,15 @@ def test_unusable_values_exit_2(pipeline_dirs, tmp_path, capsys, argv, message):
     paths["nan_config"].write_text('{"l2_decay": NaN}')
     paths["seed_config"].write_text('{"seed": -1}')
     paths["header_only"].write_text(",".join(TRANSACTIONS_COLUMNS) + "\n")
+    # truth tables that repeat item_0000, or give it a law with no usable demand at p or p + dp
+    truths = synth.read_truth(pipeline_dirs / "data" / "truth.csv")
+    for name, edited in (
+        ("repeated_truth", truths + [dataclasses.replace(truths[0], epsilon=-0.1)]),
+        ("vanishing_truth", [dataclasses.replace(truths[0], epsilon=-1000.0)] + truths[1:]),
+        ("overflowing_truth", [dataclasses.replace(truths[0], epsilon=1000.0)] + truths[1:]),
+    ):
+        paths[name] = tmp_path / f"{name}.csv"
+        synth.write_truth(edited, paths[name])
     out = tmp_path / "out"
     assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err

@@ -1,9 +1,14 @@
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 
 from elastinet import data as dt
 from elastinet.elasticity import (
-    ElasticityQuery,
+    DEFAULT_DP_FRACTION,
+    ElasticityEntry,
+    ElasticityReport,
     arc_elasticity,
     evaluate_elasticities,
     loglog_baseline,
@@ -108,13 +113,9 @@ class TestEvaluateElasticities:
         rng = np.random.default_rng(1)
         for _ in range(10):
             rows = inference.take(rng.integers(0, len(inference), size=100))
-            queries = []
-            for item_id, lead_price in zip(rows.item_id.tolist(), rows.lead_price.tolist()):
-                frac = float(rng.uniform(-0.3, 0.3))
-                if abs(frac) < 1e-3:
-                    frac = 0.1
-                queries.append(ElasticityQuery(item_id, dp=frac * lead_price))
-            report = evaluate_elasticities(model, rows, queries)
+            fracs = [float(rng.uniform(-0.3, 0.3)) for _ in range(len(rows))]
+            report = evaluate_elasticities(model, rows, dp_fraction=[f if abs(f) >= 1e-3 else 0.1 for f in fracs])
+            assert len(report.entries) == len(rows)
             for e in report.valid_entries():
                 assert e.elasticity <= 0.0
 
@@ -133,32 +134,42 @@ class TestEvaluateElasticities:
         for e in report.valid_entries():
             assert e.elasticity == 0.0
 
-    def test_absent_item_gets_skip_entry(self, trained_model, small_world):
+    def test_per_row_dp_fraction(self, trained_model, small_world):
         model, _ = trained_model
         _, tx, _ = small_world
         inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
-        report = evaluate_elasticities(model, inference, [ElasticityQuery("ghost_item")])
-        (entry,) = report.entries
-        assert entry.status == "item absent from inference set"
-        assert entry.elasticity is None
+        fracs = np.linspace(-0.2, 0.2, len(inference) + 1)[1:]
+        report = evaluate_elasticities(model, inference, dp_fraction=fracs)
+        assert [e.dp for e in report.entries] == (fracs * inference.lead_price).tolist()
+
+    @pytest.mark.parametrize("shape", [(2,), (1,), (24, 1)])
+    def test_dp_fraction_of_another_shape_rejected(self, trained_model, small_world, shape):
+        model, _ = trained_model
+        _, tx, _ = small_world
+        inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
+        assert len(inference) == 24
+        with pytest.raises(DomainError, match="one value or one per row"):
+            evaluate_elasticities(model, inference, dp_fraction=np.full(shape, -0.05))
 
     def test_invalid_query_flagged_not_fatal(self, trained_model, small_world):
         model, _ = trained_model
         _, tx, _ = small_world
         inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
-        queries = [ElasticityQuery(inference.item_id[0], dp=-2 * inference.lead_price[0])]
-        queries += [ElasticityQuery(inference.item_id[1])]
-        report = evaluate_elasticities(model, inference, queries)
+        report = evaluate_elasticities(model, inference.take([0, 1]), dp_fraction=[-2.0, DEFAULT_DP_FRACTION])
         statuses = [e.status for e in report.entries]
         assert sum(s == "ok" for s in statuses) == 1
         assert any(s.startswith("invalid query") for s in statuses)
 
+    # p replaces the row's lead price; dp stands for the row's dp_fraction
     @pytest.mark.parametrize("p, dp", [(None, np.nan), (np.nan, None), (np.inf, None), (None, np.inf), (None, -np.inf)])
     def test_non_finite_query_flagged(self, trained_model, small_world, p, dp):
         model, _ = trained_model
         _, tx, _ = small_world
         inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
-        report = evaluate_elasticities(model, inference, [ElasticityQuery(inference.item_id[0], p=p, dp=dp)])
+        rows = inference.take([0])
+        if p is not None:
+            rows = dataclasses.replace(rows, lead_price=np.array([p]))
+        report = evaluate_elasticities(model, rows, dp_fraction=DEFAULT_DP_FRACTION if dp is None else dp)
         (entry,) = report.entries
         assert entry.status.startswith("invalid query") and entry.elasticity is None
 
@@ -187,30 +198,41 @@ class TestEvaluateElasticities:
         train(model, split_, TrainConfig(epochs=30, seed=33))
         inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
         report = evaluate_elasticities(model, inference)
-        truth_arcs = {t.item_id: t.arc_elasticity for t in truths}
-        close = 0
-        for e in report.valid_entries():
-            if abs(e.elasticity - truth_arcs[e.item_id](e.p, e.dp)) <= 0.2:
-                close += 1
+        truth_arcs = report.truth_arcs(truths)
+        predicted = report.elasticities()
+        assert len(truth_arcs) == len(report.valid_entries())
+        close = sum(abs(predicted[k] - arc) <= 0.2 for k, arc in truth_arcs.items())
         assert close >= 0.8 * len(report.valid_entries())
 
-    def test_csv_and_summary_round_trip(self, trained_model, small_world, tmp_path):
-        import csv
-        import json
+    def test_truth_arcs_at_each_valid_entry_own_price(self):
+        _, truths = generate(SyntheticWorld(n_items=3, n_months=4, seed=5))
+        report = ElasticityReport(
+            [
+                ElasticityEntry("ghost", 10.0, -0.5, 5.0, 5.2, -0.8, "ok"),
+                ElasticityEntry("item_0000", 10.0, -0.5, 5.0, 5.2, -0.8, "ok"),
+                ElasticityEntry("item_0001", 20.0, 2.0, 5.0, 4.0, -1.0, "ok"),
+                ElasticityEntry("item_0002", 12.0, -0.6, None, None, None, "invalid query (p=12.0, dp=-0.6)"),
+            ]
+        )
+        assert report.truth_arcs(truths) == {
+            "item_0000": truths[0].arc_elasticity(10.0, -0.5),
+            "item_0001": truths[1].arc_elasticity(20.0, 2.0),
+        }
 
+    def test_csv_and_summary_round_trip(self, trained_model, small_world, tmp_path):
         model, _ = trained_model
         _, tx, _ = small_world
         inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
         report = evaluate_elasticities(model, inference)
         report.write_csv(tmp_path / "e.csv")
-        report.write_summary_json(tmp_path / "s.json", extra={"mae_vs_truth": 0.1})
         with open(tmp_path / "e.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(report.entries)
         assert set(rows[0]) == {"item_id", "p", "dp", "y_base", "y_pert", "elasticity", "status"}
-        summary = json.loads((tmp_path / "s.json").read_text())
+        assert [float(r["elasticity"]) for r in rows if r["status"] == "ok"] == list(report.elasticities().values())
+        summary = report.summary()
         assert summary["valid"] == len(report.valid_entries())
-        assert summary["mae_vs_truth"] == 0.1
+        assert summary["items"] == len(rows)
 
 
 class TestLogLogBaseline:

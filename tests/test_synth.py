@@ -48,6 +48,12 @@ class TestTrueArcElasticity:
         assert t1.arc_elasticity(12.0, -0.6) == pytest.approx(t2.arc_elasticity(12.0, -0.6))
         assert t1.arc_elasticity(12.0, -0.6) == pytest.approx(true_arc_elasticity(-1.7, 12.0, -0.6))
 
+    @pytest.mark.parametrize("epsilon, message", [(-1000.0, "at or below the floor"), (1000.0, "overflows at price")])
+    def test_law_without_usable_demand_names_the_item(self, epsilon, message):
+        truth = ItemTruth("item_0007", epsilon, None, 1000.0, 20.0)
+        with pytest.raises(DomainError, match=f"demand law of item_0007.*{message}"):
+            truth.arc_elasticity(20.0, -1.0)
+
 
 class TestWorldValidation:
     def test_non_negative_epsilon_rejected(self):
@@ -192,6 +198,11 @@ class TestGenerate:
             (None, "item_0000,-1.5,,1.0,-2.0", "line 2: base_price must be positive and finite, got -2.0"),
             (None, "item_0000,-1.5,,1.0", "line 2: expected 5 fields, got 4"),
             ("item_id,epsilon", "item_0000,-1.5", "unexpected header"),
+            (
+                None,
+                "item_0000,-1.5,,1.0,2.0\nitem_0001,-1.5,,1.0,2.0\nitem_0000,-0.1,,1.0,2.0",
+                "line 4: repeated item_id 'item_0000'",
+            ),
         ],
     )
     def test_malformed_truth_names_the_line(self, tmp_path, header, row, message):
