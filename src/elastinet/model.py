@@ -405,6 +405,29 @@ def _from_json(value, hint, where: str):
     raise ModelIOError(f"model metadata {where}: expected {hint if origin else hint.__name__}, got {value!r:.40}")
 
 
+def _parameter_shapes(names: dt.FeatureNames, vocabs: dict, config: ArchConfig) -> list[tuple[int, int]]:
+    """Shapes of ``DemandModel(names, vocabs, config).parameters()``, in
+    order, worked out without allocating them."""
+    shapes = []
+
+    def dense(in_width, out_width):
+        shapes.extend([(in_width, out_width), (1, out_width)])
+        return out_width
+
+    for name in names.categorical:
+        cardinality = len(vocabs.get(name, ())) + 1  # plus the unknown row
+        shapes.append((cardinality, default_embedding_dim(cardinality)))
+    width = sum(cols for _, cols in shapes) + config.encoder_width * len(names.continuous)
+    shapes.extend([(len(names.continuous), config.encoder_width)] * 2)
+    for out_width in config.trunk_widths:
+        width = dense(width, out_width)
+    width = dense(width + len(names.monotone), config.injection_width)
+    for out_width in config.post_widths:
+        width = dense(width, out_width)
+    dense(width, 1)
+    return shapes
+
+
 class _Cursor:
     def __init__(self, buf: bytes):
         self.buf = buf
@@ -454,6 +477,14 @@ def load_model(path) -> DemandModel:
     try:
         vocabs = {name: dict(pairs) for name, pairs in _from_json(meta["vocabs"], _VOCABS, "vocabs").items()}
         config = _from_json(meta["config"], ArchConfig, "config")
+        # the blobs must hold every value the metadata implies, so a forged
+        # width cannot make DemandModel allocate more than the file holds
+        n_values = sum(rows * cols for rows, cols in _parameter_shapes(names, vocabs, config))
+        if 8 * n_values > len(body) - cur.pos:
+            raise ModelIOError(
+                f"model metadata implies {n_values} parameter values, more than the "
+                f"{len(body) - cur.pos} bytes after it can hold"
+            )
         model = DemandModel(names, vocabs, config, seed=_from_json(meta["seed"], int, "seed"))
         stats = _from_json(meta["stats"], StandardizationStats, "stats")
     except ConfigError as exc:

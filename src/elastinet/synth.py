@@ -10,10 +10,11 @@ form. Every generated file round-trips through the ingestion pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .data import TRANSACTIONS_COLUMNS, Transactions, _read_csv, _write_csv, month_of_year, validate_ym, ym_add
+from .data import Transactions, _read_csv, _write_csv, month_of_year, validate_ym, ym_add
 from .elasticity import arc_elasticity
 from .errors import ConfigError, DegenerateDemandError, DomainError, ParseError
 
@@ -21,6 +22,9 @@ BRAND_POOL = [f"brand_{i:02d}" for i in range(10)]
 SIZE_POOL = ["XS", "S", "M", "L", "XL"]
 CATEGORY_POOL = [f"cat_{i}" for i in range(8)]
 SUBCATS_PER_CATEGORY = 3
+
+# a walking price stays within these multiples of its item's base price
+PRICE_BAND = (0.3, 3.0)
 
 # calendar month -> (extra demand multiplier, event flag); independent of the
 # smooth seasonal sinusoid so the flags carry real signal
@@ -61,8 +65,37 @@ class SyntheticWorld:
             raise ConfigError("need at least one item and one month")
         if not 0 <= self.stockout_rate < 1:
             raise ConfigError(f"stockout rate must be in [0, 1), got {self.stockout_rate}")
-        if self.fixed_prices is not None and len(self.fixed_prices) != self.n_months:
-            raise ConfigError("fixed_prices must list one price per month")
+        if self.fixed_prices is not None and (
+            len(self.fixed_prices) != self.n_months or not all(0 < p < np.inf for p in self.fixed_prices)
+        ):
+            raise ConfigError("fixed_prices must list one positive finite price per month")
+        if not all(0 < v < np.inf for v in (*self.base_demand_range, *self.base_price_range)):
+            raise ConfigError(
+                f"base demand and price ranges must be positive and finite, got "
+                f"{self.base_demand_range} and {self.base_price_range}"
+            )
+        if not self._law_is_finite():
+            raise ConfigError(f"epsilon range {self.epsilon_range} gives a demand law that overflows on the price band")
+
+    def _law_is_finite(self) -> bool:
+        """Whether every item's demand law is finite on its price band, at the
+        largest season lift. Its logarithm is linear in each of the log base
+        demand, the log base price, the exponents and the log price, so the
+        corners of their ranges bound it."""
+        drops = self.kink_drop_range if self.kinked else (None,)
+        lift = max(self.season_multiplier(moy)[0] for moy in range(1, 13))
+        for units, base_price, epsilon, drop in product(
+            self.base_demand_range, self.base_price_range, self.epsilon_range, drops
+        ):
+            band = self.fixed_prices or (PRICE_BAND[0] * base_price, PRICE_BAND[1] * base_price)
+            try:
+                epsilon_hi = None if drop is None else epsilon - drop
+                truth = ItemTruth("", epsilon, epsilon_hi, units * base_price ** (-epsilon), base_price)
+                if not all(np.isfinite(truth.expected_units(p, lift)) for p in (min(band), max(band))):
+                    return False
+            except (OverflowError, DomainError):
+                return False
+        return True
 
     def season_multiplier(self, moy: int) -> tuple[float, frozenset]:
         mult = 1.0 + self.season_amplitude * np.sin(2.0 * np.pi * (moy - 1) / 12.0)
@@ -117,76 +150,100 @@ def true_arc_elasticity(epsilon: float, p: float, dp: float) -> float:
 
 
 def generate(world: SyntheticWorld) -> tuple[Transactions, list[ItemTruth]]:
-    """Emit monthly transactions and the per-item truth table, reproducibly."""
+    """Emit monthly transactions and the per-item truth table, reproducibly.
+
+    The order of the random draws defines the world. Each item draws its law,
+    its price walk, its noise, its stockout months and its attributes; then
+    each of its months draws its inventory (not in a stockout month), its
+    out-of-stock check and days, and its competitor check and price. Those
+    monthly draws run one by one, because whether a draw happens depends on
+    the draw before it; the arithmetic then runs over the whole table.
+    """
     rng = np.random.default_rng(world.seed)
-    months = [ym_add(world.start_month, k) for k in range(world.n_months)]
+    uniform, random, integers = rng.uniform, rng.random, rng.integers
+    n, m = world.n_items, world.n_months
+    months = [ym_add(world.start_month, k) for k in range(m)]
+    mults, flags = zip(*(world.season_multiplier(month_of_year(ym)) for ym in months))
 
-    rows = []  # one tuple per item-month, in TRANSACTIONS_COLUMNS order
     truths: list[ItemTruth] = []
-    for i in range(world.n_items):
-        item_id = f"item_{i:04d}"
-        base_units = rng.uniform(*world.base_demand_range)
-        base_price = rng.uniform(*world.base_price_range)
-        epsilon = rng.uniform(*world.epsilon_range)
-        epsilon_hi = None
-        if world.kinked:
-            epsilon_hi = epsilon - rng.uniform(*world.kink_drop_range)
+    items = []  # per item: base units, rating, days launched, substitute flag, then brand, size, category, subcategory
+    steps, shocks = np.zeros((n, m)), np.zeros((n, m))  # log-price steps and log-noise
+    stockouts = np.empty((n, m), dtype=bool)
+    stock_draws, oos, comp_draws = [], [], []  # per item-month; NaN where not drawn
+    for i in range(n):
+        base_units = uniform(*world.base_demand_range)
+        base_price = uniform(*world.base_price_range)
+        epsilon = uniform(*world.epsilon_range)
+        epsilon_hi = epsilon - uniform(*world.kink_drop_range) if world.kinked else None
         coeff = base_units * base_price ** (-epsilon)
-        truth = ItemTruth(item_id, epsilon, epsilon_hi, coeff, base_price)
-        truths.append(truth)
+        truths.append(ItemTruth(f"item_{i:04d}", epsilon, epsilon_hi, coeff, base_price))
+        if world.fixed_prices is None:
+            steps[i] = rng.normal(0.0, world.price_volatility, size=m)
+        if world.noise_sigma > 0:
+            shocks[i] = rng.normal(0.0, world.noise_sigma, size=m)
+        stockouts[i] = rng.random(m) < world.stockout_rate
 
-        if world.fixed_prices is not None:
-            prices = np.asarray(world.fixed_prices, dtype=np.float64)
-        else:
-            # random walk in log price, optionally mean-reverting toward the
-            # base price so items keep revisiting the same price band
-            steps = rng.normal(0.0, world.price_volatility, size=world.n_months)
-            phi = 1.0 - world.price_reversion
-            x = np.empty(world.n_months)
-            level = 0.0
-            for k in range(world.n_months):
-                level = phi * level + steps[k]
-                x[k] = level
-            prices = base_price * np.exp(x)
-            prices = np.clip(prices, 0.3 * base_price, 3.0 * base_price)
+        brand = BRAND_POOL[int(integers(len(BRAND_POOL)))]
+        category = CATEGORY_POOL[int(integers(len(CATEGORY_POOL)))]
+        subcategory = f"{category}_sub{int(integers(SUBCATS_PER_CATEGORY))}"
+        size = SIZE_POOL[int(integers(len(SIZE_POOL)))]
+        substitute = bool(random() < 0.5)
+        rating, launched = int(integers(0, 500)), int(integers(30, 1000))
+        items.append((base_units, rating, launched, substitute, brand, size, category, subcategory))
 
-        noise = (
-            np.exp(rng.normal(0.0, world.noise_sigma, size=world.n_months))
-            if world.noise_sigma > 0
-            else np.ones(world.n_months)
-        )
-        stockouts = rng.random(world.n_months) < world.stockout_rate
-
-        brand = BRAND_POOL[int(rng.integers(len(BRAND_POOL)))]
-        category = CATEGORY_POOL[int(rng.integers(len(CATEGORY_POOL)))]
-        subcategory = f"{category}_sub{int(rng.integers(SUBCATS_PER_CATEGORY))}"
-        size = SIZE_POOL[int(rng.integers(len(SIZE_POOL)))]
-        substitute = bool(rng.random() < 0.5)
-        rating = int(rng.integers(0, 500))
-        launched = int(rng.integers(30, 1000))
-        attributes = (brand, size, category, subcategory)
-
-        for k, ym in enumerate(months):
-            mult, flags = world.season_multiplier(month_of_year(ym))
-            price = float(prices[k])
-            units = int(np.round(truth.expected_units(price, mult) * noise[k]))
-            units = max(units, 0)
-            # stock level scales with the item's typical demand, not with the
-            # month's realized units (which would leak the target), and never
-            # hits zero unless a stockout is injected
-            inventory = 0 if stockouts[k] else max(int(np.round(base_units * rng.uniform(1.5, 3.0))), 10)
-            oos = int(rng.integers(1, 6)) if rng.random() < world.oos_rate else 0
+        for stockout in stockouts[i].tolist():
+            stock_draws.append(np.nan if stockout else uniform(1.5, 3.0))
+            oos.append(int(integers(1, 6)) if random() < world.oos_rate else 0)
             # competitors track the item's stable market price level, not the
             # month-to-month own-price walk
-            comp = base_price * rng.uniform(0.85, 1.15) if rng.random() < world.competitor_presence else np.nan
-            rows.append(
-                (item_id, ym, price, units, inventory, oos, rating, launched + 30 * k, comp, substitute, flags)
-                + attributes
-            )
-            rating += int(round(units * 0.02))
-    columns = {name: np.array(col) for name, col in zip(TRANSACTIONS_COLUMNS, zip(*rows))}
-    events = tuple(sorted(set().union(*columns["event_flags"])))
-    columns["event_flags"] = np.array([[e in flags for e in events] for flags in columns["event_flags"]], dtype=bool)
+            comp_draws.append(uniform(0.85, 1.15) if random() < world.competitor_presence else np.nan)
+
+    base_units, rating, launched, substitute, *attributes = (np.array(col) for col in zip(*items))
+    base_price = np.array([t.base_price for t in truths])[:, None]
+    if world.fixed_prices is not None:
+        prices = np.tile(np.asarray(world.fixed_prices, dtype=np.float64), (n, 1))
+    else:
+        # random walk in log price, optionally mean-reverting toward the base
+        # price so items keep revisiting the same price band
+        phi = 1.0 - world.price_reversion
+        x = np.empty((n, m))
+        level = 0.0
+        for k in range(m):
+            level = phi * level + steps[:, k]
+            x[:, k] = level
+        prices = np.clip(base_price * np.exp(x), PRICE_BAND[0] * base_price, PRICE_BAND[1] * base_price)
+
+    # units follow ItemTruth's law, the one that elasticity --truth scores against
+    expected = [t.expected_units(p, mult) for t, row in zip(truths, prices.tolist()) for p, mult in zip(row, mults)]
+    units = np.maximum(np.round(np.array(expected).reshape(n, m) * np.exp(shocks)), 0.0)
+    fits = np.all(units < 2.0**63, axis=1)  # every count is an int64 cell
+    units = np.where(fits[:, None], units, 0.0).astype(np.int64)
+    gain = np.round(units * 0.02).astype(np.int64)
+    rating = rating[:, None] + np.cumsum(gain, axis=1) - gain  # before this month's sales
+    fits &= np.all(rating >= 0, axis=1)  # a running sum that passes 2**63 wraps negative first
+    if not fits.all():
+        raise DomainError(f"demand of {truths[np.argmin(fits)].item_id} does not fit a count of units sold")
+    # stock level scales with the item's typical demand, not with the month's
+    # realized units (which would leak the target), and never hits zero
+    # unless a stockout is injected
+    inventory = np.maximum(np.round(base_units[:, None] * np.array(stock_draws).reshape(n, m)), 10)
+
+    events = tuple(sorted(set().union(*flags)))
+    month_events = np.array([[e in f for e in events] for f in flags], dtype=bool).reshape(m, len(events))
+    per_item = [np.array([t.item_id for t in truths]), *attributes]
+    columns = dict(
+        zip(("item_id", "brand", "size", "category", "subcategory"), (np.repeat(col, m) for col in per_item)),
+        year_month=np.tile(np.array(months), n),
+        price=prices.ravel(),
+        units_sold=units.ravel(),
+        inventory=np.where(stockouts, 0, inventory).astype(np.int64).ravel(),
+        oos_days=np.array(oos),
+        rating_count=rating.ravel(),
+        days_launched=(launched[:, None] + 30 * np.arange(m)).ravel(),
+        competitor_price=(base_price * np.array(comp_draws).reshape(n, m)).ravel(),
+        substitute_available=np.repeat(substitute, m),
+        event_flags=np.tile(month_events, (n, 1)),
+    )
     return Transactions(**columns, event_names=events), truths
 
 

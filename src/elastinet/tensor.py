@@ -301,13 +301,6 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     return Tensor(np.array([[np.mean(resid * resid)]]), (pred, target), vjp)
 
 
-def tsum(x: Tensor) -> Tensor:
-    def vjp(g):
-        return (np.full(x.shape, g[0, 0]),)
-
-    return Tensor(np.array([[x.data.sum()]]), (x,), vjp)
-
-
 def sum_sq(*xs: Tensor) -> Tensor:
     """Sum of squares over every entry of every input, as one node."""
     if not xs:

@@ -421,6 +421,15 @@ def test_malformed_model_metadata_exits_3(pipeline_dirs, tmp_path, edit_model_fi
             ["elasticity", "--transactions", "{tx}", "--model", "{model}", "--truth", "{overflowing_truth}"],
             "demand law of item_0000",
         ),
+        (
+            ["synth", "--items", "1", "--months", "2", "--epsilon-min", "-400", "--epsilon-max", "-399"],
+            "epsilon range (-400.0, -399.0) gives a demand law that overflows",
+        ),
+        (
+            ["synth", "--items", "1", "--months", "2", "--world", "kinked"]
+            + ["--epsilon-min", "-300", "--epsilon-max", "-299"],
+            "epsilon range (-300.0, -299.0) gives a demand law that overflows",
+        ),
     ],
 )
 def test_unusable_values_exit_2(pipeline_dirs, tmp_path, capsys, argv, message):

@@ -364,6 +364,37 @@ class TestSaveLoad:
         assert loaded.names == model.names and loaded.stats == model.stats
         assert all(np.array_equal(p.data, q.data) for p, q in zip(model.parameters(), loaded.parameters()))
 
+    @pytest.mark.parametrize(
+        "key, value", [("trunk_widths", [10**12]), ("injection_width", 10**12), ("post_widths", [8, 10**12])]
+    )
+    def test_width_beyond_the_file_rejected_before_building(
+        self, trained_model, tmp_path, edit_model_file, monkeypatch, key, value
+    ):
+        def edit(container):
+            container["meta"]["config"][key] = value
+
+        def build(*args, **kwargs):
+            raise AssertionError("DemandModel built from forged widths")
+
+        save_model(trained_model[0], tmp_path / "model.mdnm")
+        edit_model_file(tmp_path / "model.mdnm", tmp_path / "wide.mdnm", edit)
+        monkeypatch.setattr(model_module, "DemandModel", build)
+        with pytest.raises(ModelIOError, match="model metadata implies .* parameter values, more than the"):
+            load_model(tmp_path / "wide.mdnm")
+
+    @pytest.mark.parametrize(
+        "categorical, continuous, config",
+        [
+            ({"c1": 9, "c2": 200}, ("f1", "f2", "f3"), ArchConfig()),
+            ({}, ("f1",), ArchConfig(trunk_widths=(), post_widths=())),
+            ({"c": 4}, (), ArchConfig(trunk_widths=(8, 6, 4), injection_width=8, post_widths=(4, 2))),
+        ],
+    )
+    def test_parameter_shapes_are_the_model_parameter_shapes(self, categorical, continuous, config):
+        model = model_for(categorical, continuous, config)
+        shapes = model_module._parameter_shapes(model.names, model.encoder.vocabs, model.config)
+        assert shapes == [p.shape for p in model.parameters()]
+
     def test_unfitted_model_cannot_be_saved(self, tmp_path):
         model = model_for(continuous=("f",))
         with pytest.raises(ConfigError):

@@ -39,7 +39,8 @@ class TestEffectiveWeight:
                 assert eff[i, j] == effective_weight(w.data[i, j], t_i)
 
     def test_gradients_flow_through_reparameterization(self):
-        from elastinet.tensor import backward, tsum
+        from elastinet.tensor import backward
+        from test_tensor import tsum
 
         w = Parameter([[-2.0], [3.0], [1.5]], name="w")
         backward(tsum(constrained_weights(w, validate_indicator([1, -1, 0], 3))))

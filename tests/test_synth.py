@@ -4,6 +4,10 @@ import pytest
 from elastinet import data as dt
 from elastinet.errors import ConfigError, DomainError, ParseError
 from elastinet.synth import (
+    BRAND_POOL,
+    CATEGORY_POOL,
+    SIZE_POOL,
+    SUBCATS_PER_CATEGORY,
     TRUTH_COLUMNS,
     ItemTruth,
     SyntheticWorld,
@@ -14,6 +18,81 @@ from elastinet.synth import (
 )
 
 from test_data import tables_equal
+
+
+def reference_generate(world: SyntheticWorld) -> tuple[dt.Transactions, list[ItemTruth]]:
+    """Independent oracle: the world item-month by item-month, one row tuple
+    at a time, drawing in the order that defines it."""
+    rng = np.random.default_rng(world.seed)
+    months = [dt.ym_add(world.start_month, k) for k in range(world.n_months)]
+
+    rows = []  # one tuple per item-month, in TRANSACTIONS_COLUMNS order
+    truths: list[ItemTruth] = []
+    for i in range(world.n_items):
+        item_id = f"item_{i:04d}"
+        base_units = rng.uniform(*world.base_demand_range)
+        base_price = rng.uniform(*world.base_price_range)
+        epsilon = rng.uniform(*world.epsilon_range)
+        epsilon_hi = None
+        if world.kinked:
+            epsilon_hi = epsilon - rng.uniform(*world.kink_drop_range)
+        coeff = base_units * base_price ** (-epsilon)
+        truth = ItemTruth(item_id, epsilon, epsilon_hi, coeff, base_price)
+        truths.append(truth)
+
+        if world.fixed_prices is not None:
+            prices = np.asarray(world.fixed_prices, dtype=np.float64)
+        else:
+            # random walk in log price, optionally mean-reverting toward the
+            # base price so items keep revisiting the same price band
+            steps = rng.normal(0.0, world.price_volatility, size=world.n_months)
+            phi = 1.0 - world.price_reversion
+            x = np.empty(world.n_months)
+            level = 0.0
+            for k in range(world.n_months):
+                level = phi * level + steps[k]
+                x[k] = level
+            prices = base_price * np.exp(x)
+            prices = np.clip(prices, 0.3 * base_price, 3.0 * base_price)
+
+        noise = (
+            np.exp(rng.normal(0.0, world.noise_sigma, size=world.n_months))
+            if world.noise_sigma > 0
+            else np.ones(world.n_months)
+        )
+        stockouts = rng.random(world.n_months) < world.stockout_rate
+
+        brand = BRAND_POOL[int(rng.integers(len(BRAND_POOL)))]
+        category = CATEGORY_POOL[int(rng.integers(len(CATEGORY_POOL)))]
+        subcategory = f"{category}_sub{int(rng.integers(SUBCATS_PER_CATEGORY))}"
+        size = SIZE_POOL[int(rng.integers(len(SIZE_POOL)))]
+        substitute = bool(rng.random() < 0.5)
+        rating = int(rng.integers(0, 500))
+        launched = int(rng.integers(30, 1000))
+        attributes = (brand, size, category, subcategory)
+
+        for k, ym in enumerate(months):
+            mult, flags = world.season_multiplier(dt.month_of_year(ym))
+            price = float(prices[k])
+            units = int(np.round(truth.expected_units(price, mult) * noise[k]))
+            units = max(units, 0)
+            # stock level scales with the item's typical demand, not with the
+            # month's realized units (which would leak the target), and never
+            # hits zero unless a stockout is injected
+            inventory = 0 if stockouts[k] else max(int(np.round(base_units * rng.uniform(1.5, 3.0))), 10)
+            oos = int(rng.integers(1, 6)) if rng.random() < world.oos_rate else 0
+            # competitors track the item's stable market price level, not the
+            # month-to-month own-price walk
+            comp = base_price * rng.uniform(0.85, 1.15) if rng.random() < world.competitor_presence else np.nan
+            rows.append(
+                (item_id, ym, price, units, inventory, oos, rating, launched + 30 * k, comp, substitute, flags)
+                + attributes
+            )
+            rating += int(round(units * 0.02))
+    columns = {name: np.array(col) for name, col in zip(dt.TRANSACTIONS_COLUMNS, zip(*rows))}
+    events = tuple(sorted(set().union(*columns["event_flags"])))
+    columns["event_flags"] = np.array([[e in flags for e in events] for flags in columns["event_flags"]], dtype=bool)
+    return dt.Transactions(**columns, event_names=events), truths
 
 
 class TestTrueArcElasticity:
@@ -73,6 +152,8 @@ class TestWorldValidation:
             (dict(epsilon_range=(float("-inf"), -0.5)), "epsilon range must be finite"),
             (dict(epsilon_range=(-3.0, float("nan"))), "epsilon range must be finite"),
             (dict(start_month=202313), "invalid year-month 202313"),
+            (dict(base_price_range=(-8.0, 40.0)), "base demand and price ranges must be positive and finite"),
+            (dict(base_demand_range=(800.0, float("inf"))), "base demand and price ranges must be positive and finite"),
         ],
     )
     def test_non_finite_or_invalid_values_rejected(self, kw, message):
@@ -82,6 +163,33 @@ class TestWorldValidation:
     def test_fixed_prices_length_checked(self):
         with pytest.raises(ConfigError):
             SyntheticWorld(n_months=5, fixed_prices=(10.0, 10.0))
+
+    @pytest.mark.parametrize("price", [0.0, -1.0, float("nan"), float("inf")])
+    def test_fixed_prices_must_be_positive_and_finite(self, price):
+        with pytest.raises(ConfigError, match="one positive finite price per month"):
+            SyntheticWorld(n_months=2, fixed_prices=(10.0, price))
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(epsilon_range=(-400.0, -399.0)),
+            dict(epsilon_range=(-300.0, -299.0), kinked=True),
+            # fixed prices set the band: 0.5 ** -1100 overflows, while at prices
+            # of 1 and 2 the same world is finite
+            dict(epsilon_range=(-1100.0, -1100.0), base_price_range=(1.0, 1.0), n_months=2, fixed_prices=(0.5, 1.0)),
+            # the kink's upper segment overflows though the range itself is mild
+            dict(epsilon_range=(-2.0, -1.0), kinked=True, kink_drop_range=(1100.0, 1100.0)),
+        ],
+    )
+    def test_epsilon_range_whose_law_overflows_rejected(self, kw):
+        with pytest.raises(ConfigError, match=rf"epsilon range \({kw['epsilon_range'][0]}, .*overflows"):
+            SyntheticWorld(**kw)
+
+    def test_steep_finite_range_accepted(self):
+        flat = dict(epsilon_range=(-1100.0, -1100.0), base_price_range=(1.0, 1.0), n_months=2)
+        SyntheticWorld(**flat, fixed_prices=(1.0, 2.0))
+        for kinked in (False, True):
+            SyntheticWorld(epsilon_range=(-187.0, -186.0), kinked=kinked)
 
 
 def noiseless_world(**kw):
@@ -210,3 +318,41 @@ class TestGenerate:
         f.write_text((header or ",".join(TRUTH_COLUMNS)) + "\n" + row + "\n")
         with pytest.raises(ParseError, match=message):
             read_truth(f)
+
+    def test_demand_beyond_a_count_rejected(self):
+        # finite law, but 10 * 0.3 ** -40 ~ 1e22 units do not fit an int64 cell
+        world = noiseless_world(epsilon_range=(-40.0, -40.0), fixed_prices=(3.0,) * 6)
+        with pytest.raises(DomainError, match="demand of item_0000 does not fit a count"):
+            generate(world)
+
+
+ORACLE_WORLDS = {
+    "seed24": dict(seed=24),
+    "seed57": dict(seed=57),
+    "seed24-kinked": dict(seed=24, kinked=True),
+    "seed57-kinked": dict(seed=57, kinked=True),
+    "stockouts": dict(seed=24, stockout_rate=0.3),
+    "noiseless": dict(seed=57, noise_sigma=0.0),
+    "no-events": dict(seed=24, events_enabled=False),
+    "fixed-prices": dict(seed=57, n_months=6, fixed_prices=(10.0, 12.5, 9.0, 30.0, 11.0, 10.0), kinked=True),
+    "one-month": dict(seed=24, n_months=1),
+    "one-item": dict(seed=57, n_items=1),
+    "1000-items": dict(seed=24, n_items=1000),
+}
+
+
+@pytest.mark.parametrize("kw", ORACLE_WORLDS.values(), ids=ORACLE_WORLDS.keys())
+def test_generate_matches_reference_generate(tmp_path, kw):
+    world = SyntheticWorld(**{"n_items": 200, **kw})
+    (got, got_truths), (want, want_truths) = generate(world), reference_generate(world)
+    assert got.event_names == want.event_names
+    for name in dt.TRANSACTIONS_COLUMNS:
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), name
+    assert got_truths == want_truths
+    for side, (tx, truths) in (("got", (got, got_truths)), ("want", (want, want_truths))):
+        dt.write_transactions(tx, tmp_path / f"{side}_transactions.csv")
+        write_truth(truths, tmp_path / f"{side}_truth.csv")
+    for name in ("transactions.csv", "truth.csv"):
+        assert (tmp_path / f"got_{name}").read_bytes() == (tmp_path / f"want_{name}").read_bytes(), name
