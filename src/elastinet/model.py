@@ -8,6 +8,9 @@ into a monodense layer whose indicator is 0 on trunk dimensions and -1 on
 the price features; every layer downstream (post stack with all-+1
 indicators, linear head with non-negative weights) is monotone increasing,
 so the composed map is non-increasing in price by construction.
+
+``DenseLayer`` and ``MonoDenseLayer`` live in ``monodense``; this module
+imports them and adds the column-dense encoder bank.
 """
 
 from __future__ import annotations
@@ -23,14 +26,8 @@ import numpy as np
 
 from . import data as dt
 from .errors import ConfigError, DomainError, ModelIOError, NumericError
-from .monodense import (
-    ActivationSplit,
-    MonoDenseLayer,
-    constrained_weights,
-    glorot_uniform,
-    validate_indicator,
-)
-from .tensor import Parameter, Tensor, activate, add_bias, column_dense, concat_cols, embedding_lookup, matmul
+from .monodense import ActivationSplit, DenseLayer, MonoDenseLayer, glorot_uniform
+from .tensor import Parameter, Tensor, activate, activation_pair, column_dense, concat_cols, embedding_lookup
 
 UNKNOWN_INDEX = 0  # reserved row for categorical levels unseen at training time
 PREDICT_ROWS = 4096  # rows per forward-only pass when scoring
@@ -51,32 +48,16 @@ class ArchConfig:
 
     def __post_init__(self):
         widths = (*self.trunk_widths, self.injection_width, *self.post_widths, self.encoder_width)
-        if any(w <= 0 for w in widths):
-            raise ConfigError(f"all layer widths must be positive, got {widths}")
+        if not all(type(w) is int and w > 0 for w in widths):
+            raise ConfigError(f"all layer widths must be positive integers, got {widths}")
+        activation_pair(self.activation)
+        split = self.split if isinstance(self.split, (tuple, list)) else ()
+        if len(split) != 3 or not all(isinstance(f, (int, float)) for f in split):
+            raise ConfigError(f"split must be three fractions (convex, concave, bounded), got {self.split!r}")
+        self.activation_split()  # checks the fractions
 
     def activation_split(self) -> ActivationSplit:
         return ActivationSplit(*self.split)
-
-
-class DenseLayer:
-    """Plain dense layer: x @ W + b, optional activation."""
-
-    def __init__(self, in_width, out_width, activation, *, rng, name):
-        if in_width <= 0 or out_width <= 0:
-            raise ConfigError(f"layer widths must be positive, got {in_width}x{out_width}")
-        self.activation = activation
-        self.weights = Parameter(glorot_uniform(rng, in_width, out_width), name=f"{name}.w")
-        self.bias = Parameter(np.zeros((1, out_width)), name=f"{name}.b")
-
-    def forward(self, x: Tensor) -> Tensor:
-        z = add_bias(matmul(x, self.weights), self.bias)
-        return activate(z, self.activation) if self.activation else z
-
-    def __call__(self, x):
-        return self.forward(x)
-
-    def parameters(self):
-        return [self.weights, self.bias]
 
 
 class ColumnDenseLayer(DenseLayer):
@@ -227,39 +208,24 @@ class DemandModel:
         self.post: list[MonoDenseLayer] = []
         w_in = config.injection_width
         for i, w_out in enumerate(config.post_widths):
-            self.post.append(
-                MonoDenseLayer(w_in, w_out, np.ones(w_in), split, act, rng=rng, name=f"post.{i}")
-            )
+            self.post.append(MonoDenseLayer(w_in, w_out, np.ones(w_in), split, act, rng=rng, name=f"post.{i}"))
             w_in = w_out
 
-        self.head_w = Parameter(glorot_uniform(rng, w_in, 1), name="head.w")
-        self.head_b = Parameter(np.zeros((1, 1)), name="head.b")
-        self._head_indicator = validate_indicator(np.ones(w_in), w_in)
+        # a monotone linear layer: non-negative weights, no activation
+        self.head = MonoDenseLayer(w_in, 1, np.ones(w_in), split, None, rng=rng, name="head")
+        self.layers: list[DenseLayer] = [self.encoders, *self.trunk, self.injection, *self.post, self.head]
 
     # -- parameters --------------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        params = list(self.embeddings.values())
-        params.extend(self.encoders.parameters())
-        for layer in self.trunk:
-            params.extend(layer.parameters())
-        params.extend(self.injection.parameters())
-        for layer in self.post:
-            params.extend(layer.parameters())
-        params.extend([self.head_w, self.head_b])
-        return params
+        return [*self.embeddings.values(), *(p for layer in self.layers for p in layer.parameters())]
 
     def decayed_parameters(self) -> list[Parameter]:
         """Dense and monodense raw weights; embeddings and biases excluded."""
-        params = [self.encoders.weights]
-        params.extend(layer.weights for layer in self.trunk)
-        params.append(self.injection.weights)
-        params.extend(layer.weights for layer in self.post)
-        params.append(self.head_w)
-        return params
+        return [layer.weights for layer in self.layers]
 
     def monodense_layers(self) -> list[MonoDenseLayer]:
-        return [self.injection, *self.post]
+        return [layer for layer in self.layers if isinstance(layer, MonoDenseLayer)]
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
@@ -278,8 +244,7 @@ class DemandModel:
         h = self.injection(concat_cols([h, Tensor(mono_std)]))
         for layer in self.post:
             h = layer(h)
-        w_eff = constrained_weights(self.head_w, self._head_indicator)
-        return add_bias(matmul(h, w_eff), self.head_b)
+        return self.head(h)
 
     # -- pair tables ----------------------------------------------------------
 
@@ -327,10 +292,7 @@ class DemandModel:
         return self.stats.unscale_target(np.concatenate([pred[:, 0] for _, pred in passes]))
 
     def sign_contracts_hold(self) -> bool:
-        if not all(layer.sign_contract_holds() for layer in self.monodense_layers()):
-            return False
-        head_eff = constrained_weights(self.head_w, self._head_indicator).data
-        return bool(np.all(head_eff >= 0))
+        return all(layer.sign_contract_holds() for layer in self.monodense_layers())
 
 
 # ---------------------------------------------------------------------------

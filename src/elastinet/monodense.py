@@ -1,13 +1,16 @@
-"""Monotonicity-constrained dense layer.
+"""The dense layers: ``DenseLayer`` and its monotone subclass ``MonoDenseLayer``.
 
-Each input feature carries an indicator t_i in {-1, 0, +1}. The stored raw
+``DenseLayer`` is x @ W + b with an optional activation; ``model`` imports
+it from here for the encoders and the trunk. In a ``MonoDenseLayer`` each
+input feature carries an indicator t_i in {-1, 0, +1}. The stored raw
 weights are unconstrained; the effective weight row for feature i is
 |w| for t_i=+1, -|w| for t_i=-1, and w unchanged for t_i=0, so the sign
 contract holds by construction at every optimizer state. The layer output is
 split into three neuron subsets activated by the base convex function rho,
 its concave mirror -rho(-x), and a bounded piecewise combination of the two;
 all three are monotone increasing, which preserves the per-feature sign of
-the response.
+the response. Without an activation it is a monotone linear layer, such as
+the model's head.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import Parameter, Tensor, activation_pair, add_bias, matmul
+from .tensor import Parameter, Tensor, activate, activation_pair, add_bias, matmul
 
 __all__ = [
     "ActivationSplit",
     "DEFAULT_SPLIT",
+    "DenseLayer",
     "MonoDenseLayer",
     "bounded_activation",
     "concave_activation",
@@ -145,7 +149,30 @@ def glorot_uniform(rng: np.random.Generator, in_width: int, out_width: int) -> n
     return w
 
 
-class MonoDenseLayer:
+class DenseLayer:
+    """Plain dense layer: x @ W + b, optional activation."""
+
+    def __init__(self, in_width, out_width, activation, *, rng, name):
+        if in_width <= 0 or out_width <= 0:
+            raise ConfigError(f"layer widths must be positive, got {in_width}x{out_width}")
+        if activation is not None:
+            activation_pair(activation)  # validate the name early
+        self.activation = activation
+        self.weights = Parameter(glorot_uniform(rng, in_width, out_width), name=f"{name}.w")
+        self.bias = Parameter(np.zeros((1, out_width)), name=f"{name}.b")
+
+    def forward(self, x: Tensor) -> Tensor:
+        z = add_bias(matmul(x, self.weights), self.bias)
+        return activate(z, self.activation) if self.activation else z
+
+    def __call__(self, x):
+        return self.forward(x)
+
+    def parameters(self) -> list[Parameter]:
+        return [self.weights, self.bias]
+
+
+class MonoDenseLayer(DenseLayer):
     """Dense layer with indicator-constrained weights and split activations."""
 
     def __init__(
@@ -154,40 +181,18 @@ class MonoDenseLayer:
         out_width: int,
         indicator,
         split: ActivationSplit = DEFAULT_SPLIT,
-        activation: str = "relu",
+        activation: str | None = "relu",
         *,
         rng: np.random.Generator,
         name: str,
     ):
-        if in_width <= 0 or out_width <= 0:
-            raise ConfigError(f"layer widths must be positive, got {in_width}x{out_width}")
-        activation_pair(activation)  # validate the name early
+        super().__init__(in_width, out_width, activation, rng=rng, name=name)
         self.indicator = validate_indicator(indicator, in_width)
-        self.split = split
-        self.activation = activation
         self.sizes = split.sizes(out_width)
-        self.weights = Parameter(glorot_uniform(rng, in_width, out_width), name=f"{name}.w")
-        self.bias = Parameter(np.zeros((1, out_width)), name=f"{name}.b")
-
-    @property
-    def in_width(self) -> int:
-        return self.weights.rows
-
-    @property
-    def out_width(self) -> int:
-        return self.weights.cols
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.cols != self.in_width:
-            raise DimensionError(f"monodense: input width {x.cols} != layer width {self.in_width}")
-        w_eff = constrained_weights(self.weights, self.indicator)
-        z = add_bias(matmul(x, w_eff), self.bias)
-        return mono_activation(z, self.sizes, self.activation)
-
-    __call__ = forward
-
-    def parameters(self) -> list[Parameter]:
-        return [self.weights, self.bias]
+        z = add_bias(matmul(x, constrained_weights(self.weights, self.indicator)), self.bias)
+        return mono_activation(z, self.sizes, self.activation) if self.activation else z
 
     def effective_weight_matrix(self) -> np.ndarray:
         return constrained_weights(self.weights, self.indicator).data

@@ -65,6 +65,18 @@ class SyntheticWorld:
             raise ConfigError("need at least one item and one month")
         if not 0 <= self.stockout_rate < 1:
             raise ConfigError(f"stockout rate must be in [0, 1), got {self.stockout_rate}")
+        lo, hi = self.kink_drop_range
+        if not 0 <= lo <= hi < np.inf:
+            raise ConfigError(f"kink_drop_range must be finite with 0 <= lo <= hi, got {self.kink_drop_range}")
+        if not 0 <= self.price_volatility < np.inf:
+            raise ConfigError(f"price_volatility must be finite and non-negative, got {self.price_volatility}")
+        if not 0 <= self.price_reversion <= 1:
+            raise ConfigError(f"price_reversion must be in [0, 1], got {self.price_reversion}")
+        if not 0 <= self.season_amplitude < 1:
+            raise ConfigError(f"season_amplitude must be in [0, 1), got {self.season_amplitude}")
+        for name in ("oos_rate", "competitor_presence"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.fixed_prices is not None and (
             len(self.fixed_prices) != self.n_months or not all(0 < p < np.inf for p in self.fixed_prices)
         ):

@@ -375,6 +375,7 @@ def _del(*path):
         _set("config", "split", value=[float("nan"), 0.5, 0.5]),
         _set("config", "split", value=[0.5, 0.5, float("nan")]),
         lambda c: c.update(version=2),
+        _set("config", "trunk_widths", value=[2.5]),
     ],
 )
 def test_malformed_model_metadata_exits_3(pipeline_dirs, tmp_path, edit_model_file, capsys, edit):

@@ -125,8 +125,8 @@ class TestEvaluateElasticities:
         _, tx, _ = small_world
         model = copy.deepcopy(untrained_model)
         # zero the head weights: predictions collapse to a positive constant
-        model.head_w.data[...] = 0.0
-        model.head_b.data[...] = 1.0
+        model.head.weights.data[...] = 0.0
+        model.head.bias.data[...] = 1.0
         as_of = int(tx.year_month.max())
         inference, _ = dt.build_inference_set(tx, as_of)
         report = evaluate_elasticities(model, inference)

@@ -82,6 +82,24 @@ class TestBuildModel:
         with pytest.raises(ConfigError):
             model_for(continuous=("f",), config=ArchConfig(activation="tanh"))
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(trunk_widths=(2.5,)), "positive integers"),
+            (dict(post_widths=(8, "4")), "positive integers"),
+            (dict(injection_width=True), "positive integers"),
+            (dict(encoder_width=np.int64(8)), "positive integers"),  # not JSON-serializable in a .mdnm
+            (dict(activation="tanh"), "unknown activation"),
+            (dict(split=(0.5, 0.5)), "three fractions"),
+            (dict(split=0.5), "three fractions"),
+            (dict(split=(0.5, 0.25, "0.25")), "three fractions"),
+            (dict(split=(0.5, 0.5, 0.5)), "sum to 1"),
+        ],
+    )
+    def test_bad_config_rejected_at_construction(self, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            ArchConfig(**kw)
+
     def test_no_continuous_features(self):
         model = model_for({"c": 4}, config=ArchConfig(trunk_widths=(8,), injection_width=8, post_widths=(4,)))
         assert model.encoders.weights.shape == (0, 8)
@@ -93,6 +111,16 @@ class TestBuildModel:
         opt.step()
         after = model.forward(cat, np.zeros((6, 0)), mono).data
         assert np.all(np.isfinite(after)) and not np.array_equal(before, after)
+
+    def test_one_layer_list_in_parameter_order(self):
+        config = ArchConfig(trunk_widths=(6, 5), injection_width=4, post_widths=(3, 2))
+        model = model_for({"c": 4}, ("f",), config)
+        layers = ["enc", "trunk.0", "trunk.1", "inj", "post.0", "post.1", "head"]
+        assert [layer.weights.name for layer in model.layers] == [f"{name}.w" for name in layers]
+        assert [p.name for p in model.parameters()] == ["emb.c", *(f"{n}.{wb}" for n in layers for wb in "wb")]
+        assert model.decayed_parameters() == [layer.weights for layer in model.layers]
+        assert model.monodense_layers() == [model.injection, *model.post, model.head]
+        assert model.head.activation is None and np.all(model.head.indicator == 1)
 
     def test_injection_indicator_layout(self):
         model = model_for(continuous=("f",), config=ArchConfig(trunk_widths=(6,)))
@@ -340,7 +368,7 @@ class TestSaveLoad:
     def test_non_finite_weight_not_saved(self, trained_model, tmp_path):
         save_model(trained_model[0], tmp_path / "model.mdnm")
         model = load_model(tmp_path / "model.mdnm")
-        model.head_w.data[0, 0] = np.nan
+        model.head.weights.data[0, 0] = np.nan
         with pytest.raises(NumericError, match="head.w"):
             save_model(model, tmp_path / "nan.mdnm")
         assert not (tmp_path / "nan.mdnm").exists()

@@ -5,6 +5,7 @@ from elastinet.errors import ConfigError, DimensionError
 from elastinet.monodense import (
     ActivationSplit,
     DEFAULT_SPLIT,
+    DenseLayer,
     MonoDenseLayer,
     bounded_activation,
     concave_activation,
@@ -134,6 +135,21 @@ class TestMonoDenseForward:
         x = Tensor(rng.normal(size=(4, 3)))
         plain = relu(add_bias(matmul(x, layer.weights), layer.bias)).data
         assert np.array_equal(layer(x).data, plain)
+
+    def test_no_activation_is_a_monotone_linear_layer(self):
+        from elastinet.tensor import add_bias, matmul
+
+        rng = np.random.default_rng(4)
+        layer = MonoDenseLayer(3, 1, [1, 1, 1], activation=None, rng=rng, name="head")
+        x = Tensor(rng.normal(size=(5, 3)))
+        linear = add_bias(matmul(x, Tensor(np.abs(layer.weights.data))), layer.bias).data
+        assert np.array_equal(layer(x).data, linear)
+
+    def test_unknown_activation_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="unknown activation"):
+            DenseLayer(2, 2, "tanh", rng=np.random.default_rng(0), name="d")
+        with pytest.raises(ConfigError, match="unknown activation"):
+            MonoDenseLayer(2, 2, [1, 1], activation="tanh", rng=np.random.default_rng(0), name="m")
 
     def test_width_mismatch(self):
         layer = MonoDenseLayer(3, 2, [0, 1, -1], rng=np.random.default_rng(2), name="m")

@@ -160,6 +160,35 @@ class TestWorldValidation:
         with pytest.raises((ConfigError, DomainError), match=message):
             SyntheticWorld(**kw)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(kink_drop_range=(float("nan"), 1.5)),
+            dict(kink_drop_range=(-0.5, -0.2)),  # would flatten the upper segment
+            dict(kink_drop_range=(1.5, 0.8)),
+            dict(kink_drop_range=(0.8, float("inf")), kinked=False),
+            dict(price_volatility=-0.2),
+            dict(price_volatility=float("inf")),
+            dict(price_reversion=float("nan")),
+            dict(price_reversion=1.5),
+            dict(season_amplitude=2.0),  # would turn some months' demand negative
+            dict(season_amplitude=-0.1),
+            dict(oos_rate=float("nan")),
+            dict(oos_rate=1.2),
+            dict(competitor_presence=-1.0),
+            dict(competitor_presence=float("nan")),
+        ],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_library_only_rates_and_shapes_checked(self, kw):
+        name = next(iter(kw))
+        with pytest.raises(ConfigError, match=rf"^{name} must be"):
+            SyntheticWorld(**kw)
+
+    def test_edge_rates_accepted(self):
+        SyntheticWorld(kink_drop_range=(0.0, 0.0), kinked=True, price_volatility=0.0, price_reversion=1.0)
+        SyntheticWorld(season_amplitude=0.0, oos_rate=1.0, competitor_presence=0.0)
+
     def test_fixed_prices_length_checked(self):
         with pytest.raises(ConfigError):
             SyntheticWorld(n_months=5, fixed_prices=(10.0, 10.0))

@@ -162,7 +162,7 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_loss_aborts_with_diagnostic(self, small_split):
         model = prepare_model(small_split, SMALL_ARCH, seed=4)
-        model.head_w.data[...] = np.inf
+        model.head.weights.data[...] = np.inf
         with pytest.raises(NumericError, match="epoch 1"):
             train(model, small_split, TrainConfig(epochs=1, seed=4))
 
