@@ -2,7 +2,10 @@
 
 A pair joins one historical (lag) month with one future (lead) month of the
 same item. Valid pairs have a month gap of 1..12 and positive inventory in
-both months; the target is the lead month's units sold. The out-of-time
+both months; the target is the lead month's units sold. A PairTable holds
+each pair as the row indices of its two months in one Transactions table,
+plus the lead month, lead price and target it owns, and feature_column and
+category_column read a feature from those rows. The out-of-time
 split holds out every pair whose lead month falls in the last three calendar
 months of the data span; the remainder is shuffled into an 80/20
 train/validation split. A dataset directory stores the transactions and each
@@ -15,7 +18,7 @@ import csv
 import hashlib
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import compress
 from pathlib import Path
 
@@ -67,23 +70,8 @@ def month_of_year(ym: int) -> int:
 # tables
 
 
-class _Table:
-    """Equal-length numpy columns, one per dataclass field but ``event_names``;
-    row i of each column is one row of the table."""
-
-    def _columns(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "event_names"}
-
-    def __len__(self) -> int:
-        return len(self.item_id)
-
-    def take(self, idx):
-        """The rows picked by ``idx`` (indices or a boolean mask), in that order."""
-        return type(self)(**{k: v[idx] for k, v in self._columns().items()}, event_names=self.event_names)
-
-
 @dataclass(frozen=True, eq=False)
-class Transactions(_Table):
+class Transactions:
     """Monthly item transactions; row i of each column is one item's month.
 
     A NaN competitor price means the month had none. ``event_flags`` is a
@@ -108,55 +96,71 @@ class Transactions(_Table):
     subcategory: np.ndarray
     event_names: tuple[str, ...]
 
+    def _columns(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "event_names"}
+
+    def __len__(self) -> int:
+        return len(self.item_id)
+
+    def take(self, idx) -> Transactions:
+        """The rows picked by ``idx`` (indices or a boolean mask), in that order."""
+        return Transactions(**{k: v[idx] for k, v in self._columns().items()}, event_names=self.event_names)
+
 
 @dataclass(frozen=True, eq=False)
-class PairTable(_Table):
-    """Lead/lag pairs; row i of each column is one pair.
+class PairTable:
+    """Lead/lag pairs; pair i joins rows ``lag[i]`` and ``lead[i]`` of ``tx``.
 
-    ``target`` is the lead month's units sold and NaN when absent (inference
-    rows); a NaN competitor price means the month had none. ``lag_events``
-    and ``lead_events`` are boolean matrices with one column per name in
-    ``event_names``, which is sorted.
+    A pair owns three values: ``lead_month``, ``lead_price`` and ``target``,
+    the lead month's units sold, NaN when absent (inference rows). Every
+    other feature is read from the transactions, with feature_column or
+    category_column.
     """
 
-    item_id: np.ndarray
-    lag_month: np.ndarray
+    tx: Transactions
+    lag: np.ndarray
+    lead: np.ndarray
     lead_month: np.ndarray
-    month_gap: np.ndarray
-    lag_price: np.ndarray
     lead_price: np.ndarray
-    price_change_pct: np.ndarray
-    lag_units: np.ndarray
     target: np.ndarray
-    lag_inventory: np.ndarray
-    lead_inventory: np.ndarray
-    lag_oos_days: np.ndarray
-    lead_oos_days: np.ndarray
-    lag_rating_count: np.ndarray
-    lead_rating_count: np.ndarray
-    lag_days_launched: np.ndarray
-    lead_days_launched: np.ndarray
-    lag_competitor_price: np.ndarray
-    lead_competitor_price: np.ndarray
-    lag_substitute_available: np.ndarray
-    lead_substitute_available: np.ndarray
-    lag_events: np.ndarray
-    lead_events: np.ndarray
-    brand: np.ndarray
-    size: np.ndarray
-    category: np.ndarray
-    subcategory: np.ndarray
-    event_names: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.lag)
+
+    @property
+    def item_id(self) -> np.ndarray:
+        return self.tx.item_id[self.lag]
+
+    @property
+    def lag_month(self) -> np.ndarray:
+        return self.tx.year_month[self.lag]
+
+    @property
+    def lag_price(self) -> np.ndarray:
+        return self.tx.price[self.lag]
+
+    @property
+    def event_names(self) -> tuple[str, ...]:
+        return self.tx.event_names
+
+    def _pair_columns(self) -> list:
+        """The per-pair arrays: every field after ``tx``."""
+        return [getattr(self, f.name) for f in fields(self)[1:]]
+
+    def take(self, idx) -> PairTable:
+        """The pairs picked by ``idx`` (indices or a boolean mask), in that order."""
+        return PairTable(self.tx, *(col[idx] for col in self._pair_columns()))
 
     @staticmethod
     def concat(tables) -> PairTable:
-        """The rows of ``tables`` one after another; they must share ``event_names``."""
+        """The pairs of ``tables`` one after another; they must share one ``tx``."""
         tables = list(tables)
-        columns = [t._columns() for t in tables]
-        names = {t.event_names for t in tables}
-        if len(names) != 1:
-            raise ConfigError(f"cannot concatenate pair tables with different event names: {sorted(names)}")
-        return PairTable(**{k: np.concatenate([c[k] for c in columns]) for k in columns[0]}, event_names=names.pop())
+        if not tables:
+            raise ConfigError("cannot concatenate an empty list of pair tables")
+        if any(t.tx is not tables[0].tx for t in tables):
+            raise ConfigError("cannot concatenate pair tables over different transactions")
+        columns = zip(*(t._pair_columns() for t in tables))
+        return PairTable(tables[0].tx, *map(np.concatenate, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -389,31 +393,6 @@ def _item_month_order(tx: Transactions) -> np.ndarray:
     return order
 
 
-# pair column suffix -> Transactions field, copied into a pair twice, as
-# lag_<suffix> and lead_<suffix>
-_PER_MONTH = {
-    "month": "year_month",
-    **{name: name for name in ("price", "inventory", "oos_days", "rating_count", "days_launched")},
-    **{name: name for name in ("competitor_price", "substitute_available")},
-    "events": "event_flags",
-}
-
-
-def _join(tx: Transactions, lag: np.ndarray, lead: np.ndarray) -> dict:
-    """Pair columns for transaction rows ``lag`` and ``lead``."""
-    cols = {name: getattr(tx, name)[lag] for name in ("item_id", "brand", "size", "category", "subcategory")}
-    for suffix, name in _PER_MONTH.items():
-        cols[f"lag_{suffix}"] = getattr(tx, name)[lag]
-        cols[f"lead_{suffix}"] = getattr(tx, name)[lead]
-    return dict(
-        cols,
-        month_gap=month_gap(cols["lag_month"], cols["lead_month"]),
-        price_change_pct=price_change_pct(cols["lag_price"], cols["lead_price"]),
-        lag_units=tx.units_sold[lag],
-        target=tx.units_sold[lead].astype(np.float64),
-    )
-
-
 def build_pairs(tx: Transactions) -> PairTable:
     """Self-join every item's months into valid (lag, lead) pairs.
 
@@ -436,7 +415,8 @@ def build_pairs(tx: Transactions) -> PairTable:
         leads.append(lead[ok])
     lag, lead = np.concatenate(lags), np.concatenate(leads)
     order = np.lexsort((lead, lag))
-    return PairTable(**_join(tx, lag[order], lead[order]), event_names=tx.event_names)
+    lag, lead = lag[order], lead[order]
+    return PairTable(tx, lag, lead, tx.year_month[lead], tx.price[lead], tx.units_sold[lead].astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -509,27 +489,46 @@ def feature_names(event_names) -> FeatureNames:
     )
 
 
+# a feature's transactions column, where it is not named after it
+_TX_COLUMN = {"units": "units_sold", "month": "year_month", "events": "event_flags"}
+
+
+def _at(table: PairTable, name: str) -> np.ndarray:
+    """``lag_<x>`` or ``lead_<x>``: transactions column x at each pair's lag
+    or lead row; the lead month and lead price are the pair's own."""
+    if name in ("lead_month", "lead_price"):
+        return getattr(table, name)
+    side, _, column = name.partition("_")
+    rows = {"lag": table.lag, "lead": table.lead}[side]
+    return getattr(table.tx, _TX_COLUMN.get(column, column))[rows]
+
+
 def category_column(table: PairTable, name: str) -> np.ndarray:
-    """String levels of a categorical feature, one per row."""
+    """String levels of a categorical feature, one per row; item attributes
+    come from the lag month."""
     if name in ("lag_month_of_year", "lead_month_of_year"):
-        return month_of_year(getattr(table, name.removesuffix("_of_year"))).astype(str)
-    return getattr(table, name)
+        return month_of_year(_at(table, name.removesuffix("_of_year"))).astype(str)
+    return getattr(table.tx, name)[table.lag]
 
 
 def feature_column(table: PairTable, name: str) -> np.ndarray:
     """Float64 values of a continuous or monotone feature, one per row.
 
-    An event the table has no column for reads 0.
+    An event the transactions have no column for reads 0.
     """
+    if name == "month_gap":
+        return month_gap(table.lag_month, table.lead_month).astype(np.float64)
+    if name == "price_change_pct":
+        return price_change_pct(table.lag_price, table.lead_price)
     for side in ("lag", "lead"):
         event = name.removeprefix(f"{side}_event_")
         if event != name:
             if event not in table.event_names:
                 return np.zeros(len(table))
-            return getattr(table, f"{side}_events")[:, table.event_names.index(event)].astype(np.float64)
+            return _at(table, f"{side}_events")[:, table.event_names.index(event)].astype(np.float64)
     if name.endswith("_competitor_price_present"):
-        return (~np.isnan(getattr(table, name.removesuffix("_present")))).astype(np.float64)
-    col = getattr(table, name)
+        return (~np.isnan(_at(table, name.removesuffix("_present")))).astype(np.float64)
+    col = _at(table, name)
     if name.endswith("_competitor_price"):
         return np.where(np.isnan(col), 0.0, col)
     return col.astype(np.float64)
@@ -607,14 +606,11 @@ def _draw_labels(pairs: PairTable, order: np.ndarray, seed: int, by_item: bool) 
 def _take_parts(pairs: PairTable, order: np.ndarray, labels: np.ndarray, manifest: dict) -> DatasetSplit:
     """The pairs ``order`` lists, parted by their ``labels``; ``manifest``
     gains the boundary month and row counts. Only the events that occur in
-    some pair stay in the tables and the feature names."""
-    present = pairs.lag_events.any(axis=0) | pairs.lead_events.any(axis=0)
-    events = tuple(e for e, keep in zip(pairs.event_names, present) if keep)
-    pairs = replace(
-        pairs, lag_events=pairs.lag_events[:, present], lead_events=pairs.lead_events[:, present], event_names=events
-    )
+    some pair are in the feature names."""
+    flags = pairs.tx.event_flags
+    present = flags[pairs.lag].any(axis=0) | flags[pairs.lead].any(axis=0)
     parts = {name: pairs.take(order[labels == name]) for name in SPLITS}
-    names = feature_names(events)
+    names = feature_names(e for e, keep in zip(pairs.event_names, present) if keep)
     manifest = {
         **manifest,
         "boundary_month": _boundary_month(pairs),
@@ -628,7 +624,7 @@ def split(pairs: PairTable, seed: int, by_item: bool = False) -> DatasetSplit:
     """Chronological out-of-time holdout plus a seeded 80/20 shuffle split.
 
     Each part keeps (item_id, lag, lead) order; only the events that occur
-    in some pair stay in the tables and the feature names.
+    in some pair are in the feature names.
     """
     order = _pair_order(pairs.item_id, pairs.lag_month, pairs.lead_month)
     labels = _draw_labels(pairs, order, seed, by_item)
@@ -640,9 +636,10 @@ def split(pairs: PairTable, seed: int, by_item: bool = False) -> DatasetSplit:
 
 
 def build_inference_set(tx: Transactions, as_of_month: int) -> tuple[PairTable, list[tuple[str, str]]]:
-    """One lead = lag+1 row per item valid at as_of_month; unknown lead
-    covariates are carried forward from the lag month, lead price starts at
-    the lag price (price change 0) pending a counterfactual override."""
+    """One lead = lag+1 row per item valid at as_of_month. Its lead row is
+    its lag row, so unknown lead covariates are carried forward from the lag
+    month, and its lead price starts at the lag price (price change 0)
+    pending a counterfactual override."""
     validate_ym(as_of_month)
     tx = tx.take(_item_month_order(tx))
     at = np.flatnonzero(tx.year_month == as_of_month)  # at most one row per item
@@ -659,13 +656,8 @@ def build_inference_set(tx: Transactions, as_of_month: int) -> tuple[PairTable, 
     skipped.sort()
 
     rows = at[stocked]
-    cols = _join(tx, rows, rows)
-    cols.update(
-        lead_month=np.full(len(rows), ym_add(as_of_month, 1), dtype=np.int64),
-        month_gap=np.ones(len(rows), dtype=np.int64),
-        target=np.full(len(rows), np.nan),
-    )
-    return PairTable(**cols, event_names=tx.event_names), skipped
+    lead_month = np.full(len(rows), ym_add(as_of_month, 1), dtype=np.int64)
+    return PairTable(tx, rows, rows, lead_month, tx.price[rows], np.full(len(rows), np.nan)), skipped
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ def build_vocabs(table: dt.PairTable, cat_names, seed: int) -> dict:
 
 @dataclass
 class StandardizationStats:
-    """Train-split feature means/stds (std floored at 1e-8) and target scaling."""
+    """Train-split feature means/stds and target scaling; a std of a column
+    that is constant over the train split is 1, so it is centred only."""
 
     means: dict[str, float]
     stds: dict[str, float]
@@ -256,8 +257,7 @@ class DemandModel:
         """Standardized (cat, cont, mono) inputs of ``forward`` for a pair table.
 
         ``lead_price``, one positive finite price per row, replaces the
-        table's lead prices, and the price change is then recomputed against
-        the lag price.
+        table's lead prices, and so the price change it reads.
         """
         self._require_fitted()
         if lead_price is not None:
@@ -267,9 +267,7 @@ class DemandModel:
             bad = lead_price[~((lead_price > 0) & (lead_price < np.inf))]
             if bad.size:
                 raise DomainError(f"lead price must be positive and finite, got {bad[0]}")
-            table = replace(
-                table, lead_price=lead_price, price_change_pct=dt.price_change_pct(table.lag_price, lead_price)
-            )
+            table = replace(table, lead_price=lead_price)
         names = self.names
         cat = self.encoder.cat_matrix(table, names.categorical)
         cont = self.stats.standardize(self.encoder.cont_matrix(table, names.continuous), names.continuous)

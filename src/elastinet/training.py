@@ -99,20 +99,28 @@ class Adam:
 
 
 def fit_stats(table: dt.PairTable, cont_names, mono_names) -> StandardizationStats:
-    """Population means/stds over training pairs only; stds floored at 1e-8."""
+    """Population means/stds over training pairs only. A std at or below
+    STD_FLOOR becomes 1, so a column constant over the training pairs is
+    centred only: a value that differs at scoring time is not scaled up by
+    1/STD_FLOOR."""
     if not len(table):
         raise ConfigError("cannot fit standardization stats on an empty split")
     means, stds = {}, {}
     for name in list(cont_names) + list(mono_names):
         col = dt.feature_column(table, name)
         means[name] = float(col.mean())
-        stds[name] = float(max(col.std(), STD_FLOOR))
+        stds[name] = _std_scale(col.std())
     return StandardizationStats(
         means=means,
         stds=stds,
         target_mean=float(table.target.mean()),
-        target_std=float(max(table.target.std(), STD_FLOOR)),
+        target_std=_std_scale(table.target.std()),
     )
+
+
+def _std_scale(std) -> float:
+    """The scale a column with population std ``std`` is divided by."""
+    return float(std) if std > STD_FLOOR else 1.0
 
 
 def prepare_model(

@@ -576,3 +576,28 @@ class TestDeterminism:
             a = (outs[0] / rel).read_bytes()
             b = (outs[1] / rel).read_bytes()
             assert a == b, f"{rel} differs between identical runs"
+
+
+def test_event_seen_only_out_of_time_scores_finitely(tmp_path):
+    """In a 13-month world the holiday months lead only into out-of-time
+    pairs, so the holiday features are constant over the training rows and
+    differ at scoring time. Without L2 decay nothing hides a blown-up scale."""
+    from elastinet import data as dt
+
+    data, ds, run = tmp_path / "data", tmp_path / "ds", tmp_path / "run"
+    tx = str(data / "transactions.csv")
+    assert main(["synth", "--items", "50", "--months", "13", "--seed", "3", "--out", str(data)]) == 0
+    assert main(["build", "--transactions", tx, "--seed", "3", "--out", str(ds)]) == 0
+    split = dt.load_dataset(ds)
+    assert dt.feature_column(split.train, "lag_event_holiday").std() == 0
+    assert dt.feature_column(split.out_of_time, "lag_event_holiday").any()
+    argv = ["train", "--dataset", str(ds), "--epochs", "5", "--batch-size", "64", "--l2-decay", "0", "--out", str(run)]
+    assert main(argv) == 0
+    model = str(run / "model.mdnm")
+    assert main(["evaluate", "--dataset", str(ds), "--model", model, "--out", str(tmp_path / "eval")]) == 0
+    wmape = json.loads((tmp_path / "eval" / "metrics.json").read_text())["out_of_time"]["wmape_pct"]
+    assert np.isfinite(wmape) and wmape < 100
+    argv = ["elasticity", "--transactions", tx, "--model", model, "--as-of", "202311", "--out", str(tmp_path / "el")]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "el" / "elasticity_summary.json").read_text())
+    assert (summary["items"], summary["skipped"]) == (50, 0)

@@ -63,14 +63,18 @@ def pair_keys(table):
 
 
 def tables_equal(a, b):
-    """Same type, event names and columns (NaN equal to NaN)."""
+    """Same type, event names and columns (NaN equal to NaN); pair tables
+    over equal transactions."""
     if type(a) is not type(b) or a.event_names != b.event_names or len(a) != len(b):
         return False
     for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "event_names":
             continue
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if x.dtype != y.dtype or not np.array_equal(x, y, equal_nan=x.dtype.kind == "f"):
+        if f.name == "tx":
+            if not tables_equal(x, y):
+                return False
+        elif x.dtype != y.dtype or not np.array_equal(x, y, equal_nan=x.dtype.kind == "f"):
             return False
     return True
 
@@ -268,13 +272,15 @@ class TestBuildPairs:
             keys = pair_keys(pairs)
             assert keys == sorted(brute_force_pairs(tx))
             by_key = {(r["item_id"], r["year_month"]): r for r in rows}
+            names = ("month_gap", "lag_price", "lead_price", "price_change_pct", "lag_units")
+            col = {name: dt.feature_column(pairs, name) for name in (*names, "lag_inventory", "lead_inventory")}
             for k, (item_id, lag_month, lead_month) in enumerate(keys):
                 lag, lead = by_key[item_id, lag_month], by_key[item_id, lead_month]
-                assert pairs.month_gap[k] == dt.month_gap(lag_month, lead_month)
-                assert (pairs.lag_price[k], pairs.lead_price[k]) == (lag["price"], lead["price"])
-                assert pairs.price_change_pct[k] == (lead["price"] - lag["price"]) / lag["price"]
-                assert (pairs.lag_units[k], pairs.target[k]) == (lag["units_sold"], lead["units_sold"])
-                assert (pairs.lag_inventory[k], pairs.lead_inventory[k]) == (lag["inventory"], lead["inventory"])
+                assert col["month_gap"][k] == dt.month_gap(lag_month, lead_month)
+                assert (col["lag_price"][k], col["lead_price"][k]) == (lag["price"], lead["price"])
+                assert col["price_change_pct"][k] == (lead["price"] - lag["price"]) / lag["price"]
+                assert (col["lag_units"][k], pairs.target[k]) == (lag["units_sold"], lead["units_sold"])
+                assert (col["lag_inventory"][k], col["lead_inventory"][k]) == (lag["inventory"], lead["inventory"])
 
     def test_fields_copied_and_target_set(self):
         rows = [
@@ -283,12 +289,16 @@ class TestBuildPairs:
         ]
         pair = dt.build_pairs(make_tx(rows))
         assert len(pair) == 1
-        assert pair.lag_units[0] == 7 and pair.target[0] == 9
-        assert pair.price_change_pct[0] == pytest.approx(0.2)
-        assert pair.lag_oos_days[0] == 2 and pair.lead_oos_days[0] == 1
-        assert pair.lag_competitor_price[0] == 8.5 and np.isnan(pair.lead_competitor_price[0])
-        assert pair.lag_substitute_available[0] and not pair.lead_substitute_available[0]
-        assert pair.brand[0] == "b1"  # item attributes come from the lag month
+
+        def col(name):
+            return dt.feature_column(pair, name).tolist()
+
+        assert col("lag_units") == [7] and pair.target.tolist() == [9]
+        assert col("price_change_pct") == [pytest.approx(0.2)]
+        assert col("lag_oos_days") == [2] and col("lead_oos_days") == [1]
+        assert col("lag_competitor_price") == [8.5] and col("lead_competitor_price_present") == [0]
+        assert col("lag_substitute_available") == [1] and col("lead_substitute_available") == [0]
+        assert dt.category_column(pair, "brand").tolist() == ["b1"]  # item attributes come from the lag month
 
     def test_duplicate_item_month_rejected(self):
         rows = [tx_row(ym=202301), tx_row(ym=202302), tx_row(ym=202302, price=11.0)]
@@ -305,6 +315,24 @@ def grid_rows(n_items=3, n_months=27, seed=0):
                 tx_row(item=f"i{i}", ym=dt.ym_add(202301, k), price=float(rng.uniform(5, 15)))
             )
     return rows
+
+
+class TestConcat:
+    def test_pairs_one_after_another(self):
+        pairs = dt.build_pairs(make_tx(grid_rows()))
+        both = dt.PairTable.concat([pairs.take([2, 0]), pairs.take([1])])
+        assert both.tx is pairs.tx
+        assert tables_equal(both, pairs.take([2, 0, 1]))
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ConfigError, match="empty list"):
+            dt.PairTable.concat([])
+
+    def test_tables_over_different_transactions_rejected(self):
+        rows = grid_rows()
+        a, b = dt.build_pairs(make_tx(rows)), dt.build_pairs(make_tx(rows))
+        with pytest.raises(ConfigError, match="different transactions"):
+            dt.PairTable.concat([a, b])
 
 
 class TestSplit:
@@ -365,7 +393,7 @@ class TestSplit:
         rows.append(tx_row(item="lonely", ym=202301, event_flags=frozenset({"clearance"})))
         ds = dt.split(dt.build_pairs(make_tx(rows)), seed=0)
         assert ds.names.event_names == ("promo",)
-        assert ds.train.event_names == ds.out_of_time.event_names == ("promo",)
+        assert ds.train.event_names == ds.out_of_time.event_names == ("clearance", "promo")  # the transactions' events
 
     def test_too_short_span_rejected(self):
         rows = [tx_row(ym=m) for m in (202301, 202302, 202303)]
@@ -379,11 +407,12 @@ class TestInferenceSet:
         table, skipped = dt.build_inference_set(make_tx(rows), 202302)
         assert skipped == []
         assert len(table) == 1
-        assert table.month_gap[0] == 1
+        assert dt.feature_column(table, "month_gap").tolist() == [1.0]
         assert table.lead_month[0] == 202303
         assert table.lead_price[0] == table.lag_price[0] == 10.0
-        assert table.price_change_pct[0] == 0.0
+        assert dt.feature_column(table, "price_change_pct").tolist() == [0.0]
         assert np.isnan(table.target[0])
+        assert table.lead.tolist() == table.lag.tolist()  # lead covariates carried forward from the lag month
 
     def test_zero_inventory_item_skipped_with_reason(self):
         rows = [tx_row(item="a", ym=202302), tx_row(item="b", ym=202302, inventory=0)]
@@ -554,3 +583,161 @@ class TestFeatureView:
 
     def test_schema_hash_depends_on_events(self):
         assert dt.feature_names([]).schema_hash() != dt.feature_names(["holiday"]).schema_hash()
+
+
+# ---------------------------------------------------------------------------
+# reference: pairs as they were built when each pair copied its features
+# into columns of its own; PairTable must read the same values bit for bit
+
+_REF_PER_MONTH = {
+    "month": "year_month",
+    **{name: name for name in ("price", "inventory", "oos_days", "rating_count", "days_launched")},
+    **{name: name for name in ("competitor_price", "substitute_available")},
+    "events": "event_flags",
+}
+
+
+def reference_join(tx, lag, lead):
+    cols = {name: getattr(tx, name)[lag] for name in ("item_id", "brand", "size", "category", "subcategory")}
+    for suffix, name in _REF_PER_MONTH.items():
+        cols[f"lag_{suffix}"] = getattr(tx, name)[lag]
+        cols[f"lead_{suffix}"] = getattr(tx, name)[lead]
+    return dict(
+        cols,
+        month_gap=dt.month_gap(cols["lag_month"], cols["lead_month"]),
+        price_change_pct=dt.price_change_pct(cols["lag_price"], cols["lead_price"]),
+        lag_units=tx.units_sold[lag],
+        target=tx.units_sold[lead].astype(np.float64),
+    )
+
+
+def reference_build_pairs(tx):
+    tx = tx.take(dt._item_month_order(tx))
+    month = dt.ym_index(tx.year_month)
+    stocked = tx.inventory > 0
+    lags, leads = [], []
+    for k in range(1, dt.MAX_MONTH_GAP + 1):
+        lag = np.arange(len(month) - k)
+        lead = lag + k
+        gap = month[lead] - month[lag]
+        ok = (tx.item_id[lag] == tx.item_id[lead]) & (gap >= dt.MIN_MONTH_GAP) & (gap <= dt.MAX_MONTH_GAP)
+        ok &= stocked[lag] & stocked[lead]
+        lags.append(lag[ok])
+        leads.append(lead[ok])
+    lag, lead = np.concatenate(lags), np.concatenate(leads)
+    order = np.lexsort((lead, lag))
+    return reference_join(tx, lag[order], lead[order])
+
+
+def reference_inference_set(tx, as_of_month):
+    tx = tx.take(dt._item_month_order(tx))
+    at = np.flatnonzero(tx.year_month == as_of_month)
+    rows = at[tx.inventory[at] > 0]
+    cols = reference_join(tx, rows, rows)
+    cols.update(
+        lead_month=np.full(len(rows), dt.ym_add(as_of_month, 1), dtype=np.int64),
+        month_gap=np.ones(len(rows), dtype=np.int64),
+        target=np.full(len(rows), np.nan),
+    )
+    return cols
+
+
+def reference_split(cols, seed):
+    """Row indices of each part of a pair-mode split of reference pairs."""
+    order = dt._pair_order(cols["item_id"], cols["lag_month"], cols["lead_month"])
+    boundary = dt.ym_add(int(cols["lead_month"].max()), -(dt.OUT_OF_TIME_MONTHS - 1))
+    labels = np.where(cols["lead_month"][order] >= boundary, "out_of_time", "validation")
+    rest = np.flatnonzero(labels == "validation")
+    rng = np.random.default_rng(seed)
+    labels[rest[rng.permutation(len(rest))[: (len(rest) * 4) // 5]]] = "train"
+    return {name: order[labels == name] for name in dt.SPLITS}
+
+
+def reference_category_column(cols, name):
+    if name in ("lag_month_of_year", "lead_month_of_year"):
+        return dt.month_of_year(cols[name.removesuffix("_of_year")]).astype(str)
+    return cols[name]
+
+
+def reference_feature_column(cols, event_names, name):
+    for side in ("lag", "lead"):
+        event = name.removeprefix(f"{side}_event_")
+        if event != name:
+            if event not in event_names:
+                return np.zeros(len(cols["item_id"]))
+            return cols[f"{side}_events"][:, event_names.index(event)].astype(np.float64)
+    if name.endswith("_competitor_price_present"):
+        return (~np.isnan(cols[name.removesuffix("_present")])).astype(np.float64)
+    col = cols[name]
+    if name.endswith("_competitor_price"):
+        return np.where(np.isnan(col), 0.0, col)
+    return col.astype(np.float64)
+
+
+def reference_encode(model, cols, event_names, lead_price=None):
+    if lead_price is not None:
+        cols = dict(cols, lead_price=lead_price, price_change_pct=dt.price_change_pct(cols["lag_price"], lead_price))
+    names = model.names
+    levels = [reference_category_column(cols, n).tolist() for n in names.categorical]
+    cat = np.column_stack([[model.encoder.cat_index(n, lv) for lv in col] for n, col in zip(names.categorical, levels)])
+    cont, mono = (
+        model.stats.standardize(np.column_stack([reference_feature_column(cols, event_names, n) for n in group]), group)
+        for group in (names.continuous, names.monotone)
+    )
+    return cat, cont, mono
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_reads_reference(table, cols, event_names, names):
+    """Every feature of ``names`` and the target of ``table`` equal the
+    reference ``cols`` bit for bit."""
+    for name in names.categorical:
+        assert same_bits(dt.category_column(table, name), reference_category_column(cols, name)), name
+    for name in names.continuous + names.monotone:
+        assert same_bits(dt.feature_column(table, name), reference_feature_column(cols, event_names, name)), name
+    assert same_bits(table.target, cols["target"])
+
+
+ORACLE_WORLDS = {
+    "constant-24": dict(seed=24),
+    "constant-57": dict(seed=57),
+    "kinked-24": dict(seed=24, kinked=True),
+    "kinked-57": dict(seed=57, kinked=True),
+    "stockout": dict(seed=24, stockout_rate=0.3),
+    "no-events": dict(seed=24, events_enabled=False),
+    "13-months": dict(seed=3, n_months=13),  # holiday occurs in out-of-time pairs only
+}
+
+
+@pytest.mark.parametrize("world", ORACLE_WORLDS.values(), ids=ORACLE_WORLDS.keys())
+def test_pair_table_reads_the_reference_columns(world):
+    from elastinet import synth
+    from elastinet.training import prepare_model
+
+    tx, _ = synth.generate(synth.SyntheticWorld(**{"n_items": 12, "n_months": 27, **world}))
+    events = tx.event_names
+    pairs, ref = dt.build_pairs(tx), reference_build_pairs(tx)
+    assert_reads_reference(pairs, ref, events, dt.feature_names(events))
+
+    ds = dt.split(pairs, seed=world["seed"])
+    present = ref["lag_events"].any(axis=0) | ref["lead_events"].any(axis=0)
+    assert ds.names == dt.feature_names(e for e, keep in zip(events, present) if keep)
+    for name, rows in reference_split(ref, world["seed"]).items():
+        part = getattr(ds, name)
+        assert same_bits(part.lead_month, ref["lead_month"][rows])
+        assert_reads_reference(part, {k: v[rows] for k, v in ref.items()}, events, ds.names)
+
+    as_of = int(tx.year_month.max()) if world.get("n_months") != 13 else 202311
+    table, _ = dt.build_inference_set(tx, as_of)
+    ref = reference_inference_set(tx, as_of)
+    assert len(table) > 0
+    assert_reads_reference(table, ref, events, ds.names)
+    model = prepare_model(ds, seed=world["seed"])
+    rng = np.random.default_rng(world["seed"])
+    for lead_price in (None, table.lead_price * 0.9, table.lead_price * rng.uniform(0.5, 2.0, len(table))):
+        encoded = model.encode(table, lead_price)
+        expected = reference_encode(model, ref, events, lead_price)
+        assert all(same_bits(a, b) for a, b in zip(encoded, expected))

@@ -235,7 +235,9 @@ class TestPredict:
         import dataclasses
 
         model, _ = trained_model
-        pair = dataclasses.replace(small_split.validation.take([0]), item_id=np.array(["never_seen_item"]))
+        pair = small_split.validation.take([0])
+        tx = dataclasses.replace(pair.tx, item_id=np.full(len(pair.tx), "never_seen_item"))
+        pair = dataclasses.replace(pair, tx=tx)
         assert model.encoder.cat_index("item_id", "never_seen_item") == 0
         assert model.encode(pair)[0][0, 0] == 0
         assert np.isfinite(model.predict_batch(pair)).all()
@@ -255,11 +257,11 @@ class TestPredict:
         assert cat.shape == (50, len(model.names.categorical))
         assert cont.shape == (50, len(model.names.continuous))
         j = model.names.continuous.index("lag_units")
-        expected = (pairs.lag_units - model.stats.means["lag_units"]) / model.stats.stds["lag_units"]
+        lag_units = dt.feature_column(pairs, "lag_units")
+        expected = (lag_units - model.stats.means["lag_units"]) / model.stats.stds["lag_units"]
         assert np.array_equal(cont[:, j], expected)
-        expected = (pairs.price_change_pct - model.stats.means["price_change_pct"]) / model.stats.stds[
-            "price_change_pct"
-        ]
+        price_change = dt.feature_column(pairs, "price_change_pct")
+        expected = (price_change - model.stats.means["price_change_pct"]) / model.stats.stds["price_change_pct"]
         assert np.array_equal(mono[:, 1], expected)
 
     def test_target_scaling_positive(self, trained_model):

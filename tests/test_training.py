@@ -18,23 +18,35 @@ from test_data import make_tx, tx_row
 class TestFitStats:
     def test_population_std(self, small_split):
         stats = fit_stats(small_split.train, ("lag_units",), ())
-        col = small_split.train.lag_units.astype(float)
+        col = dt.feature_column(small_split.train, "lag_units")
         assert stats.means["lag_units"] == pytest.approx(col.mean())
         assert stats.stds["lag_units"] == pytest.approx(col.std())  # ddof=0
 
     def test_simple_values(self):
-        base = dt.build_pairs(make_tx([tx_row(ym=202301, price=1.0, units=1), tx_row(ym=202302, price=1.0, units=2)]))
-        pairs = dataclasses.replace(base.take([0, 0, 0]), lag_units=np.array([1, 2, 3]), target=np.array([1.0, 2, 3]))
+        tx = make_tx([tx_row(ym=dt.ym_add(202301, k), price=1.0, units=k + 1) for k in range(4)])
+        pairs = dt.build_pairs(tx)
+        pairs = pairs.take(dt.feature_column(pairs, "month_gap") == 1)
+        assert dt.feature_column(pairs, "lag_units").tolist() == [1, 2, 3]
         stats = fit_stats(pairs, ("lag_units",), ())
         assert stats.means["lag_units"] == pytest.approx(2.0)
         assert stats.stds["lag_units"] == pytest.approx(np.sqrt(2.0 / 3.0))  # ~0.8165
 
     def test_constant_feature_floored(self, small_split):
-        pairs = dataclasses.replace(small_split.train.take(np.arange(5)), month_gap=np.full(5, 3))
+        pairs = small_split.train
+        pairs = pairs.take(np.flatnonzero(dt.feature_column(pairs, "month_gap") == 3)[:5])
         stats = fit_stats(pairs, ("month_gap",), ())
-        assert stats.stds["month_gap"] == 1e-8
+        assert stats.stds["month_gap"] == 1.0
         standardized = stats.standardize(np.full((5, 1), 3.0), ["month_gap"])
         assert np.all(standardized == 0.0)
+
+    def test_constant_column_is_centred_only(self):
+        # one pair, so every feature and the target are constant over the training rows
+        pairs = dt.build_pairs(make_tx([tx_row(ym=202301, units=4), tx_row(ym=202302, units=6)]))
+        stats = fit_stats(pairs, ("lag_units",), ("lead_price",))
+        assert stats.stds == {"lag_units": 1.0, "lead_price": 1.0} and stats.target_std == 1.0
+        # a scoring row whose value differs from the train constant standardizes to x - mean
+        assert stats.standardize(np.array([[5.0, 12.5]]), ["lag_units", "lead_price"]).tolist() == [[1.0, 2.5]]
+        assert stats.scale_target(np.array([9.0])).tolist() == [3.0]
 
     def test_empty_split_rejected(self, small_split):
         with pytest.raises(ConfigError):
