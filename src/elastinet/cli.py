@@ -49,9 +49,14 @@ GRADCHECK_TOLERANCE = 1e-5
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as strict JSON; a non-finite number raises
+    NumericError and leaves no file."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path.name}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _resolved_config(args: argparse.Namespace, **resolved) -> None:

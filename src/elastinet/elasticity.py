@@ -31,7 +31,10 @@ def arc_elasticity(y_base: float, y_pert: float, p: float, dp: float) -> float:
         raise DegenerateDemandError(f"predicted demand is not finite (baseline {y_base}, perturbed {y_pert})")
     if y_base <= DEMAND_FLOOR:
         raise DegenerateDemandError(f"baseline demand {y_base} is at or below the floor {DEMAND_FLOOR}")
-    return (y_pert - y_base) / y_base * p / dp
+    e = (y_pert - y_base) / y_base * p / dp
+    if not np.isfinite(e):
+        raise DegenerateDemandError(f"arc elasticity is not finite (baseline {y_base}, perturbed {y_pert})")
+    return e
 
 
 @dataclass
@@ -139,6 +142,8 @@ def wmape(actuals, predictions) -> float:
     yhat = np.asarray(predictions, dtype=np.float64)
     if y.shape != yhat.shape or y.size == 0:
         raise MetricError(f"wmape needs equal-length non-empty inputs, got {y.shape} vs {yhat.shape}")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(yhat))):
+        raise MetricError("wmape needs finite actuals and predictions")
     denom = y.sum()
     if denom <= 0:
         raise MetricError(f"wmape undefined: total actual demand is {denom}")

@@ -27,7 +27,7 @@ import numpy as np
 from . import data as dt
 from .errors import ConfigError, DomainError, ModelIOError, NumericError
 from .monodense import ActivationSplit, DenseLayer, MonoDenseLayer, glorot_uniform
-from .tensor import Parameter, Tensor, activate, activation_pair, column_dense, concat_cols, embedding_lookup
+from .tensor import Parameter, Tensor, activation_pair, column_dense, concat_cols, embedding_lookup
 
 UNKNOWN_INDEX = 0  # reserved row for categorical levels unseen at training time
 PREDICT_ROWS = 4096  # rows per forward-only pass when scoring
@@ -71,6 +71,7 @@ class ColumnDenseLayer(DenseLayer):
         if columns < 0 or out_width <= 0:
             raise ConfigError(f"column-dense layer needs columns >= 0 and width > 0, got {columns}x{out_width}")
         self.activation = activation
+        self.act = activation_pair(activation) if activation else None
         w = np.empty((columns, out_width))
         for j in range(columns):
             w[j] = glorot_uniform(rng, 1, out_width)
@@ -78,8 +79,7 @@ class ColumnDenseLayer(DenseLayer):
         self.bias = Parameter(np.zeros((columns, out_width)), name=f"{name}.b")
 
     def forward(self, x: np.ndarray) -> Tensor:
-        z = column_dense(x, self.weights, self.bias)
-        return activate(z, self.activation) if self.activation else z
+        return column_dense(x, self.weights, self.bias, self.act)
 
 
 @dataclass

@@ -11,6 +11,12 @@ its concave mirror -rho(-x), and a bounded piecewise combination of the two;
 all three are monotone increasing, which preserves the per-feature sign of
 the response. Without an activation it is a monotone linear layer, such as
 the model's head.
+
+Every layer call records one tape node (``tensor.dense``): the sign
+reparameterization (``sign_reparam``) and the split activation
+(``split_activation``) are (function, derivative) pairs that the node
+applies in its forward pass and its VJP, and the derivatives are evaluated
+only when a backward pass reaches the node.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
-from .tensor import Parameter, Tensor, activate, activation_pair, add_bias, matmul
+from .errors import ConfigError
+from .tensor import Parameter, Tensor, activation_pair, dense
 
 __all__ = [
     "ActivationSplit",
@@ -29,10 +35,10 @@ __all__ = [
     "MonoDenseLayer",
     "bounded_activation",
     "concave_activation",
-    "constrained_weights",
     "effective_weight",
     "glorot_uniform",
-    "mono_activation",
+    "sign_reparam",
+    "split_activation",
     "validate_indicator",
 ]
 
@@ -72,27 +78,27 @@ def validate_indicator(indicator, width: int) -> np.ndarray:
 
 
 def effective_weight(raw_w: float, t_i: int) -> float:
-    """Scalar form of the sign reparameterization (see constrained_weights)."""
+    """Scalar form of the sign reparameterization (see sign_reparam)."""
     if t_i == 0:
         return float(raw_w)
     return float(t_i) * abs(float(raw_w))
 
 
-def constrained_weights(w: Tensor, indicator: np.ndarray) -> Tensor:
-    """Apply a checked indicator (see validate_indicator) row-wise to a weight matrix.
-
-    Gradients flow through the reparameterization with d|w|/dw = sign(w),
-    which is 0 at w == 0 (initialization avoids exact zeros).
-    """
+def sign_reparam(indicator: np.ndarray):
+    """(r, dr) for a checked indicator (see validate_indicator), row-wise
+    over a weight matrix: r gives the effective weights, dr their derivative
+    in the raw ones, with d|w|/dw = sign(w), which is 0 at w == 0
+    (initialization avoids exact zeros)."""
     t = indicator.reshape(-1, 1)
     unconstrained = t == 0.0
-    eff = np.where(unconstrained, w.data, t * np.abs(w.data))
-    dmul = np.where(unconstrained, 1.0, t * np.sign(w.data))
 
-    def vjp(g):
-        return (g * dmul,)
+    def r(w):
+        return np.where(unconstrained, w, t * np.abs(w))
 
-    return Tensor(eff, (w,), vjp)
+    def dr(w):
+        return np.where(unconstrained, 1.0, t * np.sign(w))
+
+    return r, dr
 
 
 def concave_activation(x, rho: str = "relu"):
@@ -109,34 +115,33 @@ def bounded_activation(x, rho: str = "relu"):
     return np.where(x < 0.0, f(x + 1.0) - rho1, rho1 - f(1.0 - x))
 
 
-def mono_activation(z: Tensor, sizes: tuple[int, int, int], rho: str) -> Tensor:
-    """Columnwise convex / concave / bounded activation over neuron subsets."""
-    n_convex, n_concave, n_bounded = sizes
-    if n_convex + n_concave + n_bounded != z.cols:
-        raise DimensionError(f"activation subsets {sizes} do not tile width {z.cols}")
-    f, df = activation_pair(rho)
-    zd = z.data
-    rho1 = float(f(np.float64(1.0)))
+def split_activation(sizes: tuple[int, int, int], rho: str):
+    """(f, df) of the columnwise convex / concave / bounded activation over
+    neuron subsets of the given sizes, in that column order.
 
-    out = np.empty_like(zd)
-    deriv = np.empty_like(zd)
-    a, b = n_convex, n_convex + n_concave
+    The convex and concave subsets are one pass over the whole block,
+    s * rho(s * z) with s = +1 and -1, which is rho(z) and -rho(-z) exactly;
+    the bounded columns are then overwritten with their own piecewise form.
+    """
+    rho_f, rho_df = activation_pair(rho)
+    n_convex, n_concave, _ = sizes
+    b = n_convex + n_concave
+    s = np.ones(sum(sizes))
+    s[n_convex:b] = -1.0
 
-    out[:, :a] = f(zd[:, :a])
-    deriv[:, :a] = df(zd[:, :a])
+    def f(z):
+        out = rho_f(z * s)
+        out *= s
+        out[:, b:] = bounded_activation(z[:, b:], rho)
+        return out
 
-    out[:, a:b] = -f(-zd[:, a:b])
-    deriv[:, a:b] = df(-zd[:, a:b])
+    def df(z):
+        d = rho_df(z * s)
+        zb = z[:, b:]
+        d[:, b:] = np.where(zb < 0.0, rho_df(zb + 1.0), rho_df(1.0 - zb))
+        return d
 
-    zb = zd[:, b:]
-    neg = zb < 0.0
-    out[:, b:] = np.where(neg, f(zb + 1.0) - rho1, rho1 - f(1.0 - zb))
-    deriv[:, b:] = np.where(neg, df(zb + 1.0), df(1.0 - zb))
-
-    def vjp(g):
-        return (g * deriv,)
-
-    return Tensor(out, (z,), vjp)
+    return f, df
 
 
 def glorot_uniform(rng: np.random.Generator, in_width: int, out_width: int) -> np.ndarray:
@@ -150,20 +155,20 @@ def glorot_uniform(rng: np.random.Generator, in_width: int, out_width: int) -> n
 
 
 class DenseLayer:
-    """Plain dense layer: x @ W + b, optional activation."""
+    """Plain dense layer: x @ W + b, optional activation, as one tape node."""
+
+    reparam = None  # (r, dr): the effective weights r(W) the product uses
 
     def __init__(self, in_width, out_width, activation, *, rng, name):
         if in_width <= 0 or out_width <= 0:
             raise ConfigError(f"layer widths must be positive, got {in_width}x{out_width}")
-        if activation is not None:
-            activation_pair(activation)  # validate the name early
         self.activation = activation
+        self.act = activation_pair(activation) if activation else None
         self.weights = Parameter(glorot_uniform(rng, in_width, out_width), name=f"{name}.w")
         self.bias = Parameter(np.zeros((1, out_width)), name=f"{name}.b")
 
     def forward(self, x: Tensor) -> Tensor:
-        z = add_bias(matmul(x, self.weights), self.bias)
-        return activate(z, self.activation) if self.activation else z
+        return dense(x, self.weights, self.bias, self.act, self.reparam)
 
     def __call__(self, x):
         return self.forward(x)
@@ -188,14 +193,13 @@ class MonoDenseLayer(DenseLayer):
     ):
         super().__init__(in_width, out_width, activation, rng=rng, name=name)
         self.indicator = validate_indicator(indicator, in_width)
+        self.reparam = sign_reparam(self.indicator)
         self.sizes = split.sizes(out_width)
-
-    def forward(self, x: Tensor) -> Tensor:
-        z = add_bias(matmul(x, constrained_weights(self.weights, self.indicator)), self.bias)
-        return mono_activation(z, self.sizes, self.activation) if self.activation else z
+        if activation:
+            self.act = split_activation(self.sizes, activation)
 
     def effective_weight_matrix(self) -> np.ndarray:
-        return constrained_weights(self.weights, self.indicator).data
+        return self.reparam[0](self.weights.data)
 
     def sign_contract_holds(self) -> bool:
         """True iff every effective weight obeys its feature's indicator."""

@@ -6,6 +6,14 @@ reverse creation order (ops are created after their inputs, so that order is
 a valid reverse topological order) and accumulates adjoints into Parameter
 gradients. Intermediate adjoints live only for the duration of one backward
 pass; Parameter.grad accumulates across passes until zeroed.
+
+A whole layer is one node: `dense` and `column_dense` fold the weight
+reparameterization, the product, the bias add and the activation into one
+Tensor with a hand-written VJP. Forward keeps only what the VJP needs (a
+relu layer keeps one array: it activates in place and differentiates at its
+output); the derivative arrays are built lazily in the VJP, so forward-only
+scoring passes never compute them. `embedding_lookup` scatters its gradient with
+`np.bincount`, which sums in the same order as `np.add.at`.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmbeddingIndexError, NumericError
+from .errors import ConfigError, DimensionError, EmbeddingIndexError
 
 _seq = itertools.count()
 
@@ -132,7 +140,7 @@ def _relu(x):
 
 def _relu_deriv(x):
     # subgradient at exactly 0 is 0
-    return (x > 0.0).astype(np.float64)
+    return np.greater(x, 0.0, out=np.empty_like(x, dtype=np.float64))
 
 
 def _elu(x):
@@ -175,17 +183,6 @@ def activation_pair(kind: str):
 # ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise DimensionError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    a_data, b_data = a.data, b.data
-
-    def vjp(g):
-        return g @ b_data.T, a_data.T @ g
-
-    return Tensor(a_data @ b_data, (a, b), vjp)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes differ, {a.shape} vs {b.shape}")
@@ -194,17 +191,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return g, g
 
     return Tensor(a.data + b.data, (a, b), vjp)
-
-
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Row-wise bias add; the only broadcast this library performs."""
-    if bias.rows != 1 or bias.cols != x.cols:
-        raise DimensionError(f"add_bias: bias {bias.shape} does not broadcast over {x.shape}")
-
-    def vjp(g):
-        return g, g.sum(axis=0, keepdims=True)
-
-    return Tensor(x.data + bias.data, (x, bias), vjp)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -216,26 +202,83 @@ def scale(x: Tensor, c: float) -> Tensor:
     return Tensor(x.data * c, (x,), vjp)
 
 
-def column_dense(x: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
-    """Column j of constant input x through its own 1 -> width dense map.
+def _activate(act, z):
+    """The output f(z) of a layer with pre-activation ``z`` and the array
+    its VJP evaluates df at; ``act`` is an (f, df) pair or None. relu(z) > 0
+    exactly where z > 0, so relu's derivative reads the same off its output:
+    relu overwrites z, and the node keeps one array instead of two."""
+    if act is None:
+        return z, None
+    if act[0] is _relu:
+        return np.maximum(z, 0.0, out=z), z
+    return act[0](z), z
+
+
+def _activation_vjp(act, at, g):
+    """The adjoint of the pre-activation given the output's ``g``; ``at`` is
+    what ``_activate`` returned for df. df(at) is a fresh array, so it takes
+    the product and ``g``, which another node may also hold, is not written."""
+    if act is None:
+        return g
+    d = act[1](at)
+    d *= g
+    return d
+
+
+def dense(x: Tensor, w: Parameter, b: Parameter, act=None, reparam=None) -> Tensor:
+    """One dense layer as one node: f(x @ W + b), or linear without ``act``.
+
+    ``act`` is an (f, df) pair applied to the pre-activation z. ``reparam``,
+    an elementwise (r, dr) pair, makes the product use the effective weights
+    r(W), and the weight gradient is chained through dr(W). The VJP builds
+    the derivative arrays itself, so a forward-only pass never computes
+    them. The numbers are bit for bit those of separate
+    reparameterization, matmul, bias-add and activation nodes.
+    """
+    if x.cols != w.rows or b.shape != (1, w.cols):
+        raise DimensionError(f"dense: input {x.shape}, weights {w.shape}, bias {b.shape}")
+    x_data, w_data = x.data, w.data
+    w_eff = w_data if reparam is None else reparam[0](w_data)
+    z = x_data @ w_eff
+    z += b.data
+    out, at = _activate(act, z)
+
+    def vjp(g):
+        g = _activation_vjp(act, at, g)
+        dw = x_data.T @ g
+        if reparam is not None:
+            dw *= reparam[1](w_data)
+        return g @ w_eff.T, dw, g.sum(axis=0, keepdims=True)
+
+    return Tensor(out, (x, w, b), vjp)
+
+
+def column_dense(x: np.ndarray, w: Parameter, b: Parameter, act=None) -> Tensor:
+    """Column j of constant input x through its own 1 -> width dense layer,
+    all columns as one node.
 
     ``w`` and ``b`` are (k, width); the output is (n, k*width), column j's
     block at ``[:, j*width:(j+1)*width]``, bit for bit what k separate
-    ``matmul`` + ``add_bias`` nodes give. No gradient flows to ``x``.
+    matmul, bias-add and activation nodes give. ``act`` is as in ``dense``.
+    No gradient flows to ``x``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w.rows or b.shape != w.shape:
         raise DimensionError(f"column_dense: input {x.shape}, weights {w.shape}, bias {b.shape}")
     n, (k, width) = x.shape[0], w.shape
+    # x[i, j] * w[j, c] + b[j, c] at column j*width + c
+    z = np.repeat(x, width, axis=1)
+    z *= w.data.reshape(-1)
+    z += b.data.reshape(-1)
+    out, at = _activate(act, z)
 
     def vjp(g):
-        g3 = g.reshape(n, k, width)
+        g3 = _activation_vjp(act, at, g).reshape(n, k, width)
         # one (1, n) @ (n, width) product per column, as the per-column matmuls
         dw = np.matmul(np.ascontiguousarray(x.T)[:, None, :], g3.transpose(1, 0, 2))[:, 0, :]
         return dw, g3.sum(axis=0)
 
-    out = x[:, :, None] * w.data[None] + b.data[None]
-    return Tensor(out.reshape(n, k * width), (w, b), vjp)
+    return Tensor(out, (w, b), vjp)
 
 
 def concat_cols(parts) -> Tensor:
@@ -255,18 +298,14 @@ def concat_cols(parts) -> Tensor:
     return Tensor(np.hstack([p.data for p in parts]), tuple(parts), vjp)
 
 
-def activate(x: Tensor, kind: str) -> Tensor:
-    f, df = activation_pair(kind)
+def relu(x: Tensor) -> Tensor:
+    """A standalone relu node; the layers apply theirs inside ``dense``."""
     x_data = x.data
 
     def vjp(g):
-        return (g * df(x_data),)
+        return (g * _relu_deriv(x_data),)
 
-    return Tensor(f(x_data), (x,), vjp)
-
-
-def relu(x: Tensor) -> Tensor:
-    return activate(x, "relu")
+    return Tensor(_relu(x_data), (x,), vjp)
 
 
 def embedding_lookup(table: Parameter, indices) -> Tensor:
@@ -278,9 +317,12 @@ def embedding_lookup(table: Parameter, indices) -> Tensor:
         raise EmbeddingIndexError(f"index {int(bad)} out of range for table with {table.rows} rows")
 
     def vjp(g):
-        acc = np.zeros_like(table.data)
-        np.add.at(acc, idx, g)
-        return (acc,)
+        # bin idx[i] * cols + c holds table entry (idx[i], c); bincount adds
+        # into zeroed bins in index order, as np.add.at does, so the sums
+        # are the same bits in less time
+        flat = (idx[:, None] * table.cols + np.arange(table.cols)).ravel()
+        acc = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
+        return (acc.reshape(table.shape),)
 
     return Tensor(table.data[idx], (table,), vjp)
 

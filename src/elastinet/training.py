@@ -62,7 +62,8 @@ class Adam:
     flat ``data`` and ``grad`` buffers and rebinds ``Parameter.data`` and
     ``.grad`` to reshaped views of them, so a step is a few vector ops over
     all parameters at once; the update is elementwise, hence the same
-    numbers as a per-parameter loop.
+    numbers as a per-parameter loop. A step writes its intermediates into
+    two preallocated scratch buffers instead of fresh temporaries.
     """
 
     def __init__(self, params: list[Parameter], config: TrainConfig):
@@ -73,6 +74,8 @@ class Adam:
         self.grad = np.empty(size)
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._a = np.empty(size)
+        self._b = np.empty(size)
         lo = 0
         for p in params:
             hi = lo + p.data.size
@@ -84,15 +87,24 @@ class Adam:
             lo = hi
 
     def step(self) -> None:
+        """m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+        data -= lr (m / bc1) / (sqrt(v / bc2) + eps)."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        m, v, g = self.m, self.v, self.grad
+        m, v, g, a, b = self.m, self.v, self.grad, self._a, self._b
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        self.data -= self.cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        np.multiply(g, g, out=a)
+        v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+        np.divide(m, bc1, out=a)
+        a *= self.cfg.learning_rate
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        self.data -= a
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0

@@ -155,6 +155,20 @@ class TestEvaluate:
         metrics = json.loads((out / "metrics.json").read_text())
         assert "out_of_time" in metrics and metrics["out_of_time"]["wmape_pct"] >= 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_predictions_exit_4(self, pipeline_dirs, tmp_path, edit_model_file, capsys):
+        # a finite but huge bias loads, then overflows every prediction to inf
+        def edit(container):
+            dict(container["blobs"])["head.b"][0, 0] = 1e308
+
+        model = tmp_path / "huge.mdnm"
+        edit_model_file(pipeline_dirs / "run" / "model.mdnm", model, edit)
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--dataset", str(pipeline_dirs / "ds"), "--model", str(model), "--out", str(out)])
+        assert rc == 4
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
     def test_schema_hash_mismatch_exits_3(self, pipeline_dirs, tmp_path):
         # a Jan-Jun world has no seasonal events, so its feature schema differs
         other = tmp_path / "other"
@@ -601,3 +615,12 @@ def test_event_seen_only_out_of_time_scores_finitely(tmp_path):
     assert main(argv) == 0
     summary = json.loads((tmp_path / "el" / "elasticity_summary.json").read_text())
     assert (summary["items"], summary["skipped"]) == (50, 0)
+
+
+def test_json_artifacts_are_strict(tmp_path):
+    from elastinet.cli import _write_json
+    from elastinet.errors import NumericError
+
+    with pytest.raises(NumericError, match="bad.json"):
+        _write_json(tmp_path / "bad.json", {"wmape_pct": float("inf")})
+    assert not (tmp_path / "bad.json").exists()

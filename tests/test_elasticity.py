@@ -45,6 +45,11 @@ class TestArcElasticity:
         with pytest.raises(DegenerateDemandError, match="not finite"):
             arc_elasticity(y_base, y_pert, 10.0, 1.0)
 
+    def test_overflowing_quotient_flagged(self):
+        # both demands are finite, but (y_pert - y_base) / y_base * p / dp overflows
+        with pytest.raises(DegenerateDemandError, match="arc elasticity is not finite"):
+            arc_elasticity(2.0, 1.7e308, 10.0, -0.5)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             arc_elasticity(10.0, 9.0, -1.0, 1.0)
@@ -70,6 +75,13 @@ class TestWmape:
         yhat = rng.uniform(1, 10, 20)
         perm = rng.permutation(20)
         assert wmape(y, yhat) == pytest.approx(wmape(y[perm], yhat[perm]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(MetricError, match="finite"):
+            wmape([5.0, 7.0], [5.0, bad])
+        with pytest.raises(MetricError, match="finite"):
+            wmape([5.0, bad], [5.0, 7.0])
 
     def test_undefined_for_zero_total(self):
         with pytest.raises(MetricError):
@@ -172,6 +184,19 @@ class TestEvaluateElasticities:
         report = evaluate_elasticities(model, rows, dp_fraction=DEFAULT_DP_FRACTION if dp is None else dp)
         (entry,) = report.entries
         assert entry.status.startswith("invalid query") and entry.elasticity is None
+
+    def test_overflowing_arc_flagged_not_ok(self, small_world):
+        _, tx, _ = small_world
+        inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
+        demands = iter([2.0, 1.7e308])  # baseline pass, then perturbed pass
+
+        class HugeResponseModel:
+            def predict_batch(self, table, lead_price):
+                return np.full(len(table), next(demands))
+
+        report = evaluate_elasticities(HugeResponseModel(), inference)
+        assert report.entries and not report.valid_entries()
+        assert all("arc elasticity is not finite" in e.status for e in report.entries)
 
     def test_report_sorted_and_default_dp(self, trained_model, small_world):
         model, _ = trained_model
