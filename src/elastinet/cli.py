@@ -9,6 +9,7 @@ outputs byte-identically (timing goes to stderr, never into artifacts).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -215,10 +216,10 @@ def cmd_baseline(args) -> int:
     slopes, skipped = loglog_baseline(dt.PairTable.concat([ds.train, ds.validation]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "baseline.csv", "w", encoding="utf-8") as fh:
-        fh.write("item_id,elasticity\n")
-        for item_id in sorted(slopes):
-            fh.write(f"{item_id},{slopes[item_id]!r}\n")
+    with open(out / "baseline.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["item_id", "elasticity"])
+        writer.writerows((item_id, slopes[item_id]) for item_id in sorted(slopes))
     _resolved_config(args)
     print(f"baseline: {len(slopes)} items fitted, {len(skipped)} skipped")
     return EXIT_OK

@@ -15,9 +15,11 @@ pair's split label, and the pairs are rebuilt from them on load.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import compress
 from pathlib import Path
@@ -304,15 +306,53 @@ def _write_csv(path, columns, table, event_names) -> None:
             writer.writerows(zip(*(_WRITE[kind](chunk[name], event_names) for name, kind in columns)))
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, and restore it as it was on exit.
+
+    A whole-file read holds one list per row: each gen-0 collection walks
+    the young rows and each full one every row, so reading costs time in
+    proportion to rows times collections. The rows hold only str cells,
+    which cannot form reference cycles, so pausing the collector leaks
+    nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _read_csv(path, columns) -> tuple[dict, Sequence[int], tuple[str, ...]]:
     """Read a CSV file written by _write_csv: its columns, the line number of
     each row and the event names, which are the events the file names,
-    sorted. Blank lines are skipped.
+    sorted. Blank lines are skipped; a row whose quoted cell spans lines is
+    numbered by its first line.
 
     A cell that does not fit its column's kind raises ParseError with its
-    line number.
+    line number. The cyclic garbage collector is paused while the file is
+    read.
     """
-    path = Path(path)
+    with _gc_paused():
+        return _parse_csv(Path(path), columns)
+
+
+def _row_lines(path) -> list[int]:
+    """The line each row of a CSV file starts on, after its header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        lines = []
+        start = reader.line_num + 1
+        for _ in reader:
+            lines.append(start)
+            start = reader.line_num + 1
+    return lines
+
+
+def _parse_csv(path: Path, columns) -> tuple[dict, Sequence[int], tuple[str, ...]]:
     names = [name for name, _ in columns]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -320,7 +360,8 @@ def _read_csv(path, columns) -> tuple[dict, Sequence[int], tuple[str, ...]]:
         if header != names:
             raise ParseError(f"{path.name}: unexpected header {header}; expected {names}")
         rows = list(reader)
-    lines = range(2, len(rows) + 2)
+        # the header and each row took one line, unless a quoted cell spans lines
+        lines = range(2, len(rows) + 2) if reader.line_num == len(rows) + 1 else _row_lines(path)
     if not all(rows):
         lines = [line_no for line_no, row in zip(lines, rows) if row]
         rows = [row for row in rows if row]
@@ -503,12 +544,46 @@ def _at(table: PairTable, name: str) -> np.ndarray:
     return getattr(table.tx, _TX_COLUMN.get(column, column))[rows]
 
 
+def _factorize_months(months: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, codes) of months of the year 1..12: the distinct months as
+    strings in string order ("1" < "10" < "2"), and each month's index
+    into them."""
+    present = np.flatnonzero(np.bincount(months, minlength=13))
+    levels = present.astype(str)
+    order = np.argsort(levels, kind="stable")
+    code_of = np.zeros(13, dtype=np.int64)
+    code_of[present[order]] = np.arange(len(order))
+    return levels[order], code_of[months]
+
+
+def category_codes(table: PairTable, names) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(levels, codes) of each categorical feature in ``names``: its distinct
+    string levels, sorted, and each pair's index into them.
+
+    Item attributes come from the lag month, so a feature read from the
+    transactions is factorized over the distinct lag rows the pairs
+    reference, once each, not over the pairs; the lead month of year is the
+    pair's own and is factorized as an integer.
+    """
+    rows, at = np.unique(table.lag, return_inverse=True)
+    out = []
+    for name in names:
+        if name == "lead_month_of_year":
+            out.append(_factorize_months(month_of_year(table.lead_month)))
+        elif name == "lag_month_of_year":
+            levels, codes = _factorize_months(month_of_year(table.tx.year_month[rows]))
+            out.append((levels, codes[at]))
+        else:
+            levels, codes = np.unique(getattr(table.tx, name)[rows], return_inverse=True)
+            out.append((levels, codes[at]))
+    return out
+
+
 def category_column(table: PairTable, name: str) -> np.ndarray:
     """String levels of a categorical feature, one per row; item attributes
     come from the lag month."""
-    if name in ("lag_month_of_year", "lead_month_of_year"):
-        return month_of_year(_at(table, name.removesuffix("_of_year"))).astype(str)
-    return getattr(table.tx, name)[table.lag]
+    [(levels, codes)] = category_codes(table, [name])
+    return levels[codes]
 
 
 def feature_column(table: PairTable, name: str) -> np.ndarray:

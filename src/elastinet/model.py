@@ -84,7 +84,12 @@ class ColumnDenseLayer(DenseLayer):
 
 @dataclass
 class FeatureEncoder:
-    """Pair table -> raw model input matrices: vocab lookup and feature columns."""
+    """Pair table -> raw model input matrices: vocab lookup and feature columns.
+
+    Categorical features are factorized per transaction row, not per pair:
+    a string level is read once for each distinct lag row the table
+    references, and each distinct level is mapped to its index once.
+    """
 
     vocabs: dict  # feature name -> {level: index >= 1}; 0 is the unknown row
 
@@ -93,9 +98,8 @@ class FeatureEncoder:
 
     def cat_matrix(self, table: dt.PairTable, cat_names) -> np.ndarray:
         out = np.empty((len(table), len(cat_names)), dtype=np.int64)
-        for j, name in enumerate(cat_names):
-            levels, inverse = np.unique(dt.category_column(table, name), return_inverse=True)
-            out[:, j] = np.array([self.cat_index(name, lv) for lv in levels.tolist()], dtype=np.int64)[inverse]
+        for j, (name, (levels, codes)) in enumerate(zip(cat_names, dt.category_codes(table, cat_names))):
+            out[:, j] = np.array([self.cat_index(name, lv) for lv in levels.tolist()], dtype=np.int64)[codes]
         return out
 
     def cont_matrix(self, table: dt.PairTable, names) -> np.ndarray:
@@ -112,11 +116,16 @@ VOCAB_HOLDOUT_FRACTION = 0.01
 def build_vocabs(table: dt.PairTable, cat_names, seed: int) -> dict:
     """Level -> index maps from training pairs; a small random holdout of
     levels is left unmapped so the reserved unknown row receives training
-    signal."""
+    signal.
+
+    Each feature's levels are those of ``data.category_codes``, factorized
+    over the transaction rows the pairs reference, in string order ("1",
+    "10", ..., "2" for months); the holdout draws follow that order.
+    """
     rng = np.random.default_rng(seed)
     vocabs: dict[str, dict[str, int]] = {}
-    for name in cat_names:
-        levels = np.unique(dt.category_column(table, name)).tolist()
+    for name, (levels, _) in zip(cat_names, dt.category_codes(table, cat_names)):
+        levels = levels.tolist()
         kept = [lv for lv in levels if not (len(levels) > 2 and rng.random() < VOCAB_HOLDOUT_FRACTION)]
         vocabs[name] = {lv: i + 1 for i, lv in enumerate(kept)}
     return vocabs

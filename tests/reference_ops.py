@@ -6,12 +6,18 @@ with a hand-written VJP (``tensor.dense`` and ``tensor.column_dense``).
 The fused layers must match compositions of them bit for bit, on outputs
 and on every parameter gradient; ``reference_forward`` is the whole
 ``DemandModel.forward`` composed from them.
+
+``reference_build_vocabs`` and ``reference_cat_matrix`` are the categorical
+encoding as it was before it was factorized per transaction row: one
+``np.unique`` over the string levels of every pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from elastinet import data as dt
+from elastinet import model as md
 from elastinet.errors import DimensionError, EmbeddingIndexError
 from elastinet.tensor import Parameter, Tensor, activation_pair, concat_cols
 from elastinet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -165,3 +171,30 @@ def reference_adam_step(opt) -> None:
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * (g * g)
     opt.data -= opt.cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+def reference_category_column(table, name) -> np.ndarray:
+    """The string levels of a categorical feature, one per pair."""
+    if name in ("lag_month_of_year", "lead_month_of_year"):
+        return dt.month_of_year(table.lag_month if name == "lag_month_of_year" else table.lead_month).astype(str)
+    return getattr(table.tx, name)[table.lag]
+
+
+def reference_build_vocabs(table, cat_names, seed: int) -> dict:
+    """``build_vocabs`` over the levels of every pair."""
+    rng = np.random.default_rng(seed)
+    vocabs = {}
+    for name in cat_names:
+        levels = np.unique(reference_category_column(table, name)).tolist()
+        kept = [lv for lv in levels if not (len(levels) > 2 and rng.random() < md.VOCAB_HOLDOUT_FRACTION)]
+        vocabs[name] = {lv: i + 1 for i, lv in enumerate(kept)}
+    return vocabs
+
+
+def reference_cat_matrix(encoder, table, cat_names) -> np.ndarray:
+    """``FeatureEncoder.cat_matrix`` over the levels of every pair."""
+    out = np.empty((len(table), len(cat_names)), dtype=np.int64)
+    for j, name in enumerate(cat_names):
+        levels, inverse = np.unique(reference_category_column(table, name), return_inverse=True)
+        out[:, j] = np.array([encoder.cat_index(name, lv) for lv in levels.tolist()], dtype=np.int64)[inverse]
+    return out

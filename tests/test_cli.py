@@ -544,6 +544,26 @@ class TestBaselineCommand:
         assert lines[0] == "item_id,elasticity"
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("prefix", ["item_", 'it,em "'], ids=["plain", "needs-quotes"])
+    def test_item_ids_read_back(self, tmp_path, prefix):
+        from elastinet import data as dt
+        from elastinet.elasticity import loglog_baseline
+
+        tx, _ = synth.generate(synth.SyntheticWorld(n_items=5, seed=3))
+        tx = dataclasses.replace(tx, item_id=np.char.replace(tx.item_id, "item_", prefix))
+        dt.write_transactions(tx, tmp_path / "transactions.csv")
+        assert main(["build", "--transactions", str(tmp_path / "transactions.csv"), "--out", str(tmp_path / "ds")]) == 0
+        assert main(["baseline", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "base")]) == 0
+        ds = dt.load_dataset(tmp_path / "ds")
+        slopes, _ = loglog_baseline(dt.PairTable.concat([ds.train, ds.validation]))
+        assert len(slopes) == 5 and all(item.startswith(prefix) for item in slopes)
+        with open(tmp_path / "base" / "baseline.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["item_id", "elasticity"]] + [[item, repr(slopes[item])] for item in sorted(slopes)]
+        if prefix == "item_":  # a plain id is written as is, one row a line
+            text = "".join(f"{item},{slopes[item]!r}\n" for item in sorted(slopes))
+            assert (tmp_path / "base" / "baseline.csv").read_text(encoding="utf-8") == "item_id,elasticity\n" + text
+
 
 class TestGradcheckCommand:
     def test_passes_on_default_architecture(self, tmp_path, capsys):

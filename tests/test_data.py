@@ -1,4 +1,7 @@
+import contextlib
+import csv
 import dataclasses
+import gc
 import hashlib
 import json
 
@@ -529,6 +532,20 @@ class TestDatasetIO:
         with pytest.raises(ParseError, match=f"line 4: {message}"):
             dt.load_dataset(path)
 
+    def test_boundary_crossing_names_the_line_after_a_quoted_cell_spanning_lines(self, tmp_path):
+        rows = [dict(row, item_id=row["item_id"].replace("i0", "i\n0")) for row in grid_rows()]
+        _, path = save(tmp_path, rows, seed=7)
+        with open(path / "pairs.csv", newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        assert table[1][0] == "i\n0" and table[-1][-1] == "out_of_time"
+        table[-1][-1] = "train"
+        with open(path / "pairs.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
+        last_line = len((path / "pairs.csv").read_text(encoding="utf-8").splitlines())
+        assert last_line > len(table)
+        with pytest.raises(SchemaMismatchError, match=f"pairs.csv line {last_line}: train crosses the boundary month"):
+            dt.load_dataset(path)
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -560,6 +577,53 @@ class TestDatasetIO:
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SchemaMismatchError, match="does not match its event names"):
             dt.load_dataset(path)
+
+
+PAIRS_HEADER = "item_id,lag_month,lead_month,split\n"
+
+
+class TestReadCsv:
+    def test_line_numbers_count_the_lines_a_quoted_cell_spans(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text(PAIRS_HEADER + '"a\nb",202301,202302,train\n\nc,202301,202399,train\n')
+        with pytest.raises(ParseError, match="line 5: bad lead_month '202399'"):
+            dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
+        path.write_text(PAIRS_HEADER + '"a\nb",202301,202302,train\n\nc,202301,202302,train\n')
+        columns, lines, _ = dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
+        assert columns["item_id"].tolist() == ["a\nb", "c"] and list(lines) == [2, 5]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("bad", [False, True], ids=["ok", "bad"])
+    def test_collector_state_is_restored(self, tmp_path, enabled, bad):
+        path = tmp_path / "pairs.csv"
+        path.write_text(PAIRS_HEADER + f"c,202301,{202399 if bad else 202302},train\n")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(ParseError) if bad else contextlib.nullcontext():
+                dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_no_collection_runs_while_a_file_is_read(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text(PAIRS_HEADER + "".join(f"i{k:05d},202301,202302,train\n" for k in range(20_000)))
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()  # so that nothing allocated before the read starts a collection
+        gc.callbacks.append(count)
+        try:
+            columns, _, _ = dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(columns["item_id"]) == 20_000
+        assert collections == []
 
 
 class TestFeatureView:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -446,3 +448,65 @@ class TestEndToEndMonotonicity:
             if prev is not None:
                 assert np.all(y <= prev)  # zero tolerance: structural guarantee
             prev = y
+
+
+# ---------------------------------------------------------------------------
+# categorical encoding: factorized per transaction row, it must give the
+# vocabularies and index matrices of the per-pair reference
+
+ENCODING_WORLDS = {
+    "constant-24": dict(seed=24),
+    "constant-57": dict(seed=57),
+    "kinked-24": dict(seed=24, kinked=True),
+    "kinked-57": dict(seed=57, kinked=True),
+}
+
+
+@pytest.mark.parametrize("holdout", [model_module.VOCAB_HOLDOUT_FRACTION, 0.3], ids=["holdout-default", "holdout-0.3"])
+@pytest.mark.parametrize("by_item", [False, True], ids=["pair", "item"])
+@pytest.mark.parametrize("world", ENCODING_WORLDS.values(), ids=ENCODING_WORLDS.keys())
+def test_categorical_encoding_matches_the_per_pair_reference(world, by_item, holdout, monkeypatch):
+    from reference_ops import reference_build_vocabs, reference_cat_matrix
+
+    from elastinet.synth import SyntheticWorld, generate
+
+    monkeypatch.setattr(model_module, "VOCAB_HOLDOUT_FRACTION", holdout)
+    seed = world["seed"]
+    tx, _ = generate(SyntheticWorld(n_items=60, stockout_rate=0.2, **world))
+    ds = dt.split(dt.build_pairs(tx), seed=seed, by_item=by_item)
+    names = ds.names.categorical
+
+    inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
+    counterfactual = dataclasses.replace(inference, lead_price=inference.lead_price * 0.9)
+    # a brand level only on transaction rows that no training pair's lag references
+    unreferenced = np.ones(len(ds.train.tx), dtype=bool)
+    unreferenced[ds.train.lag] = False
+    assert unreferenced.any()
+    brand = np.where(unreferenced, "brand_unreferenced", ds.train.tx.brand)
+    relabelled = dataclasses.replace(ds.train, tx=dataclasses.replace(ds.train.tx, brand=brand))
+    tables = {
+        "train": ds.train,
+        "validation": ds.validation,
+        "out_of_time": ds.out_of_time,
+        "inference": inference,
+        "counterfactual": counterfactual,
+        "unreferenced": relabelled,
+    }
+
+    def ordered(vocabs):
+        return {name: list(vocab.items()) for name, vocab in vocabs.items()}
+
+    for label, table in tables.items():
+        got = model_module.build_vocabs(table, names, seed)
+        assert ordered(got) == ordered(reference_build_vocabs(table, names, seed)), label
+    assert "brand_unreferenced" not in model_module.build_vocabs(relabelled, names, seed)["brand"]
+
+    vocabs = model_module.build_vocabs(ds.train, names, seed)
+    if holdout > 0.1:
+        assert any(len(vocabs[n]) < len(np.unique(dt.category_column(ds.train, n))) for n in names)
+    encoder = model_module.FeatureEncoder(vocabs)
+    for label, table in tables.items():
+        got, want = encoder.cat_matrix(table, names), reference_cat_matrix(encoder, table, names)
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want), label
+    if by_item:  # validation items are unseen at training time
+        assert (encoder.cat_matrix(ds.validation, names)[:, names.index("item_id")] == model_module.UNKNOWN_INDEX).all()
