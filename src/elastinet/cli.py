@@ -81,7 +81,7 @@ def _merge_config_file(args: argparse.Namespace) -> None:
     with open(args.config, encoding="utf-8") as fh:
         try:
             file_cfg = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
     if not isinstance(file_cfg, dict):
         raise ConfigError(f"config file {args.config} must hold a JSON object, got {type(file_cfg).__name__}")
@@ -128,8 +128,7 @@ def cmd_build(args) -> int:
     out = Path(args.out)
     dt.save_dataset(ds, args.transactions, out)
     _resolved_config(args)
-    counts = ds.manifest["row_counts"]
-    print(f"pairs: train={counts['train']} validation={counts['validation']} out_of_time={counts['out_of_time']}")
+    print(f"pairs: train={len(ds.train)} validation={len(ds.validation)} out_of_time={len(ds.out_of_time)}")
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ same item. Valid pairs have a month gap of 1..12 and positive inventory in
 both months; the target is the lead month's units sold. A PairTable holds
 each pair as the row indices of its two months in one Transactions table,
 plus the lead month, lead price and target it owns, and feature_column and
-category_column read a feature from those rows. The out-of-time
+category_codes read a feature from those rows. The out-of-time
 split holds out every pair whose lead month falls in the last three calendar
 months of the data span; the remainder is shuffled into an 80/20
 train/validation split. A dataset directory stores the transactions and each
@@ -20,7 +20,7 @@ import hashlib
 import json
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import compress
 from pathlib import Path
 
@@ -116,7 +116,12 @@ class PairTable:
     A pair owns three values: ``lead_month``, ``lead_price`` and ``target``,
     the lead month's units sold, NaN when absent (inference rows). Every
     other feature is read from the transactions, with feature_column or
-    category_column.
+    category_codes.
+
+    ``tx`` is sorted by (item_id, year_month) with one row per (item,
+    month), as build_pairs and build_inference_set leave it, so sorting
+    pairs by their (lag, lead) row indices sorts them by (item_id,
+    lag_month, lead_month).
     """
 
     tx: Transactions
@@ -174,8 +179,15 @@ class _RuleError(ValueError):
     """A cell that parses but breaks its column's rule; the message says how."""
 
 
+def _each_distinct(cells, read, dtype) -> np.ndarray:
+    """``read`` of each cell, called once per distinct cell."""
+    distinct = list(set(cells))
+    value_of = dict(zip(distinct, map(read, distinct)))
+    return np.fromiter(map(value_of.__getitem__, cells), dtype, len(cells))
+
+
 def _read_months(cells, events) -> np.ndarray:
-    months = np.fromiter(map(int, cells), np.int64, len(cells))
+    months = _each_distinct(cells, int, np.int64)
     if np.any((months < 100) | (months % 100 < 1) | (months % 100 > 12)):
         raise ValueError("expected YYYYMM with month 1..12")
     return months
@@ -210,15 +222,12 @@ def _read_counts(cells, events, most=None) -> np.ndarray:
     return values
 
 
-def _read_bools(cells, events) -> np.ndarray:
+def _read_bool(cell) -> bool:
     """``true`` or ``false`` in any case, with surrounding whitespace allowed."""
-    values = {}
-    for cell in set(cells):
-        word = cell.strip().lower()
-        if word not in ("true", "false"):
-            raise _RuleError(f"must be true/false, got {cell!r}")
-        values[cell] = word == "true"
-    return np.fromiter(map(values.__getitem__, cells), bool, len(cells))
+    word = cell.strip().lower()
+    if word not in ("true", "false"):
+        raise _RuleError(f"must be true/false, got {cell!r}")
+    return word == "true"
 
 
 def _event_sets(cells) -> dict:
@@ -228,13 +237,6 @@ def _event_sets(cells) -> dict:
 def _read_events(cells, event_names) -> np.ndarray:
     rows = {cell: [e in flags for e in event_names] for cell, flags in _event_sets(cells).items()}
     return np.array([rows[c] for c in cells], dtype=bool).reshape(len(cells), len(event_names))
-
-
-def _read_split(cells, event_names) -> np.ndarray:
-    labels = np.array(cells, dtype=str)
-    if not np.isin(labels, SPLITS).all():
-        raise ValueError("unknown split")
-    return labels
 
 
 def _write_events(col, event_names) -> list:
@@ -263,9 +265,9 @@ _READ = {
     "float?": lambda cells, events: _read_floats(cells, events, positive=False, optional=True),
     "price": lambda cells, events: _read_floats(cells, events, positive=True),
     "price?": lambda cells, events: _read_floats(cells, events, positive=True, optional=True),
-    "bool": _read_bools,
+    "bool": lambda cells, events: _each_distinct(cells, _read_bool, bool),
     "events": _read_events,
-    "split": _read_split,
+    "split": lambda cells, events: np.array(SPLITS)[_each_distinct(cells, SPLITS.index, np.int64)],
 }
 _WRITE = {
     # csv writes a float as its repr
@@ -331,12 +333,22 @@ def _read_csv(path, columns) -> tuple[dict, Sequence[int], tuple[str, ...]]:
     sorted. Blank lines are skipped; a row whose quoted cell spans lines is
     numbered by its first line.
 
-    A cell that does not fit its column's kind raises ParseError with its
-    line number. The cyclic garbage collector is paused while the file is
-    read.
+    A cell that does not fit its column's kind, or a byte that is not
+    UTF-8, raises ParseError with its line number. The cyclic garbage
+    collector is paused while the file is read.
     """
-    with _gc_paused():
-        return _parse_csv(Path(path), columns)
+    path = Path(path)
+    try:
+        with _gc_paused():
+            return _parse_csv(path, columns)
+    except UnicodeDecodeError:
+        raw = path.read_bytes()
+        try:
+            raw.decode("utf-8")  # for the bad byte's offset into the file, not into the chunk that failed
+        except UnicodeDecodeError as exc:
+            line_no = raw.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"{path.name} line {line_no}: byte {raw[exc.start]:#04x} is not UTF-8") from None
+        raise
 
 
 def _row_lines(path) -> list[int]:
@@ -356,10 +368,13 @@ def _parse_csv(path: Path, columns) -> tuple[dict, Sequence[int], tuple[str, ...
     names = [name for name, _ in columns]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
+        try:
+            header = next(reader, [])
+            rows = list(reader)
+        except csv.Error as exc:  # a quoted cell longer than csv's field limit
+            raise ParseError(f"{path.name} line {reader.line_num}: {exc}") from None
         if header != names:
             raise ParseError(f"{path.name}: unexpected header {header}; expected {names}")
-        rows = list(reader)
         # the header and each row took one line, unless a quoted cell spans lines
         lines = range(2, len(rows) + 2) if reader.line_num == len(rows) + 1 else _row_lines(path)
     if not all(rows):
@@ -579,13 +594,6 @@ def category_codes(table: PairTable, names) -> list[tuple[np.ndarray, np.ndarray
     return out
 
 
-def category_column(table: PairTable, name: str) -> np.ndarray:
-    """String levels of a categorical feature, one per row; item attributes
-    come from the lag month."""
-    [(levels, codes)] = category_codes(table, [name])
-    return levels[codes]
-
-
 def feature_column(table: PairTable, name: str) -> np.ndarray:
     """Float64 values of a continuous or monotone feature, one per row.
 
@@ -620,29 +628,20 @@ class DatasetSplit:
     train: PairTable
     validation: PairTable
     out_of_time: PairTable
-    schema_hash: str
     names: FeatureNames
-    manifest: dict = field(default_factory=dict)
+    seed: int
+    split_mode: str  # "pair" or "item": what the 80/20 draw is over
+    boundary_month: int
+
+    @property
+    def schema_hash(self) -> str:
+        return self.names.schema_hash()
 
 
-CARRY_FORWARD_POLICY = {
-    "lead_price": "query (initialized to lag price)",
-    "price_change_pct": "computed from effective lead price",
-    "lead_month_of_year": "computed from calendar",
-    "lead_inventory": "carried forward from lag month",
-    "lead_oos_days": "carried forward from lag month",
-    "lead_rating_count": "carried forward from lag month",
-    "lead_days_launched": "carried forward from lag month",
-    "lead_competitor_price": "carried forward from lag month",
-    "lead_substitute_available": "carried forward from lag month",
-    "lead_events": "carried forward from lag month",
-}
-
-
-def _pair_order(item_id, lag_month, lead_month) -> np.ndarray:
-    """Row indices sorting pairs by (item_id, lag_month, lead_month)."""
-    _, item_code = np.unique(item_id, return_inverse=True)
-    return np.lexsort((lead_month, lag_month, item_code))
+def _pair_order(table: PairTable) -> np.ndarray:
+    """Indices sorting ``table``'s pairs by (item_id, lag_month, lead_month),
+    which is their (lag, lead) row order (see PairTable)."""
+    return np.lexsort((table.lead, table.lag))
 
 
 def _boundary_month(pairs: PairTable) -> int:
@@ -658,17 +657,17 @@ def _boundary_month(pairs: PairTable) -> int:
     return ym_add(last, -(OUT_OF_TIME_MONTHS - 1))
 
 
-def _draw_labels(pairs: PairTable, order: np.ndarray, seed: int, by_item: bool) -> np.ndarray:
-    """The split label of pair ``order[i]`` for each i: out_of_time from the
-    boundary month on, else a seeded 80/20 draw of train and validation over
-    pairs, or over items with ``by_item``."""
+def _draw_labels(pairs: PairTable, seed: int, by_item: bool) -> np.ndarray:
+    """The split label of each pair: out_of_time from the boundary month on,
+    else a seeded 80/20 draw of train and validation over pairs, or over
+    items with ``by_item``."""
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    labels = np.where(pairs.lead_month[order] >= _boundary_month(pairs), "out_of_time", "validation")
+    labels = np.where(pairs.lead_month >= _boundary_month(pairs), "out_of_time", "validation")
     rest = np.flatnonzero(labels == "validation")  # the train/validation pool, in pair order
     rng = np.random.default_rng(seed)
     if by_item:
-        item_id = pairs.item_id[order[rest]]
+        item_id = pairs.item_id[rest]
         items = np.unique(item_id)
         chosen = items[rng.permutation(len(items))[: (len(items) * 4) // 5]]
         train = rest[np.isin(item_id, chosen)]
@@ -678,21 +677,14 @@ def _draw_labels(pairs: PairTable, order: np.ndarray, seed: int, by_item: bool) 
     return labels
 
 
-def _take_parts(pairs: PairTable, order: np.ndarray, labels: np.ndarray, manifest: dict) -> DatasetSplit:
-    """The pairs ``order`` lists, parted by their ``labels``; ``manifest``
-    gains the boundary month and row counts. Only the events that occur in
+def _take_parts(pairs: PairTable, labels: np.ndarray, seed, split_mode) -> DatasetSplit:
+    """The pairs parted by their ``labels``. Only the events that occur in
     some pair are in the feature names."""
     flags = pairs.tx.event_flags
     present = flags[pairs.lag].any(axis=0) | flags[pairs.lead].any(axis=0)
-    parts = {name: pairs.take(order[labels == name]) for name in SPLITS}
+    parts = {name: pairs.take(labels == name) for name in SPLITS}
     names = feature_names(e for e, keep in zip(pairs.event_names, present) if keep)
-    manifest = {
-        **manifest,
-        "boundary_month": _boundary_month(pairs),
-        "row_counts": {name: len(part) for name, part in parts.items()},
-        "carry_forward_policy": CARRY_FORWARD_POLICY,
-    }
-    return DatasetSplit(**parts, schema_hash=names.schema_hash(), names=names, manifest=manifest)
+    return DatasetSplit(**parts, names=names, seed=seed, split_mode=split_mode, boundary_month=_boundary_month(pairs))
 
 
 def split(pairs: PairTable, seed: int, by_item: bool = False) -> DatasetSplit:
@@ -701,9 +693,9 @@ def split(pairs: PairTable, seed: int, by_item: bool = False) -> DatasetSplit:
     Each part keeps (item_id, lag, lead) order; only the events that occur
     in some pair are in the feature names.
     """
-    order = _pair_order(pairs.item_id, pairs.lag_month, pairs.lead_month)
-    labels = _draw_labels(pairs, order, seed, by_item)
-    return _take_parts(pairs, order, labels, {"seed": seed, "split_mode": "item" if by_item else "pair"})
+    pairs = pairs.take(_pair_order(pairs))
+    labels = _draw_labels(pairs, seed, by_item)
+    return _take_parts(pairs, labels, seed, "item" if by_item else "pair")
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +732,20 @@ def build_inference_set(tx: Transactions, as_of_month: int) -> tuple[PairTable, 
 # pairs.csv with each pair's split label; the pairs are rebuilt on load
 
 
+def _manifest(ds: DatasetSplit, transactions_sha256: str) -> dict:
+    """The manifest.json of ``ds``, split from the pairs of a transactions
+    file with SHA-256 ``transactions_sha256``."""
+    return {
+        "boundary_month": ds.boundary_month,
+        "event_names": list(ds.names.event_names),
+        "row_counts": {name: len(getattr(ds, name)) for name in SPLITS},
+        "schema_hash": ds.schema_hash,
+        "seed": ds.seed,
+        "split_mode": ds.split_mode,
+        "transactions_sha256": transactions_sha256,
+    }
+
+
 def save_dataset(ds: DatasetSplit, transactions, out_dir) -> None:
     """Write ``ds``, split from the pairs of the ``transactions`` file, into ``out_dir``."""
     out = Path(out_dir)
@@ -747,21 +753,13 @@ def save_dataset(ds: DatasetSplit, transactions, out_dir) -> None:
     raw = Path(transactions).read_bytes()
     (out / "transactions.csv").write_bytes(raw)
     parts = [getattr(ds, name) for name in SPLITS]
-    keys = {name: np.concatenate([getattr(p, name) for p in parts]) for name in ("item_id", "lag_month", "lead_month")}
-    keys["split"] = np.repeat(SPLITS, [len(part) for part in parts])
-    order = _pair_order(keys["item_id"], keys["lag_month"], keys["lead_month"])
-    _write_csv(out / "pairs.csv", _PAIR_KEY_COLUMNS, {name: col[order] for name, col in keys.items()}, ())
-    manifest = dict(ds.manifest)
-    manifest["schema_hash"] = ds.schema_hash
-    manifest["feature_list"] = {
-        "categorical": list(ds.names.categorical),
-        "continuous": list(ds.names.continuous),
-        "monotone": {name: MONOTONE_DIRECTIONS[name] for name in ds.names.monotone},
-    }
-    manifest["event_names"] = list(ds.names.event_names)
-    manifest["transactions_sha256"] = hashlib.sha256(raw).hexdigest()
+    every = PairTable.concat(parts)
+    order = _pair_order(every)
+    keys = {name: getattr(every, name)[order] for name in ("item_id", "lag_month", "lead_month")}
+    keys["split"] = np.repeat(SPLITS, [len(part) for part in parts])[order]
+    _write_csv(out / "pairs.csv", _PAIR_KEY_COLUMNS, keys, ())
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(_manifest(ds, hashlib.sha256(raw).hexdigest()), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -770,49 +768,44 @@ def load_dataset(in_dir) -> DatasetSplit:
 
     The transactions copy must have the manifest's SHA-256. Its pairs are
     rebuilt and parted by the labels in pairs.csv, which must list exactly
-    those pairs, in order. The schema hash, boundary month and row counts
-    must come out as the manifest records them. A mismatch raises
-    SchemaMismatchError; a cell that breaks its column's rule, ParseError
-    with its line number.
+    those pairs, in order, with out_of_time labels from the boundary month
+    on. The manifest must then be the rebuilt dataset's, key for key; its
+    seed and split mode, which cannot be recomputed, must be a non-negative
+    integer and "pair" or "item". A mismatch raises SchemaMismatchError; a
+    cell that breaks its column's rule, ParseError with its line number.
     """
     src = Path(in_dir)
     with open(src / "manifest.json", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
             raise SchemaMismatchError(f"manifest.json is not valid JSON: {exc}") from None
-    if not (
-        isinstance(manifest, dict)
-        and isinstance(manifest.get("schema_hash"), str)
-        and isinstance(manifest.get("event_names"), list)
-        and all(isinstance(e, str) for e in manifest["event_names"])
-    ):
-        raise SchemaMismatchError("manifest.json needs a schema_hash string and an event_names list of strings")
-    names = feature_names(manifest["event_names"])
-    if names.schema_hash() != manifest["schema_hash"]:
-        raise SchemaMismatchError(
-            f"manifest schema hash {manifest['schema_hash']} does not match its event names "
-            f"{list(names.event_names)} (hash {names.schema_hash()})"
-        )
+    if not isinstance(manifest, dict):
+        raise SchemaMismatchError(f"manifest.json must hold a JSON object, got {type(manifest).__name__}")
     digest = hashlib.sha256((src / "transactions.csv").read_bytes()).hexdigest()
     if digest != manifest.get("transactions_sha256"):
         raise SchemaMismatchError(
-            f"transactions.csv has SHA-256 {digest}; the manifest records {manifest.get('transactions_sha256')!r}"
+            f"transactions.csv has SHA-256 {digest}; "
+            f"the manifest records {manifest.get('transactions_sha256')!r} as transactions_sha256"
         )
     pairs = build_pairs(ingest(src / "transactions.csv"))
     stored, lines, _ = _read_csv(src / "pairs.csv", _PAIR_KEY_COLUMNS)
     labels = stored.pop("split")
     if len(labels) != len(pairs) or not all(np.array_equal(col, getattr(pairs, k)) for k, col in stored.items()):
         raise SchemaMismatchError("pairs.csv must list each pair of transactions.csv once, in (item, lag, lead) order")
-    order = np.arange(len(pairs))  # build_pairs gives (item_id, lag, lead) order
-    ds = _take_parts(pairs, order, labels, {k: v for k, v in manifest.items() if k in ("seed", "split_mode")})
-    boundary = ds.manifest["boundary_month"]
+    ds = _take_parts(pairs, labels, manifest.get("seed"), manifest.get("split_mode"))
+    boundary = ds.boundary_month
     wrong = (labels == "out_of_time") != (pairs.lead_month >= boundary)
     if wrong.any():
         i = int(np.argmax(wrong))
         raise SchemaMismatchError(f"pairs.csv line {lines[i]}: {labels[i]} crosses the boundary month {boundary}")
-    recomputed = {"schema_hash": ds.schema_hash, "boundary_month": boundary, "row_counts": ds.manifest["row_counts"]}
-    for key, value in recomputed.items():
-        if manifest.get(key) != value:
-            raise SchemaMismatchError(f"manifest {key} is {manifest.get(key)!r}; the dataset gives {value!r}")
+    if type(ds.seed) is not int or ds.seed < 0:
+        raise SchemaMismatchError(f"manifest seed is {ds.seed!r}; expected a non-negative integer")
+    if ds.split_mode not in ("pair", "item"):
+        raise SchemaMismatchError(f"manifest split_mode is {ds.split_mode!r}; expected 'pair' or 'item'")
+    expected = _manifest(ds, digest)
+    for key in sorted(manifest.keys() | expected.keys()):
+        got, want = (json.dumps(m[key], sort_keys=True) if key in m else None for m in (manifest, expected))
+        if got != want:
+            raise SchemaMismatchError(f"manifest {key} is {got or 'missing'}; expected {want or 'no such key'}")
     return ds

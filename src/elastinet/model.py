@@ -237,9 +237,6 @@ class DemandModel:
     def monodense_layers(self) -> list[MonoDenseLayer]:
         return [layer for layer in self.layers if isinstance(layer, MonoDenseLayer)]
 
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     # -- forward -----------------------------------------------------------
 
     def forward(self, cat_idx: np.ndarray, cont_std: np.ndarray, mono_std: np.ndarray) -> Tensor:
@@ -431,7 +428,7 @@ def load_model(path) -> DemandModel:
         raise ModelIOError(f"unsupported container version {version}; expected {FORMAT_VERSION}")
     try:
         meta = json.loads(cur.take(cur.u64()).decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
         raise ModelIOError(f"model metadata is not valid JSON: {exc}") from None
     if not isinstance(meta, dict) or set(meta) != set(_META_KEYS):
         got = sorted(meta) if isinstance(meta, dict) else type(meta).__name__
@@ -467,7 +464,7 @@ def load_model(path) -> DemandModel:
     if n_blobs != len(by_name):
         raise ModelIOError(f"parameter count mismatch: file has {n_blobs}, model expects {len(by_name)}")
     for _ in range(n_blobs):
-        name = cur.take(cur.u32()).decode("utf-8")
+        name = cur.take(cur.u32()).decode("utf-8", "backslashreplace")  # a name that is not UTF-8 matches no parameter
         rows, cols = cur.u32(), cur.u32()
         crc = cur.u32()
         payload = cur.take(rows * cols * 8)

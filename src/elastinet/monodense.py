@@ -34,8 +34,6 @@ __all__ = [
     "DenseLayer",
     "MonoDenseLayer",
     "bounded_activation",
-    "concave_activation",
-    "effective_weight",
     "glorot_uniform",
     "sign_reparam",
     "split_activation",
@@ -77,13 +75,6 @@ def validate_indicator(indicator, width: int) -> np.ndarray:
     return t
 
 
-def effective_weight(raw_w: float, t_i: int) -> float:
-    """Scalar form of the sign reparameterization (see sign_reparam)."""
-    if t_i == 0:
-        return float(raw_w)
-    return float(t_i) * abs(float(raw_w))
-
-
 def sign_reparam(indicator: np.ndarray):
     """(r, dr) for a checked indicator (see validate_indicator), row-wise
     over a weight matrix: r gives the effective weights, dr their derivative
@@ -99,12 +90,6 @@ def sign_reparam(indicator: np.ndarray):
         return np.where(unconstrained, 1.0, t * np.sign(w))
 
     return r, dr
-
-
-def concave_activation(x, rho: str = "relu"):
-    """Concave mirror -rho(-x) of the base convex activation."""
-    f, _ = activation_pair(rho)
-    return -f(-np.asarray(x, dtype=np.float64))
 
 
 def bounded_activation(x, rho: str = "relu"):

@@ -10,6 +10,10 @@ and on every parameter gradient; ``reference_forward`` is the whole
 ``reference_build_vocabs`` and ``reference_cat_matrix`` are the categorical
 encoding as it was before it was factorized per transaction row: one
 ``np.unique`` over the string levels of every pair.
+
+``effective_weight``, ``concave_activation``, ``category_column`` and
+``parameter_count`` are scalar or readable forms of library code that only
+the tests call.
 """
 
 from __future__ import annotations
@@ -198,3 +202,28 @@ def reference_cat_matrix(encoder, table, cat_names) -> np.ndarray:
         levels, inverse = np.unique(reference_category_column(table, name), return_inverse=True)
         out[:, j] = np.array([encoder.cat_index(name, lv) for lv in levels.tolist()], dtype=np.int64)[inverse]
     return out
+
+
+def effective_weight(raw_w: float, t_i: int) -> float:
+    """Scalar form of the sign reparameterization (see ``monodense.sign_reparam``)."""
+    if t_i == 0:
+        return float(raw_w)
+    return float(t_i) * abs(float(raw_w))
+
+
+def concave_activation(x, rho: str = "relu"):
+    """Concave mirror -rho(-x) of the base convex activation."""
+    f, _ = activation_pair(rho)
+    return -f(-np.asarray(x, dtype=np.float64))
+
+
+def category_column(table, name) -> np.ndarray:
+    """String levels of a categorical feature, one per pair, read back from
+    ``data.category_codes``; item attributes come from the lag month."""
+    [(levels, codes)] = dt.category_codes(table, [name])
+    return levels[codes]
+
+
+def parameter_count(model) -> int:
+    """The number of values in ``model``'s parameters."""
+    return sum(p.data.size for p in model.parameters())

@@ -15,10 +15,11 @@ from elastinet.cli import main
 from elastinet.elasticity import evaluate_elasticities, loglog_baseline, mae_elasticity, wmape
 from elastinet.gradcheck import check_demand_model
 from elastinet.model import ArchConfig, load_model, save_model
-from elastinet.monodense import bounded_activation, concave_activation
+from elastinet.monodense import bounded_activation
 from elastinet.synth import SyntheticWorld, generate
 from elastinet.tensor import ACTIVATIONS
 from elastinet.training import TrainConfig, prepare_model, train
+from reference_ops import concave_activation
 
 RECOVERY_SEED = 24  # pinned scenario seed; see the acceptance notes in README
 TRAIN_DEFAULTS = dict(epochs=25, batch_size=128, learning_rate=0.01)

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +203,7 @@ class TestEvaluate:
         (ds / "manifest.json").write_text(json.dumps(manifest))
         rc = main(["train", "--dataset", str(ds), "--epochs", "1", "--out", str(tmp_path / "run")])
         assert rc == 3
-        assert "schema hash" in capsys.readouterr().err
+        assert "manifest event_names is" in capsys.readouterr().err
 
     def test_manifest_missing_key_exits_3(self, pipeline_dirs, tmp_path, capsys):
         ds = tmp_path / "ds"
@@ -211,7 +213,7 @@ class TestEvaluate:
         (ds / "manifest.json").write_text(json.dumps(manifest))
         rc = main(["train", "--dataset", str(ds), "--epochs", "1", "--out", str(tmp_path / "run")])
         assert rc == 3
-        assert "manifest.json needs" in capsys.readouterr().err
+        assert "manifest event_names is missing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("column, value", [("split", "trian"), ("lag_month", "20x3")])
     def test_malformed_pairs_csv_exits_2(self, pipeline_dirs, tmp_path, capsys, column, value):
@@ -341,6 +343,122 @@ def test_edited_dataset_directory_exits_with_its_code(pipeline_dirs, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "e").exists()
+
+
+def _shift_boundary(manifest):
+    manifest["boundary_month"] -= 1 if manifest["boundary_month"] % 100 > 1 else 89  # the month before
+
+
+MANIFEST_KEYS = ["boundary_month", "event_names", "row_counts", "schema_hash", "seed", "split_mode", "transactions_sha256"]
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (_shift_boundary, "boundary_month"),
+        (lambda m: m.update(event_names=m["event_names"][1:]), "event_names"),
+        (_more_row_counts, "row_counts"),
+        (lambda m: m.update(schema_hash="0" * 64), "schema_hash"),
+        (lambda m: m.update(transactions_sha256="0" * 64), "transactions_sha256"),
+        (lambda m: m.update(seed=-1), "seed"),
+        (lambda m: m.update(seed="7"), "seed"),
+        (lambda m: m.update(seed=True), "seed"),
+        (lambda m: m.update(seed=7.0), "seed"),
+        (lambda m: m.update(split_mode="bogus"), "split_mode"),
+        (lambda m: m.update(boundary_month=float(m["boundary_month"])), "boundary_month"),
+        (lambda m: m["row_counts"].update(extra=0), "row_counts"),
+        (lambda m: m.update(carry_forward_policy={}), "carry_forward_policy"),
+        (lambda m: m.update(feature_list={}), "feature_list"),
+        *((lambda m, key=key: m.pop(key), key) for key in MANIFEST_KEYS),
+    ],
+    ids=[
+        "boundary-changed",
+        "events-changed",
+        "row-counts-changed",
+        "schema-hash-changed",
+        "sha-changed",
+        "seed-negative",
+        "seed-string",
+        "seed-bool",
+        "seed-float",
+        "split-mode-bogus",
+        "boundary-float",
+        "row-counts-extra",
+        "key-added",
+        "feature-list-added",
+        *(f"{key}-deleted" for key in MANIFEST_KEYS),
+    ],
+)
+def test_every_manifest_key_is_checked(pipeline_dirs, tmp_path, capsys, edit, key):
+    ds = tmp_path / "ds"
+    shutil.copytree(pipeline_dirs / "ds", ds)
+    assert sorted(json.loads((ds / "manifest.json").read_text())) == MANIFEST_KEYS
+    _edit_manifest(edit)(ds)
+    assert main(["baseline", "--dataset", str(ds), "--out", str(tmp_path / "b")]) == 3
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+NON_UTF8_CASES = {
+    "input": ("data/transactions.csv", ["build", "--transactions", "{data}/transactions.csv"]),
+    "copy": ("ds/transactions.csv", ["baseline", "--dataset", "{ds}"]),
+    "pairs": ("ds/pairs.csv", ["evaluate", "--dataset", "{ds}", "--model", "{run}/model.mdnm"]),
+    "truth": (
+        "data/truth.csv",
+        ["elasticity", "--transactions", "{data}/transactions.csv", "--model", "{run}/model.mdnm", "--truth", "{data}/truth.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", NON_UTF8_CASES)
+def test_non_utf8_byte_exits_2_naming_its_line(pipeline_dirs, tmp_path, capsys, kind):
+    root = tmp_path / "p"
+    shutil.copytree(pipeline_dirs, root)
+    name, argv = NON_UTF8_CASES[kind]
+    path = root / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]) + b"\xff" + lines[-1][1:])
+    if kind == "copy":
+        _edit_manifest(lambda m: m.update(transactions_sha256=hashlib.sha256(path.read_bytes()).hexdigest()))(root / "ds")
+    argv = [arg.format(data=root / "data", ds=root / "ds", run=root / "run") for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path.name} line {len(lines)}: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_blob_name_exits_3(pipeline_dirs, tmp_path, capsys):
+    raw = bytearray((pipeline_dirs / "run" / "model.mdnm").read_bytes())
+    (meta_len,) = struct.unpack_from("<Q", raw, 8)
+    raw[16 + meta_len + 8] = 0xFF  # first byte of the first blob's name, after the blob count and the name length
+    raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]))
+    model = tmp_path / "edited.mdnm"
+    model.write_bytes(raw)
+    argv = ["evaluate", "--dataset", str(pipeline_dirs / "ds"), "--model", str(model), "--out", str(tmp_path / "e")]
+    assert main(argv) == 3
+    assert "unexpected or repeated parameter blob '\\\\xff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["manifest", "model metadata", "config"])
+def test_json_nested_too_deep_exits_with_its_code(pipeline_dirs, tmp_path, capsys, edit_model_file, target):
+    deep = "[" * 100_000
+    ds, model, config = tmp_path / "ds", tmp_path / "m.mdnm", tmp_path / "config.json"
+    shutil.copytree(pipeline_dirs / "ds", ds)
+    edit_model_file(pipeline_dirs / "run" / "model.mdnm", model, lambda c: None)
+    if target == "manifest":
+        (ds / "manifest.json").write_text(deep)
+    elif target == "model metadata":
+        raw = model.read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", raw, 8)
+        body = raw[:8] + struct.pack("<Q", len(deep)) + deep.encode() + raw[16 + meta_len : -4]
+        model.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    else:
+        config.write_text(deep)
+    argv = {
+        "manifest": ["baseline", "--dataset", str(ds)],
+        "model metadata": ["evaluate", "--dataset", str(ds), "--model", str(model)],
+        "config": ["train", "--dataset", str(ds), "--config", str(config)],
+    }[target]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == (2 if target == "config" else 3)
+    assert "not valid JSON: maximum recursion depth exceeded" in capsys.readouterr().err
 
 
 def _set(*path, value):

@@ -10,6 +10,7 @@ import pytest
 
 from elastinet import data as dt
 from elastinet.errors import ConfigError, DomainError, IntegrityError, ParseError, SchemaMismatchError
+from reference_ops import category_column
 
 HEADER = ",".join(dt.TRANSACTIONS_COLUMNS)
 
@@ -301,7 +302,7 @@ class TestBuildPairs:
         assert col("lag_oos_days") == [2] and col("lead_oos_days") == [1]
         assert col("lag_competitor_price") == [8.5] and col("lead_competitor_price_present") == [0]
         assert col("lag_substitute_available") == [1] and col("lead_substitute_available") == [0]
-        assert dt.category_column(pair, "brand").tolist() == ["b1"]  # item attributes come from the lag month
+        assert category_column(pair, "brand").tolist() == ["b1"]  # item attributes come from the lag month
 
     def test_duplicate_item_month_rejected(self):
         rows = [tx_row(ym=202301), tx_row(ym=202302), tx_row(ym=202302, price=11.0)]
@@ -344,7 +345,7 @@ class TestSplit:
         ds = dt.split(pairs, seed=0)
         last = int(pairs.lead_month.max())
         boundary = dt.ym_add(last, -2)
-        assert ds.manifest["boundary_month"] == boundary
+        assert ds.boundary_month == boundary
         assert np.all(ds.out_of_time.lead_month >= boundary)
         assert np.all(dt.PairTable.concat([ds.train, ds.validation]).lead_month < boundary)
 
@@ -446,9 +447,11 @@ def save(tmp_path, rows, seed=7, by_item=False):
 
 
 def splits_equal(a, b):
-    """Same parts column for column, feature names and schema hash."""
+    """Same parts column for column, feature names, schema hash, seed, split
+    mode and boundary month."""
     parts_equal = all(tables_equal(getattr(a, part), getattr(b, part)) for part in dt.SPLITS)
-    return parts_equal and a.names == b.names and a.schema_hash == b.schema_hash
+    facts = ("names", "schema_hash", "seed", "split_mode", "boundary_month")
+    return parts_equal and all(getattr(a, fact) == getattr(b, fact) for fact in facts)
 
 
 class TestDatasetIO:
@@ -503,11 +506,10 @@ class TestDatasetIO:
     def test_manifest_contents(self, tmp_path):
         ds, path = save(tmp_path, grid_rows(), seed=7)
         manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["seed"] == 7
+        assert (manifest["seed"], manifest["split_mode"], manifest["boundary_month"]) == (7, "pair", ds.boundary_month)
         assert manifest["schema_hash"] == ds.schema_hash
         assert manifest["row_counts"] == {name: len(getattr(ds, name)) for name in dt.SPLITS}
-        assert "lead_price" in manifest["feature_list"]["monotone"]
-        assert "carry_forward_policy" in manifest
+        assert manifest["event_names"] == list(ds.names.event_names)
         raw = (tmp_path / "input.csv").read_bytes()
         assert manifest["transactions_sha256"] == hashlib.sha256(raw).hexdigest()
         assert sorted(p.name for p in path.iterdir()) == ["manifest.json", "pairs.csv", "transactions.csv"]
@@ -561,8 +563,14 @@ class TestDatasetIO:
         manifest = json.loads((path / "manifest.json").read_text())
         edit(manifest)
         (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(SchemaMismatchError, match="manifest.json needs"):
+        message = r'^manifest (event_names|schema_hash) is (missing|"holiday"|\[1\]|null);'
+        with pytest.raises(SchemaMismatchError, match=message):
             dt.load_dataset(path)
+
+    def test_seed_and_split_mode_are_read_back(self, tmp_path):
+        ds, path = save(tmp_path, grid_rows(n_items=10), seed=3, by_item=True)
+        loaded = dt.load_dataset(path)
+        assert (loaded.seed, loaded.split_mode, loaded.boundary_month) == (3, "item", ds.boundary_month)
 
     def test_manifest_not_json_rejected(self, tmp_path):
         _, path = save(tmp_path, grid_rows(), seed=7)
@@ -575,7 +583,7 @@ class TestDatasetIO:
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["event_names"] = ["holiday"]
         (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(SchemaMismatchError, match="does not match its event names"):
+        with pytest.raises(SchemaMismatchError, match=r'manifest event_names is \["holiday"\]; expected \[\]'):
             dt.load_dataset(path)
 
 
@@ -591,6 +599,20 @@ class TestReadCsv:
         path.write_text(PAIRS_HEADER + '"a\nb",202301,202302,train\n\nc,202301,202302,train\n')
         columns, lines, _ = dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
         assert columns["item_id"].tolist() == ["a\nb", "c"] and list(lines) == [2, 5]
+
+    def test_non_utf8_byte_names_its_line_past_the_first_decoded_chunk(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        rows = "".join(f"i{k},202301,202302,train\n" for k in range(2000))
+        path.write_bytes((PAIRS_HEADER + rows).encode() + b"i\xff,202301,202302,train\n")
+        assert path.stat().st_size > 8192
+        with pytest.raises(ParseError, match="^pairs.csv line 2002: byte 0xff is not UTF-8$"):
+            dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
+
+    def test_quoted_cell_past_the_field_limit_names_a_line(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text(PAIRS_HEADER + "a,202301,202302,train\n" + '"' + "x\n" * 70_000)
+        with pytest.raises(ParseError, match="^pairs.csv line [0-9]+: field larger than field limit"):
+            dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("bad", [False, True], ids=["ok", "bad"])
@@ -642,8 +664,8 @@ class TestFeatureView:
 
     def test_month_of_year_categories(self):
         pair = dt.build_pairs(make_tx([tx_row(ym=202312), tx_row(ym=202401)]))
-        assert dt.category_column(pair, "lag_month_of_year").tolist() == ["12"]
-        assert dt.category_column(pair, "lead_month_of_year").tolist() == ["1"]
+        assert category_column(pair, "lag_month_of_year").tolist() == ["12"]
+        assert category_column(pair, "lead_month_of_year").tolist() == ["1"]
 
     def test_schema_hash_depends_on_events(self):
         assert dt.feature_names([]).schema_hash() != dt.feature_names(["holiday"]).schema_hash()
@@ -706,9 +728,16 @@ def reference_inference_set(tx, as_of_month):
     return cols
 
 
+def reference_pair_order(item_id, lag_month, lead_month):
+    """Indices sorting pairs by (item_id, lag_month, lead_month), item ids
+    compared as strings."""
+    _, item_code = np.unique(item_id, return_inverse=True)
+    return np.lexsort((lead_month, lag_month, item_code))
+
+
 def reference_split(cols, seed):
     """Row indices of each part of a pair-mode split of reference pairs."""
-    order = dt._pair_order(cols["item_id"], cols["lag_month"], cols["lead_month"])
+    order = reference_pair_order(cols["item_id"], cols["lag_month"], cols["lead_month"])
     boundary = dt.ym_add(int(cols["lead_month"].max()), -(dt.OUT_OF_TIME_MONTHS - 1))
     labels = np.where(cols["lead_month"][order] >= boundary, "out_of_time", "validation")
     rest = np.flatnonzero(labels == "validation")
@@ -759,7 +788,7 @@ def assert_reads_reference(table, cols, event_names, names):
     """Every feature of ``names`` and the target of ``table`` equal the
     reference ``cols`` bit for bit."""
     for name in names.categorical:
-        assert same_bits(dt.category_column(table, name), reference_category_column(cols, name)), name
+        assert same_bits(category_column(table, name), reference_category_column(cols, name)), name
     for name in names.continuous + names.monotone:
         assert same_bits(dt.feature_column(table, name), reference_feature_column(cols, event_names, name)), name
     assert same_bits(table.target, cols["target"])
@@ -805,3 +834,25 @@ def test_pair_table_reads_the_reference_columns(world):
         encoded = model.encode(table, lead_price)
         expected = reference_encode(model, ref, events, lead_price)
         assert all(same_bits(a, b) for a, b in zip(encoded, expected))
+
+
+def test_pair_order_is_the_item_lag_lead_string_order():
+    """Pairs sorted by their (lag, lead) row indices are in (item_id,
+    lag_month, lead_month) order with item ids compared as strings ("i10"
+    before "i2"), on a shuffled take, on parts concatenated out of order and
+    on an inference table."""
+    tx = make_tx(grid_rows(n_items=12))
+    pairs = dt.build_pairs(tx)
+    ds = dt.split(pairs, seed=0)
+    inference, _ = dt.build_inference_set(tx, 202312)
+    rng = np.random.default_rng(0)
+    tables = [
+        pairs.take(rng.permutation(len(pairs))),
+        dt.PairTable.concat([ds.out_of_time, ds.train, ds.validation]),
+        inference.take(rng.permutation(len(inference))),
+    ]
+    for table in tables:
+        expected = reference_pair_order(table.item_id, table.lag_month, table.lead_month)
+        assert np.array_equal(dt._pair_order(table), expected)
+    items = dict.fromkeys(tables[0].take(dt._pair_order(tables[0])).item_id.tolist())
+    assert list(items) == sorted(f"i{i}" for i in range(12)) != [f"i{i}" for i in range(12)]

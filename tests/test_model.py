@@ -18,6 +18,7 @@ from elastinet.model import (
 )
 from elastinet.tensor import Tensor, backward, concat_cols, mse_loss
 from elastinet.training import Adam, TrainConfig
+from reference_ops import category_column, parameter_count
 
 
 def model_for(categorical=(), continuous=(), config=ArchConfig(), monotone=tuple(dt.MONOTONE_FEATURES)):
@@ -64,7 +65,7 @@ class TestBuildModel:
         injection = (8 + 2) * 8 + 8
         post = 8 * 4 + 4
         head = 4 * 1 + 1
-        assert model.parameter_count() == embeddings + encoders + trunk + injection + post + head
+        assert parameter_count(model) == embeddings + encoders + trunk + injection + post + head
 
     def test_empty_categoricals_builds_dense_only_encoder(self):
         model = model_for(continuous=("f1", "f2"))
@@ -503,7 +504,7 @@ def test_categorical_encoding_matches_the_per_pair_reference(world, by_item, hol
 
     vocabs = model_module.build_vocabs(ds.train, names, seed)
     if holdout > 0.1:
-        assert any(len(vocabs[n]) < len(np.unique(dt.category_column(ds.train, n))) for n in names)
+        assert any(len(vocabs[n]) < len(np.unique(category_column(ds.train, n))) for n in names)
     encoder = model_module.FeatureEncoder(vocabs)
     for label, table in tables.items():
         got, want = encoder.cat_matrix(table, names), reference_cat_matrix(encoder, table, names)

