@@ -156,15 +156,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _check_schema(model, ds) -> None:
-    if model.schema_hash != ds.schema_hash:
-        raise SchemaMismatchError(f"model was trained on schema {model.schema_hash}, dataset has {ds.schema_hash}")
+def _check_features(model, ds) -> None:
+    """The model must read exactly the dataset's feature names."""
+    if model.names != ds.names:
+        in_model, in_data = ({*n.categorical, *n.continuous, *n.monotone} for n in (model.names, ds.names))
+        raise SchemaMismatchError(
+            f"model and dataset features differ: only the model has {sorted(in_model - in_data)}, "
+            f"only the dataset has {sorted(in_data - in_model)}"
+        )
 
 
 def cmd_evaluate(args) -> int:
     ds = dt.load_dataset(args.dataset)
     model = load_model(args.model)
-    _check_schema(model, ds)
+    _check_features(model, ds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -333,22 +333,29 @@ def _read_csv(path, columns) -> tuple[dict, Sequence[int], tuple[str, ...]]:
     sorted. Blank lines are skipped; a row whose quoted cell spans lines is
     numbered by its first line.
 
-    A cell that does not fit its column's kind, or a byte that is not
-    UTF-8, raises ParseError with its line number. The cyclic garbage
+    A cell that does not fit its column's kind, a NUL byte (numpy's str
+    arrays would drop it from the end of a cell), or a byte that is not
+    UTF-8 raises ParseError naming the file and line. The cyclic garbage
     collector is paused while the file is read.
     """
     path = Path(path)
+    raw = path.read_bytes()
     try:
-        with _gc_paused():
-            return _parse_csv(path, columns)
-    except UnicodeDecodeError:
-        raw = path.read_bytes()
-        try:
-            raw.decode("utf-8")  # for the bad byte's offset into the file, not into the chunk that failed
-        except UnicodeDecodeError as exc:
-            line_no = raw.count(b"\n", 0, exc.start) + 1
-            raise ParseError(f"{path.name} line {line_no}: byte {raw[exc.start]:#04x} is not UTF-8") from None
-        raise
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        byte = f"byte {raw[exc.start]:#04x}"
+        raise ParseError(f"{path.name} line {_line_of(raw, exc.start)}: {byte} is not UTF-8") from None
+    nul = raw.find(b"\0")
+    if nul >= 0:
+        raise ParseError(f"{path.name} line {_line_of(raw, nul)}: NUL byte")
+    del raw  # freed before the rows are read
+    with _gc_paused():
+        return _parse_csv(path, columns)
+
+
+def _line_of(raw: bytes, offset: int) -> int:
+    """The line of a file's bytes ``raw`` that byte ``offset`` is on."""
+    return raw.count(b"\n", 0, offset) + 1
 
 
 def _row_lines(path) -> list[int]:
@@ -382,7 +389,7 @@ def _parse_csv(path: Path, columns) -> tuple[dict, Sequence[int], tuple[str, ...
         rows = [row for row in rows if row]
     if set(map(len, rows)) - {len(columns)}:
         line_no, row = next((line_no, row) for line_no, row in zip(lines, rows) if len(row) != len(columns))
-        raise ParseError(f"line {line_no}: expected {len(columns)} fields, got {len(row)}")
+        raise ParseError(f"{path.name} line {line_no}: expected {len(columns)} fields, got {len(row)}")
     cells = dict(zip(names, zip(*rows))) or dict.fromkeys(names, ())
     named = set()
     for name, kind in columns:
@@ -398,10 +405,10 @@ def _parse_csv(path: Path, columns) -> tuple[dict, Sequence[int], tuple[str, ...
                 try:
                     _READ[kind]((cell,), event_names)
                 except _RuleError as exc:
-                    raise ParseError(f"line {line_no}: {name} {exc}") from None
+                    raise ParseError(f"{path.name} line {line_no}: {name} {exc}") from None
                 except (ValueError, OverflowError):
                     shown = cell.strip() if kind.endswith("?") else cell  # an optional cell is parsed stripped
-                    raise ParseError(f"line {line_no}: bad {name} {shown!r}") from None
+                    raise ParseError(f"{path.name} line {line_no}: bad {name} {shown!r}") from None
             raise
     return out, lines, event_names
 
@@ -518,18 +525,6 @@ class FeatureNames:
     monotone: tuple[str, ...]
     event_names: tuple[str, ...]
 
-    def schema_hash(self) -> str:
-        payload = json.dumps(
-            {
-                "categorical": list(self.categorical),
-                "continuous": list(self.continuous),
-                "monotone": {name: MONOTONE_DIRECTIONS[name] for name in self.monotone},
-                "events": list(self.event_names),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
 
 def feature_names(event_names) -> FeatureNames:
     events = tuple(sorted(event_names))
@@ -633,10 +628,6 @@ class DatasetSplit:
     split_mode: str  # "pair" or "item": what the 80/20 draw is over
     boundary_month: int
 
-    @property
-    def schema_hash(self) -> str:
-        return self.names.schema_hash()
-
 
 def _pair_order(table: PairTable) -> np.ndarray:
     """Indices sorting ``table``'s pairs by (item_id, lag_month, lead_month),
@@ -739,7 +730,6 @@ def _manifest(ds: DatasetSplit, transactions_sha256: str) -> dict:
         "boundary_month": ds.boundary_month,
         "event_names": list(ds.names.event_names),
         "row_counts": {name: len(getattr(ds, name)) for name in SPLITS},
-        "schema_hash": ds.schema_hash,
         "seed": ds.seed,
         "split_mode": ds.split_mode,
         "transactions_sha256": transactions_sha256,

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import data as dt
 from .errors import ConfigError, NumericError
-from .model import ArchConfig, DemandModel
+from .model import ArchConfig, DemandModel, StandardizationStats
 from .tensor import Parameter, Tensor, backward, mse_loss, sum_sq
 
 # Relative error uses max(|analytic|, |numeric|, REL_FLOOR) as denominator; the
@@ -103,7 +103,10 @@ def check_demand_model(seed: int, probes_per_param: int) -> tuple[DemandModel, G
     names = dt.FeatureNames(("item_id", "brand"), ("lag_price", "lag_units"), tuple(dt.MONOTONE_FEATURES), ())
     vocabs = {"item_id": {f"item_{k}": k for k in range(1, 6)}, "brand": {f"brand_{k}": k for k in range(1, 4)}}
     arch = ArchConfig(trunk_widths=(8,), injection_width=8, post_widths=(4,), encoder_width=3)
-    model = DemandModel(names, vocabs, arch, seed=seed)
+    # the inputs below are fed to forward as already standardized, so the stats are the identity
+    scaled = (*names.continuous, *names.monotone)
+    identity = StandardizationStats(dict.fromkeys(scaled, 0.0), dict.fromkeys(scaled, 1.0), 0.0, 1.0)
+    model = DemandModel(names, vocabs, identity, arch, seed=seed)
     rng = np.random.default_rng(seed)
     n = 12
     cat = np.column_stack([rng.integers(0, 6, n), rng.integers(0, 4, n)])

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import data as dt
 from .errors import ConfigError, DomainError, ModelIOError, NumericError
-from .monodense import ActivationSplit, DenseLayer, MonoDenseLayer, glorot_uniform
+from .monodense import DEFAULT_SPLIT, ActivationSplit, DenseLayer, MonoDenseLayer, glorot_uniform
 from .tensor import Parameter, Tensor, activation_pair, column_dense, concat_cols, embedding_lookup
 
 UNKNOWN_INDEX = 0  # reserved row for categorical levels unseen at training time
@@ -44,7 +44,7 @@ class ArchConfig:
     post_widths: tuple[int, ...] = (32,)
     encoder_width: int = 8
     activation: str = "relu"
-    split: tuple[float, float, float] = (7 / 16, 7 / 16, 2 / 16)
+    split: tuple[float, float, float] = astuple(DEFAULT_SPLIT)
 
     def __post_init__(self):
         widths = (*self.trunk_widths, self.injection_width, *self.post_widths, self.encoder_width)
@@ -162,16 +162,33 @@ class StandardizationStats:
         return y * self.target_std + self.target_mean
 
 
-class DemandModel:
-    """Trained (or trainable) demand network with its feature plumbing.
+def _wiring(names: dt.FeatureNames, vocabs: dict, config: ArchConfig):
+    """The shape of each embedding table, in ``names.categorical`` order, and
+    the (in, out) widths of each dense layer after the encoders: the trunk,
+    the injection (which also reads the price features), the post stack and
+    the head. Worked out without allocating any parameter."""
+    embeddings = []
+    for name in names.categorical:
+        cardinality = len(vocabs.get(name, ())) + 1  # plus the unknown row
+        embeddings.append((cardinality, default_embedding_dim(cardinality)))
+    outs = (*config.trunk_widths, config.injection_width, *config.post_widths, 1)
+    ins = [sum(cols for _, cols in embeddings) + config.encoder_width * len(names.continuous), *outs[:-1]]
+    ins[len(config.trunk_widths)] += len(names.monotone)
+    return embeddings, list(zip(ins, outs))
 
-    ``names`` is the dataset's feature list and ``vocabs`` maps each
-    categorical feature's levels to 1..n; embedding sizes, the injection
-    indicator and the schema hash follow from them. Only the
-    standardization ``stats`` are attached later.
+
+class DemandModel:
+    """Demand network with its feature plumbing, trainable and ready to score.
+
+    ``names`` is the dataset's feature list, ``vocabs`` maps each
+    categorical feature's levels to 1..n, and ``stats`` standardizes
+    exactly the continuous and price features; embedding sizes, layer
+    widths and the injection indicator follow from them (see ``_wiring``).
     """
 
-    def __init__(self, names: dt.FeatureNames, vocabs: dict, config: ArchConfig, seed: int = 0):
+    def __init__(
+        self, names: dt.FeatureNames, vocabs: dict, stats: StandardizationStats, config: ArchConfig, seed: int = 0
+    ):
         unknown = sorted(set(names.monotone) - set(dt.MONOTONE_DIRECTIONS))
         if unknown:
             raise ConfigError(f"monotone features {unknown} have no direction in {dt.MONOTONE_DIRECTIONS}")
@@ -180,49 +197,41 @@ class DemandModel:
         for name, vocab in vocabs.items():
             if sorted(vocab.values()) != list(range(1, len(vocab) + 1)):
                 raise ConfigError(f"vocabulary {name!r} must map its {len(vocab)} levels to 1..{len(vocab)}")
+        scaled = {*names.continuous, *names.monotone}
+        if set(stats.means) != scaled:
+            raise ConfigError(f"standardization stats and features differ in {sorted(set(stats.means) ^ scaled)}")
         if seed < 0:
             raise ConfigError(f"seed must be non-negative, got {seed}")
+        if not (names.categorical or names.continuous):
+            raise ConfigError("schema has no categorical or continuous features")
         self.names = names
-        self.schema_hash = names.schema_hash()
         self.config = config
         self.seed = seed
         self.encoder = FeatureEncoder(vocabs)
-        self.stats: StandardizationStats | None = None  # attached after the dataset is known
+        self.stats = stats
         rng = np.random.default_rng(seed)
         split = config.activation_split()
         act = config.activation
+        embeddings, dense = _wiring(names, vocabs, config)
 
-        self.embeddings: dict[str, Parameter] = {}
-        for name in names.categorical:
-            cardinality = len(vocabs[name]) + 1  # plus the unknown row
-            table = rng.uniform(-0.05, 0.05, size=(cardinality, default_embedding_dim(cardinality)))
-            self.embeddings[name] = Parameter(table, name=f"emb.{name}")
-
+        self.embeddings: dict[str, Parameter] = {
+            name: Parameter(rng.uniform(-0.05, 0.05, size=shape), name=f"emb.{name}")
+            for name, shape in zip(names.categorical, embeddings)
+        }
         self.encoders = ColumnDenseLayer(len(names.continuous), config.encoder_width, act, rng=rng, name="enc")
 
-        trunk_in = sum(e.cols for e in self.embeddings.values()) + config.encoder_width * len(names.continuous)
-        if trunk_in == 0:
-            raise ConfigError("schema has no categorical or continuous features")
-        self.trunk: list[DenseLayer] = []
-        w_in = trunk_in
-        for i, w_out in enumerate(config.trunk_widths):
-            self.trunk.append(DenseLayer(w_in, w_out, act, rng=rng, name=f"trunk.{i}"))
-            w_in = w_out
-
+        n_trunk = len(config.trunk_widths)
+        (inj_in, inj_out), *post, (head_in, _) = dense[n_trunk:]
+        self.trunk = [DenseLayer(*widths, act, rng=rng, name=f"trunk.{i}") for i, widths in enumerate(dense[:n_trunk])]
         mono_dirs = [dt.MONOTONE_DIRECTIONS[name] for name in names.monotone]
-        inj_indicator = np.concatenate([np.zeros(w_in), np.array(mono_dirs, dtype=np.float64)])
-        self.injection = MonoDenseLayer(
-            w_in + len(mono_dirs), config.injection_width, inj_indicator, split, act, rng=rng, name="inj"
-        )
-
-        self.post: list[MonoDenseLayer] = []
-        w_in = config.injection_width
-        for i, w_out in enumerate(config.post_widths):
-            self.post.append(MonoDenseLayer(w_in, w_out, np.ones(w_in), split, act, rng=rng, name=f"post.{i}"))
-            w_in = w_out
-
+        inj_indicator = np.concatenate([np.zeros(inj_in - len(mono_dirs)), np.array(mono_dirs, dtype=np.float64)])
+        self.injection = MonoDenseLayer(inj_in, inj_out, inj_indicator, split, act, rng=rng, name="inj")
+        self.post = [
+            MonoDenseLayer(w_in, w_out, np.ones(w_in), split, act, rng=rng, name=f"post.{i}")
+            for i, (w_in, w_out) in enumerate(post)
+        ]
         # a monotone linear layer: non-negative weights, no activation
-        self.head = MonoDenseLayer(w_in, 1, np.ones(w_in), split, None, rng=rng, name="head")
+        self.head = MonoDenseLayer(head_in, 1, np.ones(head_in), split, None, rng=rng, name="head")
         self.layers: list[DenseLayer] = [self.encoders, *self.trunk, self.injection, *self.post, self.head]
 
     # -- parameters --------------------------------------------------------
@@ -255,17 +264,12 @@ class DemandModel:
 
     # -- pair tables ----------------------------------------------------------
 
-    def _require_fitted(self):
-        if self.stats is None:
-            raise ConfigError("model has no standardization stats attached; train or load it first")
-
     def encode(self, table: dt.PairTable, lead_price=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Standardized (cat, cont, mono) inputs of ``forward`` for a pair table.
 
         ``lead_price``, one positive finite price per row, replaces the
         table's lead prices, and so the price change it reads.
         """
-        self._require_fitted()
         if lead_price is not None:
             lead_price = np.asarray(lead_price, dtype=np.float64)
             if lead_price.shape != (len(table),):
@@ -289,7 +293,6 @@ class DemandModel:
 
     def predict_batch(self, table: dt.PairTable, lead_price=None) -> np.ndarray:
         """Demand predictions in original units, at ``lead_price`` if given (see ``encode``)."""
-        self._require_fitted()
         if not len(table):
             return np.zeros(0)
         passes = self._passes(*self.encode(table, lead_price))
@@ -313,7 +316,6 @@ _VOCABS = dict[str, tuple[tuple[str, int], ...]]
 
 
 def save_model(model: DemandModel, path) -> None:
-    model._require_fitted()
     params = model.parameters()
     bad = [p.name for p in params if not np.all(np.isfinite(p.data))]
     if bad:
@@ -371,29 +373,6 @@ def _from_json(value, hint, where: str):
     raise ModelIOError(f"model metadata {where}: expected {hint if origin else hint.__name__}, got {value!r:.40}")
 
 
-def _parameter_shapes(names: dt.FeatureNames, vocabs: dict, config: ArchConfig) -> list[tuple[int, int]]:
-    """Shapes of ``DemandModel(names, vocabs, config).parameters()``, in
-    order, worked out without allocating them."""
-    shapes = []
-
-    def dense(in_width, out_width):
-        shapes.extend([(in_width, out_width), (1, out_width)])
-        return out_width
-
-    for name in names.categorical:
-        cardinality = len(vocabs.get(name, ())) + 1  # plus the unknown row
-        shapes.append((cardinality, default_embedding_dim(cardinality)))
-    width = sum(cols for _, cols in shapes) + config.encoder_width * len(names.continuous)
-    shapes.extend([(len(names.continuous), config.encoder_width)] * 2)
-    for out_width in config.trunk_widths:
-        width = dense(width, out_width)
-    width = dense(width + len(names.monotone), config.injection_width)
-    for out_width in config.post_widths:
-        width = dense(width, out_width)
-    dense(width, 1)
-    return shapes
-
-
 class _Cursor:
     def __init__(self, buf: bytes):
         self.buf = buf
@@ -445,19 +424,21 @@ def load_model(path) -> DemandModel:
         config = _from_json(meta["config"], ArchConfig, "config")
         # the blobs must hold every value the metadata implies, so a forged
         # width cannot make DemandModel allocate more than the file holds
-        n_values = sum(rows * cols for rows, cols in _parameter_shapes(names, vocabs, config))
+        embeddings, dense = _wiring(names, vocabs, config)
+        n_values = (
+            sum(rows * cols for rows, cols in embeddings)
+            + 2 * len(names.continuous) * config.encoder_width
+            + sum((w_in + 1) * w_out for w_in, w_out in dense)
+        )
         if 8 * n_values > len(body) - cur.pos:
             raise ModelIOError(
                 f"model metadata implies {n_values} parameter values, more than the "
                 f"{len(body) - cur.pos} bytes after it can hold"
             )
-        model = DemandModel(names, vocabs, config, seed=_from_json(meta["seed"], int, "seed"))
         stats = _from_json(meta["stats"], StandardizationStats, "stats")
+        model = DemandModel(names, vocabs, stats, config, seed=_from_json(meta["seed"], int, "seed"))
     except ConfigError as exc:
         raise ModelIOError(f"model metadata: {exc}") from None
-    if set(stats.means) != {*names.continuous, *names.monotone}:
-        raise ModelIOError("model metadata stats: means and stds must name the continuous and monotone features")
-    model.stats = stats
 
     by_name = {p.name: p for p in model.parameters()}
     n_blobs = cur.u32()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -283,7 +284,7 @@ def read_truth(path) -> list[ItemTruth]:
     seen = set()
     for line_no, item in zip(lines, columns["item_id"].tolist()):
         if item in seen:
-            raise ParseError(f"line {line_no}: repeated item_id {item!r}")
+            raise ParseError(f"{Path(path).name} line {line_no}: repeated item_id {item!r}")
         seen.add(item)
     rows = zip(*(columns[name].tolist() for name in TRUTH_COLUMNS))
     return [ItemTruth(item, eps, None if np.isnan(hi) else hi, coeff, base) for item, eps, hi, coeff, base in rows]

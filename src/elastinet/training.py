@@ -140,12 +140,12 @@ def prepare_model(
     arch: ArchConfig | None = None,
     seed: int = 0,
 ) -> DemandModel:
-    """Build an untrained model wired to a dataset: its features, vocabs and stats."""
+    """An untrained model of a dataset: its feature names, and the vocabs and
+    standardization stats of its train split."""
     names = split.names
     vocabs = build_vocabs(split.train, names.categorical, seed=seed)
-    model = DemandModel(names, vocabs, arch or ArchConfig(), seed=seed)
-    model.stats = fit_stats(split.train, names.continuous, names.monotone)
-    return model
+    stats = fit_stats(split.train, names.continuous, names.monotone)
+    return DemandModel(names, vocabs, stats, arch or ArchConfig(), seed=seed)
 
 
 def _validation_loss(model: DemandModel, inputs, target) -> float:
@@ -169,7 +169,6 @@ def train(
     model)`` runs after each epoch, e.g. for monotonicity probes.
     """
     config = config or TrainConfig()
-    model._require_fitted()
     t0 = time.perf_counter()
 
     cat_tr, cont_tr, mono_tr = model.encode(split.train)

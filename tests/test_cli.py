@@ -171,8 +171,8 @@ class TestEvaluate:
         assert "finite" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
-    def test_schema_hash_mismatch_exits_3(self, pipeline_dirs, tmp_path):
-        # a Jan-Jun world has no seasonal events, so its feature schema differs
+    def test_feature_names_mismatch_exits_3(self, pipeline_dirs, tmp_path, capsys):
+        # a Jan-Jun world has no seasonal events, so it lacks the model's event features
         other = tmp_path / "other"
         assert main(["synth", "--items", "6", "--months", "6", "--seed", "6", "--out", str(other / "data")]) == 0
         assert main(["build", "--transactions", str(other / "data" / "transactions.csv"), "--out", str(other / "ds")]) == 0
@@ -181,7 +181,9 @@ class TestEvaluate:
 
         model = mdl.load_model(pipeline_dirs / "run" / "model.mdnm")
         ds = dt.load_dataset(other / "ds")
-        assert model.schema_hash != ds.schema_hash
+        only_model = sorted(set(model.names.continuous) - set(ds.names.continuous))
+        assert only_model and set(ds.names.continuous) < set(model.names.continuous)
+        capsys.readouterr()
         rc = main(
             [
                 "evaluate",
@@ -194,6 +196,8 @@ class TestEvaluate:
             ]
         )
         assert rc == 3
+        assert f"only the model has {only_model}, only the dataset has []" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
     def test_edited_manifest_event_names_exit_3(self, pipeline_dirs, tmp_path, capsys):
         ds = tmp_path / "ds"
@@ -349,7 +353,7 @@ def _shift_boundary(manifest):
     manifest["boundary_month"] -= 1 if manifest["boundary_month"] % 100 > 1 else 89  # the month before
 
 
-MANIFEST_KEYS = ["boundary_month", "event_names", "row_counts", "schema_hash", "seed", "split_mode", "transactions_sha256"]
+MANIFEST_KEYS = ["boundary_month", "event_names", "row_counts", "seed", "split_mode", "transactions_sha256"]
 
 
 @pytest.mark.parametrize(
@@ -358,7 +362,7 @@ MANIFEST_KEYS = ["boundary_month", "event_names", "row_counts", "schema_hash", "
         (_shift_boundary, "boundary_month"),
         (lambda m: m.update(event_names=m["event_names"][1:]), "event_names"),
         (_more_row_counts, "row_counts"),
-        (lambda m: m.update(schema_hash="0" * 64), "schema_hash"),
+        (lambda m: m.update(schema_hash="0" * 64), "schema_hash"),  # as a directory built before it was dropped
         (lambda m: m.update(transactions_sha256="0" * 64), "transactions_sha256"),
         (lambda m: m.update(seed=-1), "seed"),
         (lambda m: m.update(seed="7"), "seed"),
@@ -399,7 +403,8 @@ def test_every_manifest_key_is_checked(pipeline_dirs, tmp_path, capsys, edit, ke
     assert not (tmp_path / "b").exists()
 
 
-NON_UTF8_CASES = {
+# each CSV file kind, and a command that reads it
+CSV_FILE_CASES = {
     "input": ("data/transactions.csv", ["build", "--transactions", "{data}/transactions.csv"]),
     "copy": ("ds/transactions.csv", ["baseline", "--dataset", "{ds}"]),
     "pairs": ("ds/pairs.csv", ["evaluate", "--dataset", "{ds}", "--model", "{run}/model.mdnm"]),
@@ -410,11 +415,11 @@ NON_UTF8_CASES = {
 }
 
 
-@pytest.mark.parametrize("kind", NON_UTF8_CASES)
+@pytest.mark.parametrize("kind", CSV_FILE_CASES)
 def test_non_utf8_byte_exits_2_naming_its_line(pipeline_dirs, tmp_path, capsys, kind):
     root = tmp_path / "p"
     shutil.copytree(pipeline_dirs, root)
-    name, argv = NON_UTF8_CASES[kind]
+    name, argv = CSV_FILE_CASES[kind]
     path = root / name
     lines = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(b"".join(lines[:-1]) + b"\xff" + lines[-1][1:])
@@ -423,6 +428,38 @@ def test_non_utf8_byte_exits_2_naming_its_line(pipeline_dirs, tmp_path, capsys, 
     argv = [arg.format(data=root / "data", ds=root / "ds", run=root / "run") for arg in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert f"error: {path.name} line {len(lines)}: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", CSV_FILE_CASES)
+def test_nul_byte_exits_2_naming_its_line(pipeline_dirs, tmp_path, capsys, kind):
+    # numpy's str arrays drop trailing NULs, so "item_0000\0" would read as "item_0000"
+    root = tmp_path / "p"
+    shutil.copytree(pipeline_dirs, root)
+    name, argv = CSV_FILE_CASES[kind]
+    path = root / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]) + lines[-1].replace(b",", b"\0,", 1))
+    if kind == "copy":
+        _edit_manifest(lambda m: m.update(transactions_sha256=hashlib.sha256(path.read_bytes()).hexdigest()))(root / "ds")
+    argv = [arg.format(data=root / "data", ds=root / "ds", run=root / "run") for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path.name} line {len(lines)}: NUL byte" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, cell", [("pairs", "trian"), ("truth", "abc")])
+def test_bad_cell_error_names_its_file(pipeline_dirs, tmp_path, capsys, kind, cell):
+    root = tmp_path / "p"
+    shutil.copytree(pipeline_dirs, root)
+    name, argv = CSV_FILE_CASES[kind]
+    path = root / name
+    lines = path.read_text().splitlines(keepends=True)
+    column = lines[0].rstrip("\n").rsplit(",", 1)[1]  # the last column: split or base_price
+    lines[2] = lines[2].rsplit(",", 1)[0] + f",{cell}\n"
+    path.write_text("".join(lines))
+    argv = [arg.format(data=root / "data", ds=root / "ds", run=root / "run") for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path.name} line 3: bad {column} '{cell}'" in capsys.readouterr().err
 
 
 def test_non_utf8_blob_name_exits_3(pipeline_dirs, tmp_path, capsys):
@@ -520,6 +557,22 @@ def test_malformed_model_metadata_exits_3(pipeline_dirs, tmp_path, edit_model_fi
         assert main(argv + ["--model", str(model), "--out", str(tmp_path / argv[0])]) == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / argv[0]).exists()
+
+
+@pytest.mark.parametrize(
+    "edit, differ",
+    [
+        (lambda stats: [stats[key].pop("lag_units") for key in ("means", "stds")], "['lag_units']"),
+        (lambda stats: [stats[key].update(extra=1.0) for key in ("means", "stds")], "['extra']"),
+    ],
+    ids=["missing", "extra"],
+)
+def test_model_stats_naming_other_features_exit_3(pipeline_dirs, tmp_path, edit_model_file, capsys, edit, differ):
+    model = tmp_path / "edited.mdnm"
+    edit_model_file(pipeline_dirs / "run" / "model.mdnm", model, lambda c: edit(c["meta"]["stats"]))
+    argv = ["evaluate", "--dataset", str(pipeline_dirs / "ds"), "--model", str(model), "--out", str(tmp_path / "e")]
+    assert main(argv) == 3
+    assert f"standardization stats and features differ in {differ}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -171,7 +171,7 @@ class TestIngest:
     def test_count_rules_name_the_line(self, tmp_path, row, message):
         f = tmp_path / "t.csv"
         write_csv(f, ["a,202212,3.50,5,20,0,3,100,,false,,b1,M,c1,s1", row])
-        with pytest.raises(ParseError, match=f"^line 3: {message}$"):
+        with pytest.raises(ParseError, match=f"^t.csv line 3: {message}$"):
             dt.ingest(f)
 
     def test_bad_header(self, tmp_path):
@@ -447,10 +447,10 @@ def save(tmp_path, rows, seed=7, by_item=False):
 
 
 def splits_equal(a, b):
-    """Same parts column for column, feature names, schema hash, seed, split
-    mode and boundary month."""
+    """Same parts column for column, feature names, seed, split mode and
+    boundary month."""
     parts_equal = all(tables_equal(getattr(a, part), getattr(b, part)) for part in dt.SPLITS)
-    facts = ("names", "schema_hash", "seed", "split_mode", "boundary_month")
+    facts = ("names", "seed", "split_mode", "boundary_month")
     return parts_equal and all(getattr(a, fact) == getattr(b, fact) for fact in facts)
 
 
@@ -458,7 +458,7 @@ class TestDatasetIO:
     def test_round_trip(self, tmp_path):
         ds, path = save(tmp_path, grid_rows(), seed=9)
         loaded = dt.load_dataset(path)
-        assert loaded.schema_hash == ds.schema_hash
+        assert loaded.names == ds.names
         assert tables_equal(loaded.train, ds.train)
         assert tables_equal(loaded.validation, ds.validation)
         assert tables_equal(loaded.out_of_time, ds.out_of_time)
@@ -507,7 +507,8 @@ class TestDatasetIO:
         ds, path = save(tmp_path, grid_rows(), seed=7)
         manifest = json.loads((path / "manifest.json").read_text())
         assert (manifest["seed"], manifest["split_mode"], manifest["boundary_month"]) == (7, "pair", ds.boundary_month)
-        assert manifest["schema_hash"] == ds.schema_hash
+        keys = ["boundary_month", "event_names", "row_counts", "seed", "split_mode", "transactions_sha256"]
+        assert sorted(manifest) == keys
         assert manifest["row_counts"] == {name: len(getattr(ds, name)) for name in dt.SPLITS}
         assert manifest["event_names"] == list(ds.names.event_names)
         raw = (tmp_path / "input.csv").read_bytes()
@@ -552,7 +553,7 @@ class TestDatasetIO:
         "edit",
         [
             lambda m: m.pop("event_names"),
-            lambda m: m.pop("schema_hash"),
+            lambda m: m.update(schema_hash="0" * 64),  # a directory built when the manifest had one
             lambda m: m.update(event_names="holiday"),
             lambda m: m.update(event_names=[1]),
             lambda m: m.update(schema_hash=None),
@@ -563,7 +564,7 @@ class TestDatasetIO:
         manifest = json.loads((path / "manifest.json").read_text())
         edit(manifest)
         (path / "manifest.json").write_text(json.dumps(manifest))
-        message = r'^manifest (event_names|schema_hash) is (missing|"holiday"|\[1\]|null);'
+        message = r'^manifest (event_names|schema_hash) is (missing|"holiday"|\[1\]|null|"0{64}");'
         with pytest.raises(SchemaMismatchError, match=message):
             dt.load_dataset(path)
 
@@ -666,9 +667,6 @@ class TestFeatureView:
         pair = dt.build_pairs(make_tx([tx_row(ym=202312), tx_row(ym=202401)]))
         assert category_column(pair, "lag_month_of_year").tolist() == ["12"]
         assert category_column(pair, "lead_month_of_year").tolist() == ["1"]
-
-    def test_schema_hash_depends_on_events(self):
-        assert dt.feature_names([]).schema_hash() != dt.feature_names(["holiday"]).schema_hash()
 
 
 # ---------------------------------------------------------------------------

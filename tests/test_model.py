@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -21,12 +22,18 @@ from elastinet.training import Adam, TrainConfig
 from reference_ops import category_column, parameter_count
 
 
+def identity_stats(names: dt.FeatureNames) -> StandardizationStats:
+    """Stats that leave every continuous and price feature, and the target, as they are."""
+    scaled = (*names.continuous, *names.monotone)
+    return StandardizationStats(dict.fromkeys(scaled, 0.0), dict.fromkeys(scaled, 1.0), 0.0, 1.0)
+
+
 def model_for(categorical=(), continuous=(), config=ArchConfig(), monotone=tuple(dt.MONOTONE_FEATURES)):
     """A DemandModel whose categorical features map {name: level count} and
-    whose continuous features are ``continuous``."""
+    whose continuous features are ``continuous``, with identity stats."""
     names = dt.FeatureNames(tuple(dict(categorical)), tuple(continuous), monotone, ())
     vocabs = {name: {f"{name}_{i}": i for i in range(1, n + 1)} for name, n in dict(categorical).items()}
-    return DemandModel(names, vocabs, config, seed=0)
+    return DemandModel(names, vocabs, identity_stats(names), config, seed=0)
 
 
 class TestSchema:
@@ -41,7 +48,18 @@ class TestSchema:
     def test_vocabs_must_map_each_categorical_to_1_to_n(self, vocabs):
         names = dt.FeatureNames(("c",), (), tuple(dt.MONOTONE_FEATURES), ())
         with pytest.raises(ConfigError, match="vocabular"):
-            DemandModel(names, vocabs, ArchConfig())
+            DemandModel(names, vocabs, identity_stats(names), ArchConfig())
+
+    @pytest.mark.parametrize(
+        "scaled, differ",
+        [(("lead_price",), "['f', 'price_change_pct']"), (("f", "extra", *dt.MONOTONE_FEATURES), "['extra']")],
+        ids=["missing", "extra"],
+    )
+    def test_stats_must_name_the_continuous_and_price_features(self, scaled, differ):
+        names = dt.FeatureNames((), ("f",), tuple(dt.MONOTONE_FEATURES), ())
+        stats = StandardizationStats(dict.fromkeys(scaled, 0.0), dict.fromkeys(scaled, 1.0), 0.0, 1.0)
+        with pytest.raises(ConfigError, match=re.escape(f"standardization stats and features differ in {differ}")):
+            DemandModel(names, {}, stats, ArchConfig())
 
     def test_embedding_sizes_follow_the_vocabularies(self):
         model = model_for(categorical={"c1": 9, "c2": 200})
@@ -304,7 +322,6 @@ class TestSaveLoad:
         for p, q in zip(model.parameters(), loaded.parameters()):
             assert p.name == q.name
             assert np.array_equal(p.data, q.data)
-        assert loaded.schema_hash == model.schema_hash
         assert loaded.names == model.names
         assert loaded.encoder.vocabs == model.encoder.vocabs
         assert loaded.stats == model.stats and loaded.config == model.config and loaded.seed == model.seed
@@ -389,9 +406,10 @@ class TestSaveLoad:
             load_model(tmp_path / "nan.mdnm")
 
     def test_model_on_a_subset_of_the_features_round_trips(self, tmp_path):
-        model = model_for({"brand": 3}, ("lag_units",))
-        names = ("lag_units", *dt.MONOTONE_FEATURES)
-        model.stats = StandardizationStats(dict.fromkeys(names, 1.0), dict.fromkeys(names, 2.0), 5.0, 3.0)
+        scaled = ("lag_units", *dt.MONOTONE_FEATURES)
+        stats = StandardizationStats(dict.fromkeys(scaled, 1.0), dict.fromkeys(scaled, 2.0), 5.0, 3.0)
+        names = dt.FeatureNames(("brand",), ("lag_units",), tuple(dt.MONOTONE_FEATURES), ())
+        model = DemandModel(names, {"brand": {"b1": 1, "b2": 2, "b3": 3}}, stats, ArchConfig())
         save_model(model, tmp_path / "m.mdnm")
         loaded = load_model(tmp_path / "m.mdnm")
         assert loaded.names == model.names and loaded.stats == model.stats
@@ -414,24 +432,6 @@ class TestSaveLoad:
         monkeypatch.setattr(model_module, "DemandModel", build)
         with pytest.raises(ModelIOError, match="model metadata implies .* parameter values, more than the"):
             load_model(tmp_path / "wide.mdnm")
-
-    @pytest.mark.parametrize(
-        "categorical, continuous, config",
-        [
-            ({"c1": 9, "c2": 200}, ("f1", "f2", "f3"), ArchConfig()),
-            ({}, ("f1",), ArchConfig(trunk_widths=(), post_widths=())),
-            ({"c": 4}, (), ArchConfig(trunk_widths=(8, 6, 4), injection_width=8, post_widths=(4, 2))),
-        ],
-    )
-    def test_parameter_shapes_are_the_model_parameter_shapes(self, categorical, continuous, config):
-        model = model_for(categorical, continuous, config)
-        shapes = model_module._parameter_shapes(model.names, model.encoder.vocabs, model.config)
-        assert shapes == [p.shape for p in model.parameters()]
-
-    def test_unfitted_model_cannot_be_saved(self, tmp_path):
-        model = model_for(continuous=("f",))
-        with pytest.raises(ConfigError):
-            save_model(model, tmp_path / "m.mdnm")
 
 
 class TestEndToEndMonotonicity:

@@ -4,13 +4,17 @@ Each model has a random architecture (trunk and post depths 0-3, widths
 1-16), activation, activation split and feature schema, and its parameters
 are redrawn at a large scale. Every model must keep its weight-sign
 contract, predict demand that never rises along a wide grid of each
-standardized price input, and survive save -> load bit for bit.
+standardized price input, and survive save -> load bit for bit; the
+parameter count that loading bounds a file by must be the model's own.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from elastinet import data as dt
+from elastinet.errors import ModelIOError
 from elastinet.model import ArchConfig, DemandModel, StandardizationStats, load_model, save_model
 
 N_MODELS = 60
@@ -55,16 +59,16 @@ def draw(seed):
         activation=str(rng.choice(["relu", "elu", "selu"])),
         split=random_split(rng),
     )
-    model = DemandModel(names, vocabs, config, seed=seed)
-    for p in model.parameters():
-        p.data[...] = rng.normal(0.0, RAW_SCALE, size=p.shape)
     scaled = (*continuous, *monotone)
-    model.stats = StandardizationStats(
+    stats = StandardizationStats(
         {n: float(rng.normal(0.0, 100.0)) for n in scaled},
         {n: float(rng.uniform(0.01, 100.0)) for n in scaled},
         float(rng.normal(0.0, 100.0)),
         float(rng.uniform(0.01, 100.0)),
     )
+    model = DemandModel(names, vocabs, stats, config, seed=seed)
+    for p in model.parameters():
+        p.data[...] = rng.normal(0.0, RAW_SCALE, size=p.shape)
     cat = np.zeros((N_ROWS, len(categorical)), dtype=np.int64)
     for j, name in enumerate(categorical):
         cat[:, j] = rng.integers(0, sizes[name] + 1, size=N_ROWS)  # 0 is the unknown row
@@ -85,7 +89,7 @@ def demand_along_grid(model, cat, cont, mono, j):
 
 
 @pytest.mark.parametrize("seed", range(N_MODELS))
-def test_random_model_is_monotone_and_round_trips(seed, tmp_path):
+def test_random_model_is_monotone_and_round_trips(seed, tmp_path, edit_model_file):
     model, (cat, cont, mono) = draw(seed)
     assert model.sign_contracts_hold()
 
@@ -104,6 +108,13 @@ def test_random_model_is_monotone_and_round_trips(seed, tmp_path):
     assert np.array_equal(loaded.forward(cat, cont, mono).data, model.forward(cat, cont, mono).data)
     save_model(loaded, tmp_path / "b.mdnm")
     assert (tmp_path / "b.mdnm").read_bytes() == (tmp_path / "a.mdnm").read_bytes()
+
+    # with its blobs gone, loading reports the parameter count it bounds the file by
+    edit_model_file(tmp_path / "a.mdnm", tmp_path / "empty.mdnm", lambda c: c["blobs"].clear())
+    with pytest.raises(ModelIOError, match="model metadata implies") as exc:
+        load_model(tmp_path / "empty.mdnm")
+    bound = int(re.search(r"implies (\d+) parameter values", str(exc.value)).group(1))
+    assert bound == sum(p.data.size for p in model.parameters())
 
 
 def test_draws_cover_the_space_and_prices_move_demand():
