@@ -1,9 +1,9 @@
 """Command-line entry point wiring the pipeline end to end.
 
 Exit codes: 0 success, 2 usage/config error, 3 artifact mismatch,
-4 numeric failure. Every command writes its resolved configuration as JSON
-next to its outputs; re-running with the same inputs and seed reproduces
-outputs byte-identically (timing goes to stderr, never into artifacts).
+4 numeric failure. After a command succeeds, ``main`` writes its resolved
+configuration as JSON next to its outputs; re-running with the same inputs
+and seed reproduces outputs byte-identically (timing goes to stderr).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .gradcheck import check_demand_model
-from .model import ArchConfig, load_model, save_model
+from .model import load_model, save_model
 from .training import TrainConfig, prepare_model, train
 
 EXIT_OK = 0
@@ -60,41 +60,40 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _resolved_config(args: argparse.Namespace, **resolved) -> None:
-    """Write ``<command>_config.json`` into ``--out``: the parsed arguments
-    but ``out`` and the parser's own entries, updated with ``resolved``."""
-    values = {k: v for k, v in vars(args).items() if k not in ("out", "func", "config", "_defaults")}
+def _resolved_config(args: argparse.Namespace) -> None:
+    """Write ``<command>_config.json`` into ``--out``: the resolved arguments
+    but ``out``, ``config`` and the parser's ``func``."""
+    values = {k: v for k, v in vars(args).items() if k not in ("out", "func", "config")}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / f"{args.command}_config.json", {**values, **resolved})
+    _write_json(out / f"{args.command}_config.json", values)
 
 
-def _merge_config_file(args: argparse.Namespace) -> None:
-    """Fill argparse values from --config JSON; explicit flags win.
-
-    The file holds one JSON object whose keys are among ``args._defaults``
-    and whose values have the type of that default (an integer may stand for
-    a float).
-    """
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            file_cfg = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
-            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
-    if not isinstance(file_cfg, dict):
-        raise ConfigError(f"config file {args.config} must hold a JSON object, got {type(file_cfg).__name__}")
-    unknown = set(file_cfg) - set(args._defaults)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in file_cfg.items():
-        default = args._defaults[key]
+def _train_config(args: argparse.Namespace) -> TrainConfig:
+    """Explicit flags over the ``--config`` file over TrainConfig's defaults,
+    written back onto ``args``. The file holds one JSON object of TrainConfig
+    fields, each of its default's type (an integer may stand for a float)."""
+    defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    file_cfg = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                file_cfg = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
+                raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object, got {type(file_cfg).__name__}")
+        unknown = set(file_cfg) - set(defaults)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, default in defaults.items():
+        value = file_cfg.get(key, default)
         allowed = (int, float) if isinstance(default, float) else type(default)
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ConfigError(f"config key {key!r} must be {type(default).__name__}, got {value!r}")
-        if getattr(args, key, None) is None:
+        if getattr(args, key) is None:
             setattr(args, key, value)
+    return TrainConfig(**{key: getattr(args, key) for key in defaults})
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +116,6 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dt.write_transactions(tx, out / "transactions.csv")
     synth.write_truth(truths, out / "truth.csv")
-    _resolved_config(args)
     print(f"wrote {len(tx)} records for {args.items} items to {out}")
     return EXIT_OK
 
@@ -127,16 +125,14 @@ def cmd_build(args) -> int:
     ds = dt.split(pairs, seed=args.seed, by_item=args.by_item)
     out = Path(args.out)
     dt.save_dataset(ds, args.transactions, out)
-    _resolved_config(args)
     print(f"pairs: train={len(ds.train)} validation={len(ds.validation)} out_of_time={len(ds.out_of_time)}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
+    config = _train_config(args)
     ds = dt.load_dataset(args.dataset)
-    config = TrainConfig(**{key: getattr(args, key) for key in args._defaults})
-    arch = ArchConfig()
-    model = prepare_model(ds, arch, seed=args.seed)
+    model = prepare_model(ds, seed=config.seed)
     report = train(model, ds, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -146,7 +142,6 @@ def cmd_train(args) -> int:
         fh.write("epoch,train_loss,val_loss\n")
         for i, (t, v) in enumerate(zip(report.train_losses, report.val_losses), start=1):
             fh.write(f"{i},{t!r},{v!r}\n")
-    _resolved_config(args)
     print(
         f"trained {config.epochs} epochs; final train loss {report.train_losses[-1]:.6f}, "
         f"val loss {report.val_losses[-1]:.6f} ({report.wall_time_seconds:.1f}s)",
@@ -157,13 +152,16 @@ def cmd_train(args) -> int:
 
 
 def _check_features(model, ds) -> None:
-    """The model must read exactly the dataset's feature names."""
-    if model.names != ds.names:
-        in_model, in_data = ({*n.categorical, *n.continuous, *n.monotone} for n in (model.names, ds.names))
-        raise SchemaMismatchError(
-            f"model and dataset features differ: only the model has {sorted(in_model - in_data)}, "
-            f"only the dataset has {sorted(in_data - in_model)}"
-        )
+    """The model must read exactly the dataset's feature names, group by
+    group and in the same order; the first group that differs is named."""
+    for group in ("categorical", "continuous", "monotone", "event_names"):
+        in_model, in_data = getattr(model.names, group), getattr(ds.names, group)
+        if in_model != in_data:
+            only_model, only_data = sorted(set(in_model) - set(in_data)), sorted(set(in_data) - set(in_model))
+            differ = f"only the model has {only_model}, only the dataset has {only_data}"
+            if set(in_model) == set(in_data):
+                differ = f"the model orders them {list(in_model)}, the dataset {list(in_data)}"
+            raise SchemaMismatchError(f"model and dataset {group} features differ: {differ}")
 
 
 def cmd_evaluate(args) -> int:
@@ -179,28 +177,27 @@ def cmd_evaluate(args) -> int:
             continue
         metrics[name] = {"wmape_pct": wmape(pairs.target, model.predict_batch(pairs)), "rows": len(pairs)}
     _write_json(out / "metrics.json", metrics)
-    _resolved_config(args)
     for name, m in metrics.items():
         print(f"{name}: WMAPE {m['wmape_pct']:.2f}% over {m['rows']} rows")
     return EXIT_OK
 
 
 def cmd_elasticity(args) -> int:
-    if args.dp_pct is not None and not (math.isfinite(args.dp_pct) and args.dp_pct != 0 and args.dp_pct > -100):
+    if not (math.isfinite(args.dp_pct) and args.dp_pct != 0 and args.dp_pct > -100):
         raise ConfigError(f"--dp-pct must be finite, non-zero and above -100, got {args.dp_pct}")
     tx = dt.ingest(args.transactions)
     if not len(tx):
         raise ParseError(f"{args.transactions}: no transactions to read elasticities from")
     model = load_model(args.model)
-    as_of = args.as_of if args.as_of is not None else int(tx.year_month.max())
-    inference, skipped = dt.build_inference_set(tx, as_of)
-    dp_fraction = DEFAULT_DP_FRACTION if args.dp_pct is None else args.dp_pct / 100.0
-    report = evaluate_elasticities(model, inference, dp_fraction=dp_fraction)
+    if args.as_of is None:
+        args.as_of = int(tx.year_month.max())
+    inference, skipped = dt.build_inference_set(tx, args.as_of)
+    report = evaluate_elasticities(model, inference, dp_fraction=args.dp_pct / 100.0)
     for item_id, reason in skipped:
         report.entries.append(ElasticityEntry(item_id, None, None, None, None, None, reason))
     report.entries.sort(key=lambda e: e.item_id)
 
-    summary = {**report.summary(), "as_of_month": as_of}
+    summary = {**report.summary(), "as_of_month": args.as_of}
     if args.truth:
         truth_arcs = report.truth_arcs(synth.read_truth(args.truth))
         if truth_arcs:
@@ -210,7 +207,6 @@ def cmd_elasticity(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "elasticity.csv")
     _write_json(out / "elasticity_summary.json", summary)
-    _resolved_config(args, as_of=as_of)
     print(f"elasticities: {summary['valid']} valid, {summary['skipped']} skipped; report in {out}")
     return EXIT_OK
 
@@ -224,7 +220,6 @@ def cmd_baseline(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["item_id", "elasticity"])
         writer.writerows((item_id, slopes[item_id]) for item_id in sorted(slopes))
-    _resolved_config(args)
     print(f"baseline: {len(slopes)} items fitted, {len(skipped)} skipped")
     return EXIT_OK
 
@@ -241,7 +236,6 @@ def cmd_gradcheck(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "gradcheck.json", payload)
-        _resolved_config(args)
     print(json.dumps({"max_rel_error": report.max_rel_error, "probes": report.probes}))
     if not report.passed(GRADCHECK_TOLERANCE):
         print(f"gradcheck FAILED: max relative error {report.max_rel_error:.3e}", file=sys.stderr)
@@ -280,16 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the demand model")
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", help="JSON config file merged under explicit flags")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--l2-decay", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for f in dataclasses.fields(TrainConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(
-        func=cmd_train,
-        _defaults={f.name: f.default for f in dataclasses.fields(TrainConfig)},
-    )
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="WMAPE of a trained model on the held-out splits")
     p.add_argument("--dataset", required=True)
@@ -301,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transactions", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--as-of", type=int, default=None, help="lag month YYYYMM; default latest")
-    p.add_argument("--dp-pct", type=float, default=None, help="price change in percent; default -5")
+    p.add_argument(
+        "--dp-pct", type=float, default=100 * DEFAULT_DP_FRACTION, help="price change in percent; default -5"
+    )
     p.add_argument("--truth", default=None, help="truth table CSV for MAE reporting")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_elasticity)
@@ -324,12 +314,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "_defaults"):
-            _merge_config_file(args)
-            for key, value in args._defaults.items():
-                if getattr(args, key) is None:
-                    setattr(args, key, value)
-        return args.func(args)
+        code = args.func(args)
+        if code == EXIT_OK and args.out:
+            _resolved_config(args)
+        return code
     except (ConfigError, DomainError, ParseError, IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -169,11 +169,13 @@ def train(
     model)`` runs after each epoch, e.g. for monotonicity probes.
     """
     config = config or TrainConfig()
+    if not len(split.validation):
+        raise ConfigError("the dataset has no validation pairs to report a validation loss on")
     t0 = time.perf_counter()
 
     cat_tr, cont_tr, mono_tr = model.encode(split.train)
     y_tr = model.stats.scale_target(split.train.target[:, None])
-    val_inputs = model.encode(split.validation) if len(split.validation) else None
+    val_inputs = model.encode(split.validation)
     y_val = model.stats.scale_target(split.validation.target[:, None])
 
     params = model.parameters()
@@ -205,8 +207,7 @@ def train(
             opt.step()
             sq_err_sum += batch_mse.item() * idx.shape[0]
         report.train_losses.append(sq_err_sum / n)
-        val_loss = float("nan") if val_inputs is None else _validation_loss(model, val_inputs, y_val)
-        report.val_losses.append(val_loss)
+        report.val_losses.append(_validation_loss(model, val_inputs, y_val))
         if epoch_callback is not None:
             epoch_callback(epoch + 1, model)
 

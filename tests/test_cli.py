@@ -138,6 +138,24 @@ class TestTrain:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    def test_dataset_without_validation_pairs_exits_2(self, pipeline_dirs, tmp_path, capsys):
+        # every validation pair relabelled train, with row_counts to match: the directory loads
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline_dirs / "ds", ds)
+        _edit_lines("pairs.csv", lambda ls: [line.replace(",validation\n", ",train\n") for line in ls])(ds)
+
+        def no_validation(manifest):
+            counts = manifest["row_counts"]
+            counts["train"], counts["validation"] = counts["train"] + counts["validation"], 0
+
+        _edit_manifest(no_validation)(ds)
+        model = pipeline_dirs / "run" / "model.mdnm"
+        assert main(["evaluate", "--dataset", str(ds), "--model", str(model), "--out", str(tmp_path / "e")]) == 0
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(ds), "--epochs", "1", "--out", str(tmp_path / "run")]) == 2
+        assert "no validation pairs" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestEvaluate:
     def test_metrics_json(self, pipeline_dirs, tmp_path):
@@ -197,6 +215,18 @@ class TestEvaluate:
         )
         assert rc == 3
         assert f"only the model has {only_model}, only the dataset has []" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_reordered_monotone_features_exit_3_naming_the_group(self, pipeline_dirs, tmp_path, edit_model_file, capsys):
+        # the same feature names as the dataset, but the monotone pair in the other order
+        model = tmp_path / "reversed.mdnm"
+        edit_model_file(pipeline_dirs / "run" / "model.mdnm", model, lambda c: c["meta"]["features"]["monotone"].reverse())
+        argv = ["evaluate", "--dataset", str(pipeline_dirs / "ds"), "--model", str(model), "--out", str(tmp_path / "e")]
+        assert main(argv) == 3
+        assert (
+            "model and dataset monotone features differ: the model orders them "
+            "['price_change_pct', 'lead_price'], the dataset ['lead_price', 'price_change_pct']"
+        ) in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
     def test_edited_manifest_event_names_exit_3(self, pipeline_dirs, tmp_path, capsys):
@@ -815,3 +845,62 @@ def test_json_artifacts_are_strict(tmp_path):
     with pytest.raises(NumericError, match="bad.json"):
         _write_json(tmp_path / "bad.json", {"wmape_pct": float("inf")})
     assert not (tmp_path / "bad.json").exists()
+
+
+# each command, the settings its <command>_config.json must record, and a
+# variant of it that fails; "{config}" holds {"epochs": 3, "learning_rate": 0.005}
+SETTINGS_CASES = {
+    "synth": (
+        ["synth", "--items", "4", "--months", "6", "--seed", "3"],
+        {"items": 4, "months": 6, "seed": 3, "world": "constant", "stockout_rate": 0.0},
+        ["--sigma", "nan"],
+    ),
+    "build": (
+        ["build", "--transactions", "{data}/transactions.csv", "--by-item"],
+        {"transactions": "{data}/transactions.csv", "seed": 0, "by_item": True},
+        ["--seed", "-1"],
+    ),
+    "train": (
+        ["train", "--dataset", "{ds}", "--config", "{config}", "--epochs", "1"],  # flag over file over default
+        {"dataset": "{ds}", "epochs": 1, "learning_rate": 0.005, "batch_size": 128, "l2_decay": 1e-4, "seed": 0},
+        ["--l2-decay", "nan"],
+    ),
+    "evaluate": (
+        ["evaluate", "--dataset", "{ds}", "--model", "{run}/model.mdnm"],
+        {"dataset": "{ds}", "model": "{run}/model.mdnm"},
+        ["--model", "{ds}/absent.mdnm"],
+    ),
+    "elasticity": (
+        ["elasticity", "--transactions", "{data}/transactions.csv", "--model", "{run}/model.mdnm"],
+        {"as_of": 202404, "dp_pct": -5.0, "truth": None},  # the latest month of a 16-month world from 202301
+        ["--dp-pct", "0"],
+    ),
+    "baseline": (["baseline", "--dataset", "{ds}"], {"dataset": "{ds}"}, ["--dataset", "{ds}/absent"]),
+    "gradcheck": (["gradcheck", "--probes", "1"], {"seed": 0, "probes": 1}, ["--probes", "0"]),
+}
+
+
+@pytest.mark.parametrize("command", SETTINGS_CASES)
+def test_every_command_records_its_resolved_settings(pipeline_dirs, tmp_path, monkeypatch, capsys, command):
+    argv, expected, failing = SETTINGS_CASES[command]
+    paths = {name: pipeline_dirs / name for name in ("data", "ds", "run")}
+    paths["config"] = tmp_path / "train.json"
+    paths["config"].write_text(json.dumps({"epochs": 3, "learning_rate": 0.005}))
+    fill = lambda args: [arg.format(**paths) for arg in args]  # noqa: E731
+    out = tmp_path / "out"
+    assert main(fill(argv) + ["--out", str(out)]) == 0
+    recorded = json.loads((out / f"{command}_config.json").read_text())
+    want = {"command": command, **{k: fill([v])[0] if isinstance(v, str) else v for k, v in expected.items()}}
+    assert {k: recorded.get(k, "missing") for k in want} == want
+    assert not {"out", "func", "config"} & set(recorded)
+    failed = tmp_path / "failed"
+    assert main(fill(argv + failing) + ["--out", str(failed)]) != 0
+    assert not (failed / f"{command}_config.json").exists()
+    if command == "gradcheck":  # without --out, the result is printed and no file is written
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()
+        assert main(fill(argv)) == 0
+        assert '"max_rel_error"' in capsys.readouterr().out
+        assert not any(cwd.iterdir())

@@ -2,12 +2,12 @@
 
 A 6-item, 8-month world is built, split and trained once. Each case applies
 one seeded edit to one file: the input transactions, the dataset's copy of
-them, pairs.csv, manifest.json, the model container or truth.csv. It then
-runs one command that reads the file through ``cli.main``. Hashes and
-checksums are re-sealed where the case says so, so that the edit reaches
-the parsers instead of the integrity checks. An exception that escapes
-``main``, or an exit code outside {0, 2, 3, 4}, fails the test and names
-the case seed.
+them, pairs.csv, manifest.json, the model container, truth.csv or a
+``train --config`` file. It then runs one command that reads the file
+through ``cli.main``. Hashes and checksums are re-sealed where the case
+says so, so that the edit reaches the parsers instead of the integrity
+checks. An exception that escapes ``main``, or an exit code outside
+{0, 2, 3, 4}, fails the test and names the case seed.
 """
 
 import hashlib
@@ -30,6 +30,8 @@ CELLS = [
     "", " ", "0", "-1", "1.5", "nan", "inf", "-inf", "1e309", "9" * 25, "true", " FALSE ", "maybe",
     "202313", "202300", "99", "x", "a|b", '"q"', "١٢", " ", "\x00",
 ]
+# a valid ``train --config`` object; cases edit it, and ``--epochs 1`` wins over its epochs
+CONFIG = {"epochs": 3, "batch_size": 16, "learning_rate": 0.01, "l2_decay": 1e-4, "seed": 11}
 VALUES = [None, True, False, -1, 0, 1, 1.5, 10**30, "", "x", "pair", [], [1], ["a"], {}, {"train": 1}]
 
 
@@ -145,7 +147,9 @@ def _case(world, work, seed):
     loads = [["train", "--dataset", str(ds), "--epochs", "1"], ["evaluate", "--dataset", str(ds), "--model", model]]
     loads.append(["baseline", "--dataset", str(ds)])
     elasticity = ["elasticity", "--transactions", tx, "--model", model, "--truth", truth]
-    target = rng.choice(["input", "copy", "pairs", "manifest", "model", "truth"])
+    config = work / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    target = rng.choice(["input", "copy", "pairs", "manifest", "model", "truth", "config"])
     path, commands = {
         "input": (data / "transactions.csv", [["build", "--transactions", tx], elasticity]),
         "copy": (ds / "transactions.csv", loads),
@@ -153,8 +157,9 @@ def _case(world, work, seed):
         "manifest": (ds / "manifest.json", loads),
         "model": (run / "model.mdnm", [loads[1], elasticity]),
         "truth": (data / "truth.csv", [elasticity]),
+        "config": (config, [["train", "--dataset", str(ds), "--epochs", "1", "--config", str(config)]]),
     }[target]
-    edit = {"manifest": _edit_json, "model": _edit_model}.get(target, _mutate)
+    edit = {"manifest": _edit_json, "model": _edit_model, "config": _edit_json}.get(target, _mutate)
     path.write_bytes(edit(path.read_bytes(), rng))
     if target == "copy" and rng.random() < 0.5:
         manifest = json.loads((ds / "manifest.json").read_text())
@@ -163,6 +168,7 @@ def _case(world, work, seed):
     return rng.choice(commands) + ["--out", str(work / "out")]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # a huge edited learning rate, which exits 4
 def test_edited_inputs_exit_with_a_documented_code(world, tmp_path, capsys):
     failures = []
     for seed in range(CASES):
