@@ -49,24 +49,11 @@ EXIT_NUMERIC = 4
 GRADCHECK_TOLERANCE = 1e-5
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` as strict JSON; a non-finite number raises
-    NumericError and leaves no file."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NumericError(f"{path.name}: {exc}") from None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
 def _resolved_config(args: argparse.Namespace) -> None:
     """Write ``<command>_config.json`` into ``--out``: the resolved arguments
     but ``out``, ``config`` and the parser's ``func``."""
     values = {k: v for k, v in vars(args).items() if k not in ("out", "func", "config")}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / f"{args.command}_config.json", values)
+    dt.write_json(Path(args.out) / f"{args.command}_config.json", values)
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -76,13 +63,8 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
     file_cfg = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
-                raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object, got {type(file_cfg).__name__}")
+        with open(args.config, "rb") as fh:
+            file_cfg = dt.read_json_object(fh.read(), f"config file {args.config}", ConfigError)
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -113,7 +95,6 @@ def cmd_synth(args) -> int:
     )
     tx, truths = synth.generate(world)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dt.write_transactions(tx, out / "transactions.csv")
     synth.write_truth(truths, out / "truth.csv")
     print(f"wrote {len(tx)} records for {args.items} items to {out}")
@@ -135,9 +116,8 @@ def cmd_train(args) -> int:
     model = prepare_model(ds, seed=config.seed)
     report = train(model, ds, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.mdnm")
-    _write_json(out / "train_report.json", report.to_json_dict())
+    dt.write_json(out / "train_report.json", report.to_json_dict())
     with open(out / "losses.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_loss\n")
         for i, (t, v) in enumerate(zip(report.train_losses, report.val_losses), start=1):
@@ -168,15 +148,12 @@ def cmd_evaluate(args) -> int:
     ds = dt.load_dataset(args.dataset)
     model = load_model(args.model)
     _check_features(model, ds)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     metrics = {}
     for name, pairs in (("validation", ds.validation), ("out_of_time", ds.out_of_time)):
         if not pairs:
             continue
         metrics[name] = {"wmape_pct": wmape(pairs.target, model.predict_batch(pairs)), "rows": len(pairs)}
-    _write_json(out / "metrics.json", metrics)
+    dt.write_json(Path(args.out) / "metrics.json", metrics)
     for name, m in metrics.items():
         print(f"{name}: WMAPE {m['wmape_pct']:.2f}% over {m['rows']} rows")
     return EXIT_OK
@@ -204,9 +181,8 @@ def cmd_elasticity(args) -> int:
             summary["mae_vs_truth"], summary["truth_coverage"] = mae_elasticity(truth_arcs, report.elasticities())
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "elasticity.csv")
-    _write_json(out / "elasticity_summary.json", summary)
+    dt.write_json(out / "elasticity_summary.json", summary)
     print(f"elasticities: {summary['valid']} valid, {summary['skipped']} skipped; report in {out}")
     return EXIT_OK
 
@@ -233,9 +209,7 @@ def cmd_gradcheck(args) -> int:
         "per_param": dict(sorted(report.per_param.items())),
     }
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "gradcheck.json", payload)
+        dt.write_json(Path(args.out) / "gradcheck.json", payload)
     print(json.dumps({"max_rel_error": report.max_rel_error, "probes": report.probes}))
     if not report.passed(GRADCHECK_TOLERANCE):
         print(f"gradcheck FAILED: max relative error {report.max_rel_error:.3e}", file=sys.stderr)

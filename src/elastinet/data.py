@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, IntegrityError, ParseError, SchemaMismatchError
+from .errors import ConfigError, DomainError, IntegrityError, NumericError, ParseError, SchemaMismatchError
 
 MIN_MONTH_GAP = 1
 MAX_MONTH_GAP = 12
@@ -299,7 +299,8 @@ _CSV_CHUNK_ROWS = 4096
 
 def _write_csv(path, columns, table, event_names) -> None:
     """Write ``table``, a dict of equal-length columns named as in ``columns``,
-    under one header row."""
+    under one header row, creating the file's directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([name for name, _ in columns])
@@ -719,8 +720,32 @@ def build_inference_set(tx: Transactions, as_of_month: int) -> tuple[PairTable, 
 
 
 # ---------------------------------------------------------------------------
-# dataset directory: manifest JSON, a byte copy of the transactions CSV, and
-# pairs.csv with each pair's split label; the pairs are rebuilt on load
+# strict JSON files, and the dataset directory: manifest JSON, a byte copy of
+# the transactions CSV, and pairs.csv with each pair's split label; the pairs
+# are rebuilt on load
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as strict JSON, creating the file's directory; a
+    non-finite number raises NumericError and leaves no file or directory."""
+    path = Path(path)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path.name}: {exc}") from None
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def read_json_object(raw: bytes, what: str, error: type[Exception]) -> dict:
+    """The JSON object in the UTF-8 bytes ``raw``; anything else raises ``error`` naming ``what``."""
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
+        raise error(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise error(f"{what} must hold a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _manifest(ds: DatasetSplit, transactions_sha256: str) -> dict:
@@ -748,9 +773,7 @@ def save_dataset(ds: DatasetSplit, transactions, out_dir) -> None:
     keys = {name: getattr(every, name)[order] for name in ("item_id", "lag_month", "lead_month")}
     keys["split"] = np.repeat(SPLITS, [len(part) for part in parts])[order]
     _write_csv(out / "pairs.csv", _PAIR_KEY_COLUMNS, keys, ())
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(_manifest(ds, hashlib.sha256(raw).hexdigest()), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", _manifest(ds, hashlib.sha256(raw).hexdigest()))
 
 
 def load_dataset(in_dir) -> DatasetSplit:
@@ -765,13 +788,7 @@ def load_dataset(in_dir) -> DatasetSplit:
     cell that breaks its column's rule, ParseError with its line number.
     """
     src = Path(in_dir)
-    with open(src / "manifest.json", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
-            raise SchemaMismatchError(f"manifest.json is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise SchemaMismatchError(f"manifest.json must hold a JSON object, got {type(manifest).__name__}")
+    manifest = read_json_object((src / "manifest.json").read_bytes(), "manifest.json", SchemaMismatchError)
     digest = hashlib.sha256((src / "transactions.csv").read_bytes()).hexdigest()
     if digest != manifest.get("transactions_sha256"):
         raise SchemaMismatchError(

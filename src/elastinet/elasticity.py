@@ -8,11 +8,11 @@ valid entry satisfies E <= 0.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .data import _write_csv
 from .errors import DegenerateDemandError, DomainError, MetricError
 
 DEMAND_FLOOR = 1e-6  # baseline demand below this is flagged, not divided by
@@ -48,6 +48,10 @@ class ElasticityEntry:
     status: str  # "ok" or a skip/failure reason
 
 
+# elasticity.csv's columns, one per ElasticityEntry field, for data's column codec
+_REPORT_COLUMNS = [(f.name, "str" if f.type == "str" else "float?") for f in fields(ElasticityEntry)]
+
+
 @dataclass
 class ElasticityReport:
     entries: list[ElasticityEntry] = field(default_factory=list)
@@ -73,21 +77,12 @@ class ElasticityReport:
         return out
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["item_id", "p", "dp", "y_base", "y_pert", "elasticity", "status"])
-            for e in self.entries:
-                writer.writerow(
-                    [
-                        e.item_id,
-                        "" if e.p is None else repr(e.p),
-                        "" if e.dp is None else repr(e.dp),
-                        "" if e.y_base is None else repr(e.y_base),
-                        "" if e.y_pert is None else repr(e.y_pert),
-                        "" if e.elasticity is None else repr(e.elasticity),
-                        e.status,
-                    ]
-                )
+        """Write the entries as elasticity.csv; a None or NaN value is a blank cell."""
+        table = {
+            name: np.array([getattr(e, name) for e in self.entries], dtype=object if kind == "str" else np.float64)
+            for name, kind in _REPORT_COLUMNS
+        }
+        _write_csv(path, _REPORT_COLUMNS, table, ())
 
     def truth_arcs(self, truths) -> dict[str, float]:
         """The true arc at each valid entry's own (p, dp), for the items of

@@ -344,6 +344,7 @@ def save_model(model: DemandModel, path) -> None:
         blob += struct.pack("<I", zlib.crc32(payload))
         blob += payload
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_bytes(bytes(blob))
 
 
@@ -405,13 +406,9 @@ def load_model(path) -> DemandModel:
     version = cur.u32()
     if version != FORMAT_VERSION:
         raise ModelIOError(f"unsupported container version {version}; expected {FORMAT_VERSION}")
-    try:
-        meta = json.loads(cur.take(cur.u64()).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
-        raise ModelIOError(f"model metadata is not valid JSON: {exc}") from None
-    if not isinstance(meta, dict) or set(meta) != set(_META_KEYS):
-        got = sorted(meta) if isinstance(meta, dict) else type(meta).__name__
-        raise ModelIOError(f"model metadata top level: keys {got}, expected {list(_META_KEYS)}")
+    meta = dt.read_json_object(cur.take(cur.u64()), "model metadata", ModelIOError)
+    if set(meta) != set(_META_KEYS):
+        raise ModelIOError(f"model metadata top level: keys {sorted(meta)}, expected {list(_META_KEYS)}")
     if meta["format"] != FORMAT_VERSION:
         raise ModelIOError(f"model metadata format {meta['format']!r} does not match container version {version}")
     names = _from_json(meta["features"], dt.FeatureNames, "features")

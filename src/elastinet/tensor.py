@@ -143,32 +143,26 @@ def _relu_deriv(x):
     return np.greater(x, 0.0, out=np.empty_like(x, dtype=np.float64))
 
 
-def _elu(x):
-    x = np.asarray(x, dtype=np.float64)
-    # np.minimum keeps the unused branch of np.where from overflowing
-    return np.where(x < 0.0, np.expm1(np.minimum(x, 0.0)), x)
+def _exp_linear(scale: float, alpha: float):
+    """(f, df) of scale * (x if x >= 0 else alpha * (exp(x) - 1)); elu is (1, 1)."""
 
+    def f(x):
+        x = np.asarray(x, dtype=np.float64)
+        # np.minimum keeps the unused branch of np.where from overflowing
+        return scale * np.where(x < 0.0, alpha * np.expm1(np.minimum(x, 0.0)), x)
 
-def _elu_deriv(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x < 0.0, np.exp(np.minimum(x, 0.0)), 1.0)
+    def df(x):
+        x = np.asarray(x, dtype=np.float64)
+        return scale * np.where(x < 0.0, alpha * np.exp(np.minimum(x, 0.0)), 1.0)
 
-
-def _selu(x):
-    x = np.asarray(x, dtype=np.float64)
-    return _SELU_LAMBDA * np.where(x < 0.0, _SELU_ALPHA * np.expm1(np.minimum(x, 0.0)), x)
-
-
-def _selu_deriv(x):
-    x = np.asarray(x, dtype=np.float64)
-    return _SELU_LAMBDA * np.where(x < 0.0, _SELU_ALPHA * np.exp(np.minimum(x, 0.0)), 1.0)
+    return f, df
 
 
 # name -> (f, df); all are zero-centered and monotone increasing
 ACTIVATIONS = {
     "relu": (_relu, _relu_deriv),
-    "elu": (_elu, _elu_deriv),
-    "selu": (_selu, _selu_deriv),
+    "elu": _exp_linear(1.0, 1.0),
+    "selu": _exp_linear(_SELU_LAMBDA, _SELU_ALPHA),
 }
 
 

@@ -189,6 +189,22 @@ class TestEvaluate:
         assert "finite" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_failed_evaluate_leaves_no_out_directory(self, pipeline_dirs, tmp_path, edit_model_file, capsys):
+        # finite trunk weights save and load, but overflow every prediction
+        def edit(container):
+            blobs = dict(container["blobs"])
+            blobs["trunk.0.w"][...] = 1e308
+            blobs["trunk.1.w"][...] = 1e308
+
+        model = tmp_path / "huge.mdnm"
+        edit_model_file(pipeline_dirs / "run" / "model.mdnm", model, edit)
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--dataset", str(pipeline_dirs / "ds"), "--model", str(model), "--out", str(out)])
+        assert rc == 4
+        assert "wmape needs finite actuals and predictions" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_feature_names_mismatch_exits_3(self, pipeline_dirs, tmp_path, capsys):
         # a Jan-Jun world has no seasonal events, so it lacks the model's event features
         other = tmp_path / "other"
@@ -839,7 +855,7 @@ def test_event_seen_only_out_of_time_scores_finitely(tmp_path):
 
 
 def test_json_artifacts_are_strict(tmp_path):
-    from elastinet.cli import _write_json
+    from elastinet.data import write_json as _write_json
     from elastinet.errors import NumericError
 
     with pytest.raises(NumericError, match="bad.json"):

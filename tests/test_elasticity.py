@@ -259,6 +259,31 @@ class TestEvaluateElasticities:
         assert summary["valid"] == len(report.valid_entries())
         assert summary["items"] == len(rows)
 
+    def test_csv_bytes(self, tmp_path):
+        nan = float("nan")
+        not_finite = "predicted demand is not finite (baseline nan, perturbed nan)"
+        report = ElasticityReport(
+            [
+                ElasticityEntry("item,1", 0.1, -0.005, 0.30000000000000004, 0.5, -12.5, "ok"),
+                ElasticityEntry("item_2", 0.0, -0.0, None, None, None, "invalid query (p=0.0, dp=-0.0)"),
+                ElasticityEntry("item_3", 2.0, -0.1, nan, nan, None, not_finite),
+            ]
+        )
+        path = tmp_path / "elasticity.csv"
+        report.write_csv(path)
+        assert path.read_bytes() == (
+            b"item_id,p,dp,y_base,y_pert,elasticity,status\r\n"
+            b'"item,1",0.1,-0.005,0.30000000000000004,0.5,-12.5,ok\r\n'
+            b'item_2,0.0,-0.0,,,,"invalid query (p=0.0, dp=-0.0)"\r\n'
+            b'item_3,2.0,-0.1,,,,"predicted demand is not finite (baseline nan, perturbed nan)"\r\n'
+        )
+        # the column codec reads the file back: a blank cell is NaN
+        from elastinet.elasticity import _REPORT_COLUMNS
+
+        columns, _, _ = dt._read_csv(path, _REPORT_COLUMNS)
+        assert columns["item_id"].tolist() == ["item,1", "item_2", "item_3"]
+        assert np.isnan(columns["y_base"]).tolist() == [False, True, True]
+
 
 class TestLogLogBaseline:
     def test_noiseless_power_law_recovers_slope(self):
