@@ -9,12 +9,13 @@ and seed reproduces outputs byte-identically (timing goes to stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import data as dt
 from . import synth
@@ -47,6 +48,10 @@ EXIT_MISMATCH = 3
 EXIT_NUMERIC = 4
 
 GRADCHECK_TOLERANCE = 1e-5
+
+# losses.csv and baseline.csv, for data's column codec
+_LOSS_COLUMNS = [("epoch", "count"), ("train_loss", "float"), ("val_loss", "float")]
+_BASELINE_COLUMNS = [("item_id", "str"), ("elasticity", "float")]
 
 
 def _resolved_config(args: argparse.Namespace) -> None:
@@ -118,10 +123,8 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     save_model(model, out / "model.mdnm")
     dt.write_json(out / "train_report.json", report.to_json_dict())
-    with open(out / "losses.csv", "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for i, (t, v) in enumerate(zip(report.train_losses, report.val_losses), start=1):
-            fh.write(f"{i},{t!r},{v!r}\n")
+    losses = {"train_loss": np.array(report.train_losses), "val_loss": np.array(report.val_losses)}
+    dt._write_csv(out / "losses.csv", _LOSS_COLUMNS, {"epoch": np.arange(1, config.epochs + 1), **losses}, ())
     print(
         f"trained {config.epochs} epochs; final train loss {report.train_losses[-1]:.6f}, "
         f"val loss {report.val_losses[-1]:.6f} ({report.wall_time_seconds:.1f}s)",
@@ -190,12 +193,9 @@ def cmd_elasticity(args) -> int:
 def cmd_baseline(args) -> int:
     ds = dt.load_dataset(args.dataset)
     slopes, skipped = loglog_baseline(dt.PairTable.concat([ds.train, ds.validation]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "baseline.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item_id", "elasticity"])
-        writer.writerows((item_id, slopes[item_id]) for item_id in sorted(slopes))
+    items = sorted(slopes)
+    table = {"item_id": np.array(items, dtype=object), "elasticity": np.array([slopes[i] for i in items])}
+    dt._write_csv(Path(args.out) / "baseline.csv", _BASELINE_COLUMNS, table, ())
     print(f"baseline: {len(slopes)} items fitted, {len(skipped)} skipped")
     return EXIT_OK
 

@@ -289,8 +289,8 @@ _CELL_KINDS = {
 }
 TRANSACTIONS_COLUMNS = [f.name for f in fields(Transactions) if f.name != "event_names"]
 _TRANSACTION_COLUMNS = [(name, _CELL_KINDS.get(name, "count")) for name in TRANSACTIONS_COLUMNS]
-# a dataset's pairs.csv: each pair's key and split label
-_PAIR_KEY_COLUMNS = [("item_id", "str"), ("lag_month", "month"), ("lead_month", "month"), ("split", "split")]
+# a dataset's pairs.csv: each pair's split label, in build_pairs order
+_LABEL_COLUMNS = [("split", "split")]
 
 # a CSV file is written this many rows at a time, so the Python objects that
 # csv formats exist for one chunk at once, not for the whole table
@@ -299,12 +299,13 @@ _CSV_CHUNK_ROWS = 4096
 
 def _write_csv(path, columns, table, event_names) -> None:
     """Write ``table``, a dict of equal-length columns named as in ``columns``,
-    under one header row, creating the file's directory."""
+    under one header row, creating the file's directory. The first listed
+    column gives the row count."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([name for name, _ in columns])
-        for lo in range(0, len(table["item_id"]), _CSV_CHUNK_ROWS):
+        for lo in range(0, len(table[columns[0][0]]), _CSV_CHUNK_ROWS):
             chunk = {name: col[lo : lo + _CSV_CHUNK_ROWS] for name, col in table.items()}
             writer.writerows(zip(*(_WRITE[kind](chunk[name], event_names) for name, kind in columns)))
 
@@ -721,8 +722,8 @@ def build_inference_set(tx: Transactions, as_of_month: int) -> tuple[PairTable, 
 
 # ---------------------------------------------------------------------------
 # strict JSON files, and the dataset directory: manifest JSON, a byte copy of
-# the transactions CSV, and pairs.csv with each pair's split label; the pairs
-# are rebuilt on load
+# the transactions CSV, and pairs.csv with each pair's split label in pair
+# order; the pairs are rebuilt on load
 
 
 def write_json(path, payload: dict) -> None:
@@ -768,11 +769,8 @@ def save_dataset(ds: DatasetSplit, transactions, out_dir) -> None:
     raw = Path(transactions).read_bytes()
     (out / "transactions.csv").write_bytes(raw)
     parts = [getattr(ds, name) for name in SPLITS]
-    every = PairTable.concat(parts)
-    order = _pair_order(every)
-    keys = {name: getattr(every, name)[order] for name in ("item_id", "lag_month", "lead_month")}
-    keys["split"] = np.repeat(SPLITS, [len(part) for part in parts])[order]
-    _write_csv(out / "pairs.csv", _PAIR_KEY_COLUMNS, keys, ())
+    labels = np.repeat(SPLITS, [len(part) for part in parts])[_pair_order(PairTable.concat(parts))]
+    _write_csv(out / "pairs.csv", _LABEL_COLUMNS, {"split": labels}, ())
     write_json(out / "manifest.json", _manifest(ds, hashlib.sha256(raw).hexdigest()))
 
 
@@ -780,9 +778,9 @@ def load_dataset(in_dir) -> DatasetSplit:
     """Rebuild the dataset that save_dataset wrote into ``in_dir``.
 
     The transactions copy must have the manifest's SHA-256. Its pairs are
-    rebuilt and parted by the labels in pairs.csv, which must list exactly
-    those pairs, in order, with out_of_time labels from the boundary month
-    on. The manifest must then be the rebuilt dataset's, key for key; its
+    rebuilt and parted by the labels in pairs.csv, one per pair in
+    build_pairs order, with out_of_time labels from the boundary month on.
+    The manifest must then be the rebuilt dataset's, key for key; its
     seed and split mode, which cannot be recomputed, must be a non-negative
     integer and "pair" or "item". A mismatch raises SchemaMismatchError; a
     cell that breaks its column's rule, ParseError with its line number.
@@ -796,10 +794,10 @@ def load_dataset(in_dir) -> DatasetSplit:
             f"the manifest records {manifest.get('transactions_sha256')!r} as transactions_sha256"
         )
     pairs = build_pairs(ingest(src / "transactions.csv"))
-    stored, lines, _ = _read_csv(src / "pairs.csv", _PAIR_KEY_COLUMNS)
-    labels = stored.pop("split")
-    if len(labels) != len(pairs) or not all(np.array_equal(col, getattr(pairs, k)) for k, col in stored.items()):
-        raise SchemaMismatchError("pairs.csv must list each pair of transactions.csv once, in (item, lag, lead) order")
+    columns, lines, _ = _read_csv(src / "pairs.csv", _LABEL_COLUMNS)
+    labels = columns["split"]
+    if len(labels) != len(pairs):
+        raise SchemaMismatchError(f"pairs.csv has {len(labels)} labels; transactions.csv has {len(pairs)} pairs")
     ds = _take_parts(pairs, labels, manifest.get("seed"), manifest.get("split_mode"))
     boundary = ds.boundary_month
     wrong = (labels == "out_of_time") != (pairs.lead_month >= boundary)

@@ -142,7 +142,7 @@ class TestTrain:
         # every validation pair relabelled train, with row_counts to match: the directory loads
         ds = tmp_path / "ds"
         shutil.copytree(pipeline_dirs / "ds", ds)
-        _edit_lines("pairs.csv", lambda ls: [line.replace(",validation\n", ",train\n") for line in ls])(ds)
+        _edit_lines("pairs.csv", lambda ls: ["train\n" if line == "validation\n" else line for line in ls])(ds)
 
         def no_validation(manifest):
             counts = manifest["row_counts"]
@@ -265,7 +265,7 @@ class TestEvaluate:
         assert rc == 3
         assert "manifest event_names is missing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column, value", [("split", "trian"), ("lag_month", "20x3")])
+    @pytest.mark.parametrize("column, value", [("split", "trian")])
     def test_malformed_pairs_csv_exits_2(self, pipeline_dirs, tmp_path, capsys, column, value):
         ds = tmp_path / "ds"
         shutil.copytree(pipeline_dirs / "ds", ds)
@@ -321,10 +321,9 @@ def _edit_manifest(edit):
 def _swap_train_and_out_of_time(lines):
     """``lines`` with the first train pair and the first out-of-time pair
     trading labels, so every row count stays the same."""
-    i = next(i for i, line in enumerate(lines) if line.endswith(",train\n"))
-    j = next(j for j, line in enumerate(lines) if line.endswith(",out_of_time\n"))
+    i, j = lines.index("train\n"), lines.index("out_of_time\n")
     lines = list(lines)
-    lines[i], lines[j] = lines[i].replace(",train\n", ",out_of_time\n"), lines[j].replace(",out_of_time\n", ",train\n")
+    lines[i], lines[j] = lines[j], lines[i]
     return lines
 
 
@@ -356,9 +355,9 @@ def _more_row_counts(manifest):
         (_bad_copy_cell("price", "nan"), 2, "line 5: price must be positive and finite, got nan"),
         (_bad_copy_cell("units_sold", "1.5"), 2, "line 5: bad units_sold '1.5'"),
         (_bad_copy_cell("units_sold", "9" * 20), 2, f"line 5: bad units_sold '{'9' * 20}'"),
-        (_edit_lines("pairs.csv", lambda ls: ls[:2] + ls[3:]), 3, "pairs.csv must list each pair"),
-        (_edit_lines("pairs.csv", lambda ls: ls[:3] + ls[2:]), 3, "pairs.csv must list each pair"),
-        (_edit_lines("pairs.csv", lambda ls: ls + ["zz,202301,202302,train\n"]), 3, "pairs.csv must list each pair"),
+        (_edit_lines("pairs.csv", lambda ls: ls[:2] + ls[3:]), 3, "pairs.csv has"),
+        (_edit_lines("pairs.csv", lambda ls: ls[:3] + ls[2:]), 3, "pairs.csv has"),
+        (_edit_lines("pairs.csv", lambda ls: ls + ["train\n"]), 3, "pairs.csv has"),
         (_edit_lines("pairs.csv", _set_cell("split", "trian", 3)), 2, "line 3: bad split 'trian'"),
         (_edit_lines("pairs.csv", _swap_train_and_out_of_time), 3, "crosses the boundary month"),
         (_edit_manifest(_more_row_counts), 3, "manifest row_counts"),
@@ -479,12 +478,14 @@ def test_non_utf8_byte_exits_2_naming_its_line(pipeline_dirs, tmp_path, capsys, 
 @pytest.mark.parametrize("kind", CSV_FILE_CASES)
 def test_nul_byte_exits_2_naming_its_line(pipeline_dirs, tmp_path, capsys, kind):
     # numpy's str arrays drop trailing NULs, so "item_0000\0" would read as "item_0000"
+    # and "out_of_time\0" as "out_of_time"
     root = tmp_path / "p"
     shutil.copytree(pipeline_dirs, root)
     name, argv = CSV_FILE_CASES[kind]
     path = root / name
     lines = path.read_bytes().splitlines(keepends=True)
-    path.write_bytes(b"".join(lines[:-1]) + lines[-1].replace(b",", b"\0,", 1))
+    end = len(lines[-1].split(b",")[0].rstrip(b"\r\n"))  # the end of the first cell
+    path.write_bytes(b"".join(lines[:-1]) + lines[-1][:end] + b"\0" + lines[-1][end:])
     if kind == "copy":
         _edit_manifest(lambda m: m.update(transactions_sha256=hashlib.sha256(path.read_bytes()).hexdigest()))(root / "ds")
     argv = [arg.format(data=root / "data", ds=root / "ds", run=root / "run") for arg in argv]
@@ -500,8 +501,8 @@ def test_bad_cell_error_names_its_file(pipeline_dirs, tmp_path, capsys, kind, ce
     name, argv = CSV_FILE_CASES[kind]
     path = root / name
     lines = path.read_text().splitlines(keepends=True)
-    column = lines[0].rstrip("\n").rsplit(",", 1)[1]  # the last column: split or base_price
-    lines[2] = lines[2].rsplit(",", 1)[0] + f",{cell}\n"
+    column = lines[0].rstrip("\n").split(",")[-1]  # the last column: split or base_price
+    lines[2] = ",".join(lines[2].rstrip("\n").split(",")[:-1] + [cell]) + "\n"
     path.write_text("".join(lines))
     argv = [arg.format(data=root / "data", ds=root / "ds", run=root / "run") for arg in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -777,9 +778,9 @@ class TestBaselineCommand:
         with open(tmp_path / "base" / "baseline.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["item_id", "elasticity"]] + [[item, repr(slopes[item])] for item in sorted(slopes)]
-        if prefix == "item_":  # a plain id is written as is, one row a line
-            text = "".join(f"{item},{slopes[item]!r}\n" for item in sorted(slopes))
-            assert (tmp_path / "base" / "baseline.csv").read_text(encoding="utf-8") == "item_id,elasticity\n" + text
+        if prefix == "item_":  # a plain id is written as is, one row a CRLF-ended line
+            text = "".join(f"{item},{slopes[item]!r}\r\n" for item in sorted(slopes))
+            assert (tmp_path / "base" / "baseline.csv").read_bytes() == f"item_id,elasticity\r\n{text}".encode()
 
 
 class TestGradcheckCommand:

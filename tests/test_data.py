@@ -1,5 +1,4 @@
 import contextlib
-import csv
 import dataclasses
 import gc
 import hashlib
@@ -486,6 +485,35 @@ class TestDatasetIO:
         assert splits_equal(loaded, dt.split(dt.build_pairs(dt.ingest(tx_path)), seed, by_item))
         assert len(loaded.names.event_names) == 2
 
+    def test_shifted_labels_are_caught_or_keep_the_holdout_and_counts(self, tmp_path):
+        """pairs.csv stores no pair keys: a block of labels shifted by one
+        line (one label deleted, one inserted anywhere) must fail to load, or
+        at most trade train and validation labels with the counts kept."""
+        from elastinet import synth
+
+        tx, _ = synth.generate(synth.SyntheticWorld(n_items=15, n_months=27, seed=24))
+        tx_path = tmp_path / "transactions.csv"
+        dt.write_transactions(tx, tx_path)
+        ds = dt.split(dt.build_pairs(dt.ingest(tx_path)), 24)
+        dt.save_dataset(ds, tx_path, tmp_path / "ds")
+        pairs_csv = tmp_path / "ds" / "pairs.csv"
+        header, *labels = pairs_csv.read_text().splitlines(keepends=True)
+        rng = np.random.default_rng(0)
+        caught = 0
+        for _ in range(200):
+            edited = list(labels)
+            del edited[rng.integers(len(edited))]
+            edited.insert(rng.integers(len(edited) + 1), f"{rng.choice(dt.SPLITS)}\n")
+            pairs_csv.write_text(header + "".join(edited))
+            try:
+                loaded = dt.load_dataset(tmp_path / "ds")
+            except SchemaMismatchError:
+                caught += 1
+                continue
+            assert tables_equal(loaded.out_of_time, ds.out_of_time)
+            assert len(loaded.train) == len(ds.train) and len(loaded.validation) == len(ds.validation)
+        assert caught > 150
+
     def test_pipeline_determinism_byte_identical(self, tmp_path):
         rows = grid_rows(seed=4)
         for d in ("one", "two"):
@@ -516,15 +544,17 @@ class TestDatasetIO:
         assert sorted(p.name for p in path.iterdir()) == ["manifest.json", "pairs.csv", "transactions.csv"]
         assert (path / "transactions.csv").read_bytes() == raw
         lines = (path / "pairs.csv").read_text().splitlines()
-        assert lines[0] == "item_id,lag_month,lead_month,split"
-        assert len(lines) == 1 + sum(manifest["row_counts"].values())
+        assert lines[0] == "split"
+        # one label per pair, in the (item, lag, lead) order build_pairs returns
+        label_of = {key: name for name in dt.SPLITS for key in pair_keys(getattr(ds, name))}
+        assert lines[1:] == [label_of[key] for key in pair_keys(dt.build_pairs(dt.ingest(path / "transactions.csv")))]
 
     @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda row: row[:-1] + ["trian"], "bad split 'trian'"),
-            (lambda row: [row[0], "20x3"] + row[2:], "bad lag_month '20x3'"),
-            (lambda row: row[:-2], "expected 4 fields, got 2"),
+            (lambda row: [" train"], "bad split ' train'"),
+            (lambda row: row + ["train"], "expected 1 fields, got 2"),
         ],
     )
     def test_malformed_pairs_csv_names_the_line(self, tmp_path, edit, message):
@@ -535,18 +565,14 @@ class TestDatasetIO:
         with pytest.raises(ParseError, match=f"line 4: {message}"):
             dt.load_dataset(path)
 
-    def test_boundary_crossing_names_the_line_after_a_quoted_cell_spanning_lines(self, tmp_path):
-        rows = [dict(row, item_id=row["item_id"].replace("i0", "i\n0")) for row in grid_rows()]
-        _, path = save(tmp_path, rows, seed=7)
-        with open(path / "pairs.csv", newline="", encoding="utf-8") as fh:
-            table = list(csv.reader(fh))
-        assert table[1][0] == "i\n0" and table[-1][-1] == "out_of_time"
-        table[-1][-1] = "train"
-        with open(path / "pairs.csv", "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(table)
-        last_line = len((path / "pairs.csv").read_text(encoding="utf-8").splitlines())
-        assert last_line > len(table)
-        with pytest.raises(SchemaMismatchError, match=f"pairs.csv line {last_line}: train crosses the boundary month"):
+    def test_boundary_crossing_names_the_line(self, tmp_path):
+        _, path = save(tmp_path, grid_rows(), seed=7)
+        lines = (path / "pairs.csv").read_text().splitlines()
+        last = max(i for i, label in enumerate(lines) if label == "out_of_time")
+        lines[last] = "train"
+        lines.insert(1, "")  # a blank line is skipped but counted
+        (path / "pairs.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaMismatchError, match=f"pairs.csv line {last + 2}: train crosses the boundary month"):
             dt.load_dataset(path)
 
     @pytest.mark.parametrize(
@@ -588,50 +614,52 @@ class TestDatasetIO:
             dt.load_dataset(path)
 
 
-PAIRS_HEADER = "item_id,lag_month,lead_month,split\n"
+# a file of pair keys and labels: a str, two month and a split column for the codec to parse
+KEY_COLUMNS = [("item_id", "str"), ("lag_month", "month"), ("lead_month", "month"), ("split", "split")]
+KEY_HEADER = "item_id,lag_month,lead_month,split\n"
 
 
 class TestReadCsv:
     def test_line_numbers_count_the_lines_a_quoted_cell_spans(self, tmp_path):
         path = tmp_path / "pairs.csv"
-        path.write_text(PAIRS_HEADER + '"a\nb",202301,202302,train\n\nc,202301,202399,train\n')
+        path.write_text(KEY_HEADER + '"a\nb",202301,202302,train\n\nc,202301,202399,train\n')
         with pytest.raises(ParseError, match="line 5: bad lead_month '202399'"):
-            dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
-        path.write_text(PAIRS_HEADER + '"a\nb",202301,202302,train\n\nc,202301,202302,train\n')
-        columns, lines, _ = dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
+            dt._read_csv(path, KEY_COLUMNS)
+        path.write_text(KEY_HEADER + '"a\nb",202301,202302,train\n\nc,202301,202302,train\n')
+        columns, lines, _ = dt._read_csv(path, KEY_COLUMNS)
         assert columns["item_id"].tolist() == ["a\nb", "c"] and list(lines) == [2, 5]
 
     def test_non_utf8_byte_names_its_line_past_the_first_decoded_chunk(self, tmp_path):
         path = tmp_path / "pairs.csv"
         rows = "".join(f"i{k},202301,202302,train\n" for k in range(2000))
-        path.write_bytes((PAIRS_HEADER + rows).encode() + b"i\xff,202301,202302,train\n")
+        path.write_bytes((KEY_HEADER + rows).encode() + b"i\xff,202301,202302,train\n")
         assert path.stat().st_size > 8192
         with pytest.raises(ParseError, match="^pairs.csv line 2002: byte 0xff is not UTF-8$"):
-            dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
+            dt._read_csv(path, KEY_COLUMNS)
 
     def test_quoted_cell_past_the_field_limit_names_a_line(self, tmp_path):
         path = tmp_path / "pairs.csv"
-        path.write_text(PAIRS_HEADER + "a,202301,202302,train\n" + '"' + "x\n" * 70_000)
+        path.write_text(KEY_HEADER + "a,202301,202302,train\n" + '"' + "x\n" * 70_000)
         with pytest.raises(ParseError, match="^pairs.csv line [0-9]+: field larger than field limit"):
-            dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
+            dt._read_csv(path, KEY_COLUMNS)
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("bad", [False, True], ids=["ok", "bad"])
     def test_collector_state_is_restored(self, tmp_path, enabled, bad):
         path = tmp_path / "pairs.csv"
-        path.write_text(PAIRS_HEADER + f"c,202301,{202399 if bad else 202302},train\n")
+        path.write_text(KEY_HEADER + f"c,202301,{202399 if bad else 202302},train\n")
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
             with pytest.raises(ParseError) if bad else contextlib.nullcontext():
-                dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
+                dt._read_csv(path, KEY_COLUMNS)
             assert gc.isenabled() == enabled
         finally:
             (gc.enable if was else gc.disable)()
 
     def test_no_collection_runs_while_a_file_is_read(self, tmp_path):
         path = tmp_path / "pairs.csv"
-        path.write_text(PAIRS_HEADER + "".join(f"i{k:05d},202301,202302,train\n" for k in range(20_000)))
+        path.write_text(KEY_HEADER + "".join(f"i{k:05d},202301,202302,train\n" for k in range(20_000)))
         collections = []
 
         def count(phase, info):
@@ -642,7 +670,7 @@ class TestReadCsv:
         gc.collect()  # so that nothing allocated before the read starts a collection
         gc.callbacks.append(count)
         try:
-            columns, _, _ = dt._read_csv(path, dt._PAIR_KEY_COLUMNS)
+            columns, _, _ = dt._read_csv(path, KEY_COLUMNS)
         finally:
             gc.callbacks.remove(count)
         assert len(columns["item_id"]) == 20_000
