@@ -124,7 +124,7 @@ def cmd_train(args) -> int:
     save_model(model, out / "model.mdnm")
     dt.write_json(out / "train_report.json", report.to_json_dict())
     losses = {"train_loss": np.array(report.train_losses), "val_loss": np.array(report.val_losses)}
-    dt._write_csv(out / "losses.csv", _LOSS_COLUMNS, {"epoch": np.arange(1, config.epochs + 1), **losses}, ())
+    dt._write_csv(out / "losses.csv", _LOSS_COLUMNS, {"epoch": np.arange(1, config.epochs + 1), **losses})
     print(
         f"trained {config.epochs} epochs; final train loss {report.train_losses[-1]:.6f}, "
         f"val loss {report.val_losses[-1]:.6f} ({report.wall_time_seconds:.1f}s)",
@@ -195,7 +195,7 @@ def cmd_baseline(args) -> int:
     slopes, skipped = loglog_baseline(dt.PairTable.concat([ds.train, ds.validation]))
     items = sorted(slopes)
     table = {"item_id": np.array(items, dtype=object), "elasticity": np.array([slopes[i] for i in items])}
-    dt._write_csv(Path(args.out) / "baseline.csv", _BASELINE_COLUMNS, table, ())
+    dt._write_csv(Path(args.out) / "baseline.csv", _BASELINE_COLUMNS, table)
     print(f"baseline: {len(slopes)} items fitted, {len(skipped)} skipped")
     return EXIT_OK
 

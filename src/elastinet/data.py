@@ -18,7 +18,6 @@ import csv
 import gc
 import hashlib
 import json
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import compress
@@ -172,7 +171,8 @@ class PairTable:
 
 # ---------------------------------------------------------------------------
 # CSV files: each file has a list of (column, cell kind), and the files share
-# one cell codec per column kind
+# one cell codec per column kind; a file is read into a dict of columns and
+# written from one
 
 
 class _RuleError(ValueError):
@@ -186,14 +186,14 @@ def _each_distinct(cells, read, dtype) -> np.ndarray:
     return np.fromiter(map(value_of.__getitem__, cells), dtype, len(cells))
 
 
-def _read_months(cells, events) -> np.ndarray:
+def _read_months(cells) -> np.ndarray:
     months = _each_distinct(cells, int, np.int64)
     if np.any((months < 100) | (months % 100 < 1) | (months % 100 > 12)):
         raise ValueError("expected YYYYMM with month 1..12")
     return months
 
 
-def _read_floats(cells, events, positive, optional=False) -> np.ndarray:
+def _read_floats(cells, positive, optional=False) -> np.ndarray:
     """Finite floats, positive ones with ``positive``; with ``optional``, a
     blank cell (whitespace allowed) is an absent value, read as NaN."""
     n = len(cells)
@@ -212,7 +212,7 @@ def _read_floats(cells, events, positive, optional=False) -> np.ndarray:
     return values
 
 
-def _read_counts(cells, events, most=None) -> np.ndarray:
+def _read_counts(cells, most=None) -> np.ndarray:
     """Non-negative integers, at most ``most`` when given."""
     values = np.fromiter(map(int, cells), np.int64, len(cells))
     if np.any(values < 0):
@@ -230,19 +230,21 @@ def _read_bool(cell) -> bool:
     return word == "true"
 
 
-def _event_sets(cells) -> dict:
-    return {cell: {e for e in cell.split("|") if e} for cell in set(cells)}
+def _read_events(cells) -> tuple[tuple[str, ...], np.ndarray]:
+    """The event names that the ``event_flags`` cells name, sorted, and the
+    flags of each cell, one column per name; a cell joins its names with "|"."""
+    distinct, inverse = np.unique(cells, return_inverse=True)
+    sets = [{e for e in cell.split("|") if e} for cell in distinct.tolist()]
+    names = tuple(sorted(set().union(*sets)))
+    rows = np.array([[e in flags for e in names] for flags in sets], dtype=bool).reshape(len(sets), len(names))
+    return names, rows[inverse]
 
 
-def _read_events(cells, event_names) -> np.ndarray:
-    rows = {cell: [e in flags for e in event_names] for cell, flags in _event_sets(cells).items()}
-    return np.array([rows[c] for c in cells], dtype=bool).reshape(len(cells), len(event_names))
-
-
-def _write_events(col, event_names) -> list:
-    rows, inverse = np.unique(col, axis=0, return_inverse=True)
+def _write_events(flags, event_names) -> np.ndarray:
+    """The ``event_flags`` cell of each row of ``flags``, as _read_events reads it."""
+    rows, inverse = np.unique(flags, axis=0, return_inverse=True)
     cells = np.array(["|".join(e for e, on in zip(event_names, row) if on) for row in rows.tolist()], dtype=object)
-    return cells[inverse].tolist()
+    return cells[inverse]
 
 
 def _blank_nan(col) -> list:
@@ -252,39 +254,36 @@ def _blank_nan(col) -> list:
     return out.tolist()
 
 
-# cell codecs by column kind: (cells, event names) -> column, and (column, event
-# names) -> cells; a kind ending in "?" allows a blank cell and parses the
-# others stripped. A reader raises ValueError or OverflowError for a cell it
-# cannot parse and _RuleError for a value its column does not allow
+# cell codecs by column kind: cells -> column, and column -> cells; a kind
+# ending in "?" allows a blank cell and parses the others stripped. A reader
+# raises ValueError or OverflowError for a cell it cannot parse and
+# _RuleError for a value its column does not allow
 _READ = {
-    "str": lambda cells, events: np.array(cells, dtype=str),
+    "str": lambda cells: np.array(cells, dtype=str),
     "count": _read_counts,
-    "days": lambda cells, events: _read_counts(cells, events, most=31),  # days of one month
+    "days": lambda cells: _read_counts(cells, most=31),  # days of one month
     "month": _read_months,
-    "float": lambda cells, events: _read_floats(cells, events, positive=False),
-    "float?": lambda cells, events: _read_floats(cells, events, positive=False, optional=True),
-    "price": lambda cells, events: _read_floats(cells, events, positive=True),
-    "price?": lambda cells, events: _read_floats(cells, events, positive=True, optional=True),
-    "bool": lambda cells, events: _each_distinct(cells, _read_bool, bool),
-    "events": _read_events,
-    "split": lambda cells, events: np.array(SPLITS)[_each_distinct(cells, SPLITS.index, np.int64)],
+    "float": lambda cells: _read_floats(cells, positive=False),
+    "float?": lambda cells: _read_floats(cells, positive=False, optional=True),
+    "price": lambda cells: _read_floats(cells, positive=True),
+    "price?": lambda cells: _read_floats(cells, positive=True, optional=True),
+    "bool": lambda cells: _each_distinct(cells, _read_bool, bool),
+    "split": lambda cells: np.array(SPLITS)[_each_distinct(cells, SPLITS.index, np.int64)],
 }
 _WRITE = {
     # csv writes a float as its repr
-    **dict.fromkeys(("str", "count", "days", "month", "float", "price", "split"), lambda col, events: col.tolist()),
-    **dict.fromkeys(("float?", "price?"), lambda col, events: _blank_nan(col)),
-    "bool": lambda col, events: np.where(col, "true", "false").tolist(),
-    "events": _write_events,
+    **dict.fromkeys(("str", "count", "days", "month", "float", "price", "split"), lambda col: col.tolist()),
+    **dict.fromkeys(("float?", "price?"), _blank_nan),
+    "bool": lambda col: np.where(col, "true", "false").tolist(),
 }
 
 # a transactions column's cells are non-negative integers unless listed here
 _CELL_KINDS = {
-    **dict.fromkeys(("item_id", "brand", "size", "category", "subcategory"), "str"),
+    **dict.fromkeys(("item_id", "event_flags", "brand", "size", "category", "subcategory"), "str"),
     "year_month": "month",
     "price": "price",
     "competitor_price": "price?",
     "substitute_available": "bool",
-    "event_flags": "events",
     "oos_days": "days",
 }
 TRANSACTIONS_COLUMNS = [f.name for f in fields(Transactions) if f.name != "event_names"]
@@ -297,7 +296,7 @@ _LABEL_COLUMNS = [("split", "split")]
 _CSV_CHUNK_ROWS = 4096
 
 
-def _write_csv(path, columns, table, event_names) -> None:
+def _write_csv(path, columns, table) -> None:
     """Write ``table``, a dict of equal-length columns named as in ``columns``,
     under one header row, creating the file's directory. The first listed
     column gives the row count."""
@@ -307,7 +306,7 @@ def _write_csv(path, columns, table, event_names) -> None:
         writer.writerow([name for name, _ in columns])
         for lo in range(0, len(table[columns[0][0]]), _CSV_CHUNK_ROWS):
             chunk = {name: col[lo : lo + _CSV_CHUNK_ROWS] for name, col in table.items()}
-            writer.writerows(zip(*(_WRITE[kind](chunk[name], event_names) for name, kind in columns)))
+            writer.writerows(zip(*(_WRITE[kind](chunk[name]) for name, kind in columns)))
 
 
 @contextmanager
@@ -329,15 +328,14 @@ def _gc_paused():
             gc.enable()
 
 
-def _read_csv(path, columns) -> tuple[dict, Sequence[int], tuple[str, ...]]:
-    """Read a CSV file written by _write_csv: its columns, the line number of
-    each row and the event names, which are the events the file names,
-    sorted. Blank lines are skipped; a row whose quoted cell spans lines is
-    numbered by its first line.
+def _read_csv(path, columns) -> dict:
+    """Read a CSV file written by _write_csv into a dict of its columns,
+    named as in ``columns``; blank lines are skipped.
 
     A cell that does not fit its column's kind, a NUL byte (numpy's str
     arrays would drop it from the end of a cell), or a byte that is not
-    UTF-8 raises ParseError naming the file and line. The cyclic garbage
+    UTF-8 raises ParseError naming the file and line; a row whose quoted
+    cell spans lines is numbered by its first line. The cyclic garbage
     collector is paused while the file is read.
     """
     path = Path(path)
@@ -356,63 +354,55 @@ def _read_csv(path, columns) -> tuple[dict, Sequence[int], tuple[str, ...]]:
 
 
 def _line_of(raw: bytes, offset: int) -> int:
-    """The line of a file's bytes ``raw`` that byte ``offset`` is on."""
-    return raw.count(b"\n", 0, offset) + 1
+    """The line byte ``offset`` of a file's bytes ``raw`` is on; CRLF, CR and LF each end a line, as in csv."""
+    return raw.count(b"\n", 0, offset) + raw.count(b"\r", 0, offset) - raw.count(b"\r\n", 0, offset) + 1
 
 
 def _row_lines(path) -> list[int]:
-    """The line each row of a CSV file starts on, after its header."""
+    """The line each row of a CSV file starts on, after its header, skipping
+    blank rows as _read_csv does. The file is read again for it, so only an
+    error that names a line calls it."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)
-        lines = []
-        start = reader.line_num + 1
-        for _ in reader:
-            lines.append(start)
+        lines, start = [], reader.line_num + 1
+        for row in reader:
+            if row:
+                lines.append(start)
             start = reader.line_num + 1
     return lines
 
 
-def _parse_csv(path: Path, columns) -> tuple[dict, Sequence[int], tuple[str, ...]]:
+def _parse_csv(path: Path, columns) -> dict:
     names = [name for name, _ in columns]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
-            rows = list(reader)
+            rows = list(filter(None, reader))  # without blank rows
         except csv.Error as exc:  # a quoted cell longer than csv's field limit
             raise ParseError(f"{path.name} line {reader.line_num}: {exc}") from None
-        if header != names:
-            raise ParseError(f"{path.name}: unexpected header {header}; expected {names}")
-        # the header and each row took one line, unless a quoted cell spans lines
-        lines = range(2, len(rows) + 2) if reader.line_num == len(rows) + 1 else _row_lines(path)
-    if not all(rows):
-        lines = [line_no for line_no, row in zip(lines, rows) if row]
-        rows = [row for row in rows if row]
+    if header != names:
+        raise ParseError(f"{path.name}: unexpected header {header}; expected {names}")
     if set(map(len, rows)) - {len(columns)}:
-        line_no, row = next((line_no, row) for line_no, row in zip(lines, rows) if len(row) != len(columns))
-        raise ParseError(f"{path.name} line {line_no}: expected {len(columns)} fields, got {len(row)}")
+        i = next(i for i, row in enumerate(rows) if len(row) != len(columns))
+        raise ParseError(f"{path.name} line {_row_lines(path)[i]}: expected {len(columns)} fields, got {len(rows[i])}")
     cells = dict(zip(names, zip(*rows))) or dict.fromkeys(names, ())
-    named = set()
-    for name, kind in columns:
-        if kind == "events":
-            named.update(*_event_sets(cells[name]).values())
-    event_names = tuple(sorted(named))
     out = {}
     for name, kind in columns:
         try:
-            out[name] = _READ[kind](cells[name], event_names)
+            out[name] = _READ[kind](cells[name])
         except (ValueError, OverflowError):
-            for line_no, cell in zip(lines, cells[name]):
+            for i, cell in enumerate(cells[name]):
                 try:
-                    _READ[kind]((cell,), event_names)
+                    _READ[kind]((cell,))
                 except _RuleError as exc:
-                    raise ParseError(f"{path.name} line {line_no}: {name} {exc}") from None
+                    raise ParseError(f"{path.name} line {_row_lines(path)[i]}: {name} {exc}") from None
                 except (ValueError, OverflowError):
                     shown = cell.strip() if kind.endswith("?") else cell  # an optional cell is parsed stripped
-                    raise ParseError(f"{path.name} line {line_no}: bad {name} {shown!r}") from None
+                    raise ParseError(f"{path.name} line {_row_lines(path)[i]}: bad {name} {shown!r}") from None
             raise
-    return out, lines, event_names
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +412,18 @@ def _parse_csv(path: Path, columns) -> tuple[dict, Sequence[int], tuple[str, ...
 def ingest(path) -> Transactions:
     """Parse and validate a transactions CSV (columns as TRANSACTIONS_COLUMNS).
 
-    Rows keep file order; the event names are those the file names.
+    Rows keep file order; _read_events parses the event_flags cells.
     """
-    columns, _, events = _read_csv(path, _TRANSACTION_COLUMNS)
-    tx = Transactions(**columns, event_names=events)
+    columns = _read_csv(path, _TRANSACTION_COLUMNS)
+    event_names, columns["event_flags"] = _read_events(columns["event_flags"])
+    tx = Transactions(**columns, event_names=event_names)
     _item_month_order(tx)  # rejects a repeated (item, month)
     return tx
 
 
 def write_transactions(tx: Transactions, path) -> None:
-    _write_csv(path, _TRANSACTION_COLUMNS, tx._columns(), tx.event_names)
+    cells = _write_events(tx.event_flags, tx.event_names)
+    _write_csv(path, _TRANSACTION_COLUMNS, {**tx._columns(), "event_flags": cells})
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +762,7 @@ def save_dataset(ds: DatasetSplit, transactions, out_dir) -> None:
     (out / "transactions.csv").write_bytes(raw)
     parts = [getattr(ds, name) for name in SPLITS]
     labels = np.repeat(SPLITS, [len(part) for part in parts])[_pair_order(PairTable.concat(parts))]
-    _write_csv(out / "pairs.csv", _LABEL_COLUMNS, {"split": labels}, ())
+    _write_csv(out / "pairs.csv", _LABEL_COLUMNS, {"split": labels})
     write_json(out / "manifest.json", _manifest(ds, hashlib.sha256(raw).hexdigest()))
 
 
@@ -794,8 +786,7 @@ def load_dataset(in_dir) -> DatasetSplit:
             f"the manifest records {manifest.get('transactions_sha256')!r} as transactions_sha256"
         )
     pairs = build_pairs(ingest(src / "transactions.csv"))
-    columns, lines, _ = _read_csv(src / "pairs.csv", _LABEL_COLUMNS)
-    labels = columns["split"]
+    labels = _read_csv(src / "pairs.csv", _LABEL_COLUMNS)["split"]
     if len(labels) != len(pairs):
         raise SchemaMismatchError(f"pairs.csv has {len(labels)} labels; transactions.csv has {len(pairs)} pairs")
     ds = _take_parts(pairs, labels, manifest.get("seed"), manifest.get("split_mode"))
@@ -803,7 +794,8 @@ def load_dataset(in_dir) -> DatasetSplit:
     wrong = (labels == "out_of_time") != (pairs.lead_month >= boundary)
     if wrong.any():
         i = int(np.argmax(wrong))
-        raise SchemaMismatchError(f"pairs.csv line {lines[i]}: {labels[i]} crosses the boundary month {boundary}")
+        line_no = _row_lines(src / "pairs.csv")[i]
+        raise SchemaMismatchError(f"pairs.csv line {line_no}: {labels[i]} crosses the boundary month {boundary}")
     if type(ds.seed) is not int or ds.seed < 0:
         raise SchemaMismatchError(f"manifest seed is {ds.seed!r}; expected a non-negative integer")
     if ds.split_mode not in ("pair", "item"):

@@ -82,7 +82,7 @@ class ElasticityReport:
             name: np.array([getattr(e, name) for e in self.entries], dtype=object if kind == "str" else np.float64)
             for name, kind in _REPORT_COLUMNS
         }
-        _write_csv(path, _REPORT_COLUMNS, table, ())
+        _write_csv(path, _REPORT_COLUMNS, table)
 
     def truth_arcs(self, truths) -> dict[str, float]:
         """The true arc at each valid entry's own (p, dp), for the items of

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Transactions, _read_csv, _write_csv, month_of_year, validate_ym, ym_add
+from .data import Transactions, _read_csv, _row_lines, _write_csv, month_of_year, validate_ym, ym_add
 from .elasticity import arc_elasticity
 from .errors import ConfigError, DegenerateDemandError, DomainError, ParseError
 
@@ -274,17 +274,17 @@ TRUTH_COLUMNS = [name for name, _ in _TRUTH_COLUMNS]
 def write_truth(truths, path) -> None:
     columns = {name: np.array([getattr(t, name) for t in truths]) for name in TRUTH_COLUMNS if name != "epsilon_hi"}
     columns["epsilon_hi"] = np.array([np.nan if t.epsilon_hi is None else t.epsilon_hi for t in truths])
-    _write_csv(path, _TRUTH_COLUMNS, columns, ())
+    _write_csv(path, _TRUTH_COLUMNS, columns)
 
 
 def read_truth(path) -> list[ItemTruth]:
     """The rows of a truth table; a cell that breaks its column's rule, or
     a repeated item_id, raises ParseError with its line number."""
-    columns, lines, _ = _read_csv(path, _TRUTH_COLUMNS)
+    columns = _read_csv(path, _TRUTH_COLUMNS)
     seen = set()
-    for line_no, item in zip(lines, columns["item_id"].tolist()):
+    for i, item in enumerate(columns["item_id"].tolist()):
         if item in seen:
-            raise ParseError(f"{Path(path).name} line {line_no}: repeated item_id {item!r}")
+            raise ParseError(f"{Path(path).name} line {_row_lines(path)[i]}: repeated item_id {item!r}")
         seen.add(item)
     rows = zip(*(columns[name].tolist() for name in TRUTH_COLUMNS))
     return [ItemTruth(item, eps, None if np.isnan(hi) else hi, coeff, base) for item, eps, hi, coeff, base in rows]

@@ -104,14 +104,31 @@ class TestIngest:
                 "a,202301,10.0,5,20,0,3,100,,false,,b1,M,c1,s1",
                 "a,202302,11.0,6,20,1,3,130,12.5,true,holiday,b1,M,c1,s1",
                 "b,202301,9.0,2,15,0,1,50,,false,promo|holiday,b2,S,c2,s2",
+                "b,202302,9.0,2,15,0,1,50,,false,holiday||promo,b2,S,c2,s2",
+                "b,202303,9.0,2,15,0,1,50,,false,promo|promo,b2,S,c2,s2",
+                "b,202304,9.0,2,15,0,1,50,,false,|holiday|,b2,S,c2,s2",
             ],
         )
         tx = dt.ingest(f)
-        assert len(tx) == 3
+        assert len(tx) == 6
         assert np.isnan(tx.competitor_price[0]) and tx.competitor_price[1] == 12.5
         assert tx.event_names == ("holiday", "promo")
-        assert tx.event_flags.tolist() == [[False, False], [True, False], [True, True]]
-        assert tx.substitute_available.tolist() == [False, True, False]
+        assert tx.event_flags.tolist() == [
+            [False, False],
+            [True, False],
+            [True, True],
+            [True, True],
+            [False, True],
+            [True, False],
+        ]
+        assert tx.substitute_available.tolist() == [False, True, False, False, False, False]
+
+    def test_header_only_file_has_no_events(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text(HEADER + "\n")
+        tx = dt.ingest(f)
+        assert len(tx) == 0
+        assert tx.event_names == () and tx.event_flags.shape == (0, 0)
 
     def test_duplicate_item_month(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -626,8 +643,37 @@ class TestReadCsv:
         with pytest.raises(ParseError, match="line 5: bad lead_month '202399'"):
             dt._read_csv(path, KEY_COLUMNS)
         path.write_text(KEY_HEADER + '"a\nb",202301,202302,train\n\nc,202301,202302,train\n')
-        columns, lines, _ = dt._read_csv(path, KEY_COLUMNS)
-        assert columns["item_id"].tolist() == ["a\nb", "c"] and list(lines) == [2, 5]
+        columns = dt._read_csv(path, KEY_COLUMNS)
+        assert columns["item_id"].tolist() == ["a\nb", "c"] and dt._row_lines(path) == [2, 5]
+
+    def test_a_file_whose_quoted_cell_spans_lines_is_parsed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "pairs.csv"
+        path.write_text(KEY_HEADER + '"a\nb",202301,202302,train\n\nc,202301,202302,train\n')
+        calls = []
+        reader = dt.csv.reader
+
+        def counting_reader(*args, **kwargs):
+            calls.append(args)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(dt.csv, "reader", counting_reader)
+        assert dt._read_csv(path, KEY_COLUMNS)["item_id"].tolist() == ["a\nb", "c"]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "byte, message", [(b"\0", "NUL byte"), (b"\xff", "byte 0xff is not UTF-8")], ids=["nul", "ff"]
+    )
+    def test_a_bad_byte_names_its_line_whatever_ends_the_lines(self, tmp_path, end, byte, message):
+        path = tmp_path / "pairs.csv"
+        rows = [KEY_HEADER.strip().encode(), b"a,202301,202302,train", b"b,202301,202302,train"]
+        path.write_bytes(end.join([*rows, b"c" + byte + b",202301,202302,train", b""]))
+        with pytest.raises(ParseError, match=f"^pairs.csv line 4: {message}$"):
+            dt._read_csv(path, KEY_COLUMNS)
+        # a bad cell on that line is named by the same number
+        path.write_bytes(end.join([*rows, b"c,202301,202399,train", b""]))
+        with pytest.raises(ParseError, match="^pairs.csv line 4: bad lead_month '202399'$"):
+            dt._read_csv(path, KEY_COLUMNS)
 
     def test_non_utf8_byte_names_its_line_past_the_first_decoded_chunk(self, tmp_path):
         path = tmp_path / "pairs.csv"
@@ -670,7 +716,7 @@ class TestReadCsv:
         gc.collect()  # so that nothing allocated before the read starts a collection
         gc.callbacks.append(count)
         try:
-            columns, _, _ = dt._read_csv(path, KEY_COLUMNS)
+            columns = dt._read_csv(path, KEY_COLUMNS)
         finally:
             gc.callbacks.remove(count)
         assert len(columns["item_id"]) == 20_000

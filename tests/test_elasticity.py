@@ -280,7 +280,7 @@ class TestEvaluateElasticities:
         # the column codec reads the file back: a blank cell is NaN
         from elastinet.elasticity import _REPORT_COLUMNS
 
-        columns, _, _ = dt._read_csv(path, _REPORT_COLUMNS)
+        columns = dt._read_csv(path, _REPORT_COLUMNS)
         assert columns["item_id"].tolist() == ["item,1", "item_2", "item_3"]
         assert np.isnan(columns["y_base"]).tolist() == [False, True, True]
 
