@@ -1,9 +1,10 @@
 """Command-line entry point wiring the pipeline end to end.
 
-Exit codes: 0 success, 2 usage/config error, 3 artifact mismatch,
-4 numeric failure. After a command succeeds, ``main`` writes its resolved
-configuration as JSON next to its outputs; re-running with the same inputs
-and seed reproduces outputs byte-identically (timing goes to stderr).
+A command returns nothing and fails only by raising. ``main`` exits 0, or
+the raised error's ``exit_code`` (errors.py; an OSError takes ConfigError's).
+After a command succeeds, ``main`` writes its resolved configuration as JSON
+next to its outputs; re-running with the same inputs and seed reproduces
+outputs byte-identically (timing goes to stderr).
 """
 
 from __future__ import annotations
@@ -27,27 +28,10 @@ from .elasticity import (
     mae_elasticity,
     wmape,
 )
-from .errors import (
-    ConfigError,
-    DomainError,
-    ElastinetError,
-    IntegrityError,
-    MetricError,
-    ModelIOError,
-    NumericError,
-    ParseError,
-    SchemaMismatchError,
-)
-from .gradcheck import check_demand_model
+from .errors import ConfigError, ElastinetError, NumericError, ParseError, SchemaMismatchError
+from .gradcheck import TOLERANCE, check_demand_model
 from .model import load_model, save_model
 from .training import TrainConfig, prepare_model, train
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_MISMATCH = 3
-EXIT_NUMERIC = 4
-
-GRADCHECK_TOLERANCE = 1e-5
 
 # losses.csv and baseline.csv, for data's column codec
 _LOSS_COLUMNS = [("epoch", "count"), ("train_loss", "float"), ("val_loss", "float")]
@@ -87,7 +71,7 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 # commands
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     world = synth.SyntheticWorld(
         n_items=args.items,
         n_months=args.months,
@@ -103,19 +87,17 @@ def cmd_synth(args) -> int:
     dt.write_transactions(tx, out / "transactions.csv")
     synth.write_truth(truths, out / "truth.csv")
     print(f"wrote {len(tx)} records for {args.items} items to {out}")
-    return EXIT_OK
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> None:
     pairs = dt.build_pairs(dt.ingest(args.transactions))
     ds = dt.split(pairs, seed=args.seed, by_item=args.by_item)
     out = Path(args.out)
     dt.save_dataset(ds, args.transactions, out)
     print(f"pairs: train={len(ds.train)} validation={len(ds.validation)} out_of_time={len(ds.out_of_time)}")
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     config = _train_config(args)
     ds = dt.load_dataset(args.dataset)
     model = prepare_model(ds, seed=config.seed)
@@ -131,7 +113,6 @@ def cmd_train(args) -> int:
         file=sys.stderr,
     )
     print(f"model written to {out / 'model.mdnm'}")
-    return EXIT_OK
 
 
 def _check_features(model, ds) -> None:
@@ -147,7 +128,7 @@ def _check_features(model, ds) -> None:
             raise SchemaMismatchError(f"model and dataset {group} features differ: {differ}")
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     ds = dt.load_dataset(args.dataset)
     model = load_model(args.model)
     _check_features(model, ds)
@@ -159,10 +140,9 @@ def cmd_evaluate(args) -> int:
     dt.write_json(Path(args.out) / "metrics.json", metrics)
     for name, m in metrics.items():
         print(f"{name}: WMAPE {m['wmape_pct']:.2f}% over {m['rows']} rows")
-    return EXIT_OK
 
 
-def cmd_elasticity(args) -> int:
+def cmd_elasticity(args) -> None:
     if not (math.isfinite(args.dp_pct) and args.dp_pct != 0 and args.dp_pct > -100):
         raise ConfigError(f"--dp-pct must be finite, non-zero and above -100, got {args.dp_pct}")
     tx = dt.ingest(args.transactions)
@@ -187,34 +167,30 @@ def cmd_elasticity(args) -> int:
     report.write_csv(out / "elasticity.csv")
     dt.write_json(out / "elasticity_summary.json", summary)
     print(f"elasticities: {summary['valid']} valid, {summary['skipped']} skipped; report in {out}")
-    return EXIT_OK
 
 
-def cmd_baseline(args) -> int:
+def cmd_baseline(args) -> None:
     ds = dt.load_dataset(args.dataset)
     slopes, skipped = loglog_baseline(dt.PairTable.concat([ds.train, ds.validation]))
     items = sorted(slopes)
     table = {"item_id": np.array(items, dtype=object), "elasticity": np.array([slopes[i] for i in items])}
     dt._write_csv(Path(args.out) / "baseline.csv", _BASELINE_COLUMNS, table)
     print(f"baseline: {len(slopes)} items fitted, {len(skipped)} skipped")
-    return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args) -> None:
     _, report = check_demand_model(seed=args.seed, probes_per_param=args.probes)
     payload = {
         "max_rel_error": report.max_rel_error,
-        "tolerance": GRADCHECK_TOLERANCE,
+        "tolerance": TOLERANCE,
         "probes": report.probes,
         "per_param": dict(sorted(report.per_param.items())),
     }
     if args.out:
         dt.write_json(Path(args.out) / "gradcheck.json", payload)
     print(json.dumps({"max_rel_error": report.max_rel_error, "probes": report.probes}))
-    if not report.passed(GRADCHECK_TOLERANCE):
-        print(f"gradcheck FAILED: max relative error {report.max_rel_error:.3e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    if not report.passed():
+        raise NumericError(f"gradcheck failed: max relative error {report.max_rel_error:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        if code == EXIT_OK and args.out:
+        args.func(args)
+        if args.out:
             _resolved_config(args)
+    except (ElastinetError, OSError) as exc:
+        code = getattr(exc, "exit_code", ConfigError.exit_code)
+        print(f"{'numeric failure' if code == NumericError.exit_code else 'error'}: {exc}", file=sys.stderr)
         return code
-    except (ConfigError, DomainError, ParseError, IntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SchemaMismatchError, ModelIOError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (NumericError, MetricError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ElastinetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    return 0
 
 
 if __name__ == "__main__":

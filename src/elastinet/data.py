@@ -32,6 +32,7 @@ MAX_MONTH_GAP = 12
 OUT_OF_TIME_MONTHS = 3
 
 MONOTONE_DIRECTIONS = {"lead_price": -1, "price_change_pct": -1}
+MONOTONE_FEATURES = list(MONOTONE_DIRECTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,11 @@ def _read_events(cells) -> tuple[tuple[str, ...], np.ndarray]:
 
 def _write_events(flags, event_names) -> np.ndarray:
     """The ``event_flags`` cell of each row of ``flags``, as _read_events reads it."""
-    rows, inverse = np.unique(flags, axis=0, return_inverse=True)
+    if not event_names:  # no flag bytes to view
+        return np.full(len(flags), "", dtype=object)
+    keys = np.ascontiguousarray(flags, dtype=bool).view(f"V{len(event_names)}")[:, 0]  # one void scalar a row
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    rows = distinct.view(bool).reshape(len(distinct), len(event_names))
     cells = np.array(["|".join(e for e, on in zip(event_names, row) if on) for row in rows.tolist()], dtype=object)
     return cells[inverse]
 
@@ -508,9 +513,6 @@ _BASE_CONTINUOUS = [
     "lead_substitute_available",
     "month_gap",
 ]
-
-MONOTONE_FEATURES = ["lead_price", "price_change_pct"]
-
 
 @dataclass(frozen=True)
 class FeatureNames:

@@ -15,6 +15,7 @@ from .tensor import Parameter, Tensor, backward, mse_loss, sum_sq
 # floor turns the check into an absolute one for near-zero gradients, where
 # central-difference cancellation noise would otherwise dominate the quotient.
 REL_FLOOR = 1e-4
+TOLERANCE = 1e-5  # passed() when every relative error is below it
 
 
 @dataclass
@@ -28,8 +29,8 @@ class GradCheckReport:
     def max_rel_error(self) -> float:
         return max(self.per_param.values(), default=0.0)
 
-    def passed(self, tol: float = 1e-5) -> bool:
-        return self.max_rel_error < tol
+    def passed(self) -> bool:
+        return self.max_rel_error < TOLERANCE
 
 
 def gradcheck(

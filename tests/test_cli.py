@@ -2,8 +2,11 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 from elastinet import synth
 from elastinet.cli import main
 from elastinet.data import TRANSACTIONS_COLUMNS
+from elastinet.errors import ElastinetError
 
 
 @pytest.fixture(scope="module")
@@ -790,6 +794,20 @@ class TestGradcheckCommand:
         payload = json.loads((tmp_path / "gradcheck.json").read_text())
         assert payload["max_rel_error"] < 1e-5
 
+    def test_failing_check_exits_4_after_reporting(self, tmp_path, monkeypatch, capsys):
+        from elastinet import cli
+        from elastinet.gradcheck import TOLERANCE, GradCheckReport
+
+        report = GradCheckReport(per_param={"trunk.w": 2e-3, "head.b": 1e-9}, probes=7)
+        monkeypatch.setattr(cli, "check_demand_model", lambda seed, probes_per_param: (None, report))
+        assert main(["gradcheck", "--out", str(tmp_path)]) == 4
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"max_rel_error": 2e-3, "probes": 7}
+        assert err == "numeric failure: gradcheck failed: max relative error 2.000e-03\n"
+        payload = json.loads((tmp_path / "gradcheck.json").read_text())
+        assert payload == {"max_rel_error": 2e-3, "tolerance": TOLERANCE, "probes": 7, "per_param": report.per_param}
+        assert not (tmp_path / "gradcheck_config.json").exists()
+
 
 class TestDeterminism:
     def test_rerun_reproduces_artifacts_byte_identically(self, tmp_path):
@@ -921,3 +939,70 @@ def test_every_command_records_its_resolved_settings(pipeline_dirs, tmp_path, mo
         assert main(fill(argv)) == 0
         assert '"max_rel_error"' in capsys.readouterr().out
         assert not any(cwd.iterdir())
+
+
+def _error_classes(cls=ElastinetError):
+    """``cls`` and every subclass of it, recursively."""
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+# main's exit code and stderr prefix when a command raises each error
+EXIT_TABLE = {
+    "ElastinetError": (1, "error"),
+    "DimensionError": (1, "error"),
+    "EmbeddingIndexError": (1, "error"),
+    "ConfigError": (2, "error"),
+    "DomainError": (2, "error"),
+    "DegenerateDemandError": (2, "error"),
+    "ParseError": (2, "error"),
+    "IntegrityError": (2, "error"),
+    "OSError": (2, "error"),
+    "SchemaMismatchError": (3, "error"),
+    "ModelIOError": (3, "error"),
+    "NumericError": (4, "numeric failure"),
+    "MetricError": (4, "numeric failure"),
+}
+
+
+def test_exit_table_names_every_error_class():
+    assert set(EXIT_TABLE) == {c.__name__ for c in _error_classes()} | {"OSError"}
+
+
+@pytest.mark.parametrize("error", [*_error_classes(), OSError], ids=lambda c: c.__name__)
+def test_each_error_exits_with_its_code(tmp_path, monkeypatch, capsys, error):
+    from elastinet import cli
+
+    def fail(args):
+        raise error("stub failure")
+
+    monkeypatch.setattr(cli, "cmd_baseline", fail)
+    code, prefix = EXIT_TABLE[error.__name__]
+    out = tmp_path / "out"
+    assert main(["baseline", "--dataset", str(tmp_path), "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{prefix}: stub failure\n"
+    assert not (out / "baseline_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["gradcheck", "--probes", "1"], 0, ""),
+        (["synth", "--items", "0", "--out", "{tmp}/synth"], 2, "error: "),
+        (["synth", "--items", "3"], 2, "usage: "),  # --out is missing
+        (["evaluate", "--dataset", "{ds}", "--model", "{tmp}/bad.mdnm", "--out", "{tmp}/eval"], 3, "error: "),
+    ],
+    ids=["ok", "config", "usage", "corrupt-model"],
+)
+def test_process_exit_status(pipeline_dirs, tmp_path, argv, code, stderr):
+    """``python -m elastinet`` exits with the code that main returns."""
+    import elastinet
+
+    (tmp_path / "bad.mdnm").write_bytes(b"XXXX" + bytes(100))
+    src = str(Path(elastinet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [arg.format(tmp=tmp_path, ds=pipeline_dirs / "ds") for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "elastinet", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(stderr)

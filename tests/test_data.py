@@ -222,6 +222,22 @@ class TestIngest:
         dt.write_transactions(tx, f)
         assert tables_equal(dt.ingest(f), tx)
 
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [frozenset()] * 2,  # flags of shape (2, 0)
+            [],  # zero rows
+            [frozenset("xyz"), frozenset(), frozenset("z"), frozenset("xz"), frozenset("z"), frozenset("xyz")],
+        ],
+        ids=["no-events", "zero-rows", "three-events"],
+    )
+    def test_round_trip_of_event_cells(self, tmp_path, events):
+        tx = make_tx(tx_row(ym=202301 + i, event_flags=e) for i, e in enumerate(events))
+        f = tmp_path / "t.csv"
+        dt.write_transactions(tx, f)
+        assert tables_equal(dt.ingest(f), tx)
+        assert dt.ingest(f).event_flags.shape == (len(events), len(tx.event_names))
+
 
 class TestPriceChange:
     def test_arithmetic(self):
