@@ -990,8 +990,10 @@ def test_each_error_exits_with_its_code(tmp_path, monkeypatch, capsys, error):
         (["synth", "--items", "0", "--out", "{tmp}/synth"], 2, "error: "),
         (["synth", "--items", "3"], 2, "usage: "),  # --out is missing
         (["evaluate", "--dataset", "{ds}", "--model", "{tmp}/bad.mdnm", "--out", "{tmp}/eval"], 3, "error: "),
+        # a full-batch step hands its largest product to the helper thread
+        (["train", "--dataset", "{ds}", "--epochs", "1", "--batch-size", "4096", "--out", "{tmp}/run"], 0, ""),
     ],
-    ids=["ok", "config", "usage", "corrupt-model"],
+    ids=["ok", "config", "usage", "corrupt-model", "train-batch-4096"],
 )
 def test_process_exit_status(pipeline_dirs, tmp_path, argv, code, stderr):
     """``python -m elastinet`` exits with the code that main returns."""
@@ -1006,3 +1008,37 @@ def test_process_exit_status(pipeline_dirs, tmp_path, argv, code, stderr):
     )
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith(stderr)
+
+
+def test_import_and_forward_only_commands_start_no_thread(pipeline_dirs, tmp_path):
+    """The dense VJP's helper thread starts only when a backward pass needs it."""
+    import elastinet
+
+    data, ds, model = pipeline_dirs / "data", pipeline_dirs / "ds", pipeline_dirs / "run" / "model.mdnm"
+    commands = [
+        ["synth", "--items", "3", "--months", "14", "--seed", "1", "--out", str(tmp_path / "synth")],
+        ["build", "--transactions", str(data / "transactions.csv"), "--seed", "5", "--out", str(tmp_path / "ds")],
+        ["evaluate", "--dataset", str(ds), "--model", str(model), "--out", str(tmp_path / "eval")],
+    ]
+    script = (
+        "import json, sys, threading\n"
+        "counts = [threading.active_count()]\n"
+        "from elastinet.cli import main\n"
+        "counts.append(threading.active_count())\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    counts.append(threading.active_count())\n"
+        "print(json.dumps(counts))\n"
+    )
+    src = str(Path(elastinet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [1] * 5

@@ -2,13 +2,19 @@
 ``reference_ops`` record the same layer as separate matmul, bias-add,
 activation and reparameterization nodes. Outputs, input gradients and every
 parameter gradient must agree bit for bit, and so must a whole training
-step of a DemandModel.
+step of a DemandModel. A large dense VJP may run its input adjoint on a
+helper thread; the bits must not depend on whether it does.
 """
+
+import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from elastinet.model import ColumnDenseLayer
+from elastinet import tensor
+from elastinet.model import ColumnDenseLayer, save_model
 from elastinet.monodense import ActivationSplit, DenseLayer, MonoDenseLayer
 from elastinet.tensor import Parameter, Tensor, backward, embedding_lookup, mse_loss, sum_sq
 from elastinet.training import Adam, TrainConfig, prepare_model, train
@@ -191,3 +197,108 @@ def test_one_training_step_records_21_tensors(small_split, monkeypatch):
     assert len(model.names.categorical) == 7 and len(model.trunk) == 2 and len(model.post) == 1
     train(model, small_split, TrainConfig(epochs=1, batch_size=512, seed=3))
     assert len(counts) >= 2 and set(counts) == {21}
+
+
+def use_helper(monkeypatch, on: bool, cpus=(0, 1)) -> list:
+    """Make every dense VJP hand its input adjoint to a helper thread (on) or
+    none do (off), on an affinity mask of ``cpus``; returns the list the
+    hand-offs are recorded in."""
+    handed = []
+
+    class RecordingProduct(tensor._Product):
+        def __init__(self, a, b, out):
+            handed.append(a.shape)
+            super().__init__(a, b, out)
+
+    monkeypatch.setattr(tensor, "_OFFLOAD_MIN_MACS", 0 if on else math.inf)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(tensor, "_Product", RecordingProduct)
+    return handed
+
+
+def mixed_indicator(width):
+    return np.resize([1.0, -1.0, 0.0], width)
+
+
+# rows x in -> out: the default model's first trunk layer at batch 4096, its
+# second at an odd-sized batch, and its injection layer at one row
+HELPER_SHAPES = [(4096, 223, 128), (4095, 128, 64), (1, 66, 64)]
+HELPER_LAYERS = {
+    **{act: lambda k, c, rng, act=act: DenseLayer(k, c, act, rng=rng, name="trunk.0") for act in ACTIVATIONS},
+    "monodense": lambda k, c, rng: MonoDenseLayer(k, c, mixed_indicator(k), rng=rng, name="injection"),
+    "head": lambda k, c, rng: MonoDenseLayer(k, 1, mixed_indicator(k), activation=None, rng=rng, name="head"),
+}
+
+
+@pytest.mark.parametrize("shape", HELPER_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("kind", sorted(HELPER_LAYERS))
+def test_helper_thread_leaves_layer_gradients_unchanged(monkeypatch, kind, shape):
+    n, k, c = shape
+    layer = HELPER_LAYERS[kind](k, c, np.random.default_rng(n))
+    data = np.random.default_rng(k)
+    layer.bias.data[...] = data.normal(size=layer.bias.shape)
+    x = Parameter(data.normal(scale=2.0, size=(n, k)), name="x")
+    target = Tensor(data.normal(size=(n, layer.weights.cols)))
+    results = []
+    for on in (False, True):
+        handed = use_helper(monkeypatch, on)
+        results.append(gradients(layer, layer, x, target))
+        assert handed == ([(n, layer.weights.cols)] if on else [])
+    assert all(same_bits(a, b) for a, b in zip(*results))
+
+
+def train_bytes(split, tmp_path, name):
+    """Model file bytes and losses of a batch-4096 fit."""
+    model = prepare_model(split, SMALL_ARCH, seed=11)
+    report = train(model, split, TrainConfig(epochs=2, batch_size=4096, seed=11))
+    save_model(model, tmp_path / f"{name}.mdnm")
+    return (tmp_path / f"{name}.mdnm").read_bytes(), report.train_losses, report.val_losses
+
+
+@pytest.mark.parametrize("cpus", [(0, 1), (0,)], ids=["2-cpus", "1-cpu"])
+def test_helper_thread_leaves_training_bytes_unchanged(small_split, tmp_path, monkeypatch, cpus):
+    """Whole fits, every product handed off or none: same model file, same
+    losses, and as many tape nodes. On one CPU nothing is handed off, and no
+    helper thread outlives its VJP."""
+    created = [0]
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    threads = threading.active_count()
+    use_helper(monkeypatch, on=False)
+    without = train_bytes(small_split, tmp_path, "without")
+    nodes_without, created[0] = created[0], 0
+    handed = use_helper(monkeypatch, on=True, cpus=cpus)
+    assert train_bytes(small_split, tmp_path, "with") == without
+    assert created[0] == nodes_without
+    assert (len(handed) > 0) == (len(cpus) >= 2)
+    assert threading.active_count() == threads  # every helper was joined
+
+
+def test_helper_thread_failure_surfaces_from_backward(monkeypatch):
+    layer = DenseLayer(40, 30, "relu", rng=np.random.default_rng(1), name="trunk.0")
+    data = np.random.default_rng(2)
+    x = Parameter(data.normal(size=(50, 40)), name="x")
+    target = Tensor(data.normal(size=(50, 30)))
+    use_helper(monkeypatch, on=False)
+    expected = gradients(layer, layer, x, target)
+
+    matmul = np.matmul
+
+    def failing_off_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("helper failed")
+        return matmul(*args, **kwargs)
+
+    handed = use_helper(monkeypatch, on=True)
+    monkeypatch.setattr(np, "matmul", failing_off_main_thread)
+    with pytest.raises(FloatingPointError, match="helper failed"):
+        gradients(layer, layer, x, target)
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert all(same_bits(a, b) for a, b in zip(gradients(layer, layer, x, target), expected))
+    assert len(handed) == 2
+
