@@ -8,6 +8,7 @@ guarantees non-positive elasticities.
 from .data import PairTable, Transactions, build_inference_set, build_pairs, ingest, split
 from .elasticity import arc_elasticity, evaluate_elasticities, loglog_baseline, mae_elasticity, wmape
 from .model import ArchConfig, DemandModel, load_model, save_model
+from .scenario import run_scenario
 from .synth import SyntheticWorld, generate, true_arc_elasticity
 from .training import TrainConfig, TrainReport, fit_stats, prepare_model, train
 
@@ -32,6 +33,7 @@ __all__ = [
     "loglog_baseline",
     "mae_elasticity",
     "prepare_model",
+    "run_scenario",
     "save_model",
     "split",
     "train",

@@ -20,14 +20,7 @@ import numpy as np
 
 from . import data as dt
 from . import synth
-from .elasticity import (
-    DEFAULT_DP_FRACTION,
-    ElasticityEntry,
-    evaluate_elasticities,
-    loglog_baseline,
-    mae_elasticity,
-    wmape,
-)
+from .elasticity import DEFAULT_DP_FRACTION, evaluate_elasticities, holdout_metrics, loglog_baseline, summarize_report
 from .errors import ConfigError, ElastinetError, NumericError, ParseError, SchemaMismatchError
 from .gradcheck import TOLERANCE, check_demand_model
 from .model import load_model, save_model
@@ -132,11 +125,7 @@ def cmd_evaluate(args) -> None:
     ds = dt.load_dataset(args.dataset)
     model = load_model(args.model)
     _check_features(model, ds)
-    metrics = {}
-    for name, pairs in (("validation", ds.validation), ("out_of_time", ds.out_of_time)):
-        if not pairs:
-            continue
-        metrics[name] = {"wmape_pct": wmape(pairs.target, model.predict_batch(pairs)), "rows": len(pairs)}
+    metrics = holdout_metrics(model, ds)
     dt.write_json(Path(args.out) / "metrics.json", metrics)
     for name, m in metrics.items():
         print(f"{name}: WMAPE {m['wmape_pct']:.2f}% over {m['rows']} rows")
@@ -153,15 +142,8 @@ def cmd_elasticity(args) -> None:
         args.as_of = int(tx.year_month.max())
     inference, skipped = dt.build_inference_set(tx, args.as_of)
     report = evaluate_elasticities(model, inference, dp_fraction=args.dp_pct / 100.0)
-    for item_id, reason in skipped:
-        report.entries.append(ElasticityEntry(item_id, None, None, None, None, None, reason))
-    report.entries.sort(key=lambda e: e.item_id)
-
-    summary = {**report.summary(), "as_of_month": args.as_of}
-    if args.truth:
-        truth_arcs = report.truth_arcs(synth.read_truth(args.truth))
-        if truth_arcs:
-            summary["mae_vs_truth"], summary["truth_coverage"] = mae_elasticity(truth_arcs, report.elasticities())
+    truths = synth.read_truth(args.truth) if args.truth else ()
+    summary, _ = summarize_report(report, skipped, args.as_of, truths)
 
     out = Path(args.out)
     report.write_csv(out / "elasticity.csv")

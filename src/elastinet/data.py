@@ -30,6 +30,7 @@ from .errors import ConfigError, DomainError, IntegrityError, NumericError, Pars
 MIN_MONTH_GAP = 1
 MAX_MONTH_GAP = 12
 OUT_OF_TIME_MONTHS = 3
+LAST_YM = 999912  # the last YYYYMM month: December of year 9999
 
 MONOTONE_DIRECTIONS = {"lead_price": -1, "price_change_pct": -1}
 MONOTONE_FEATURES = list(MONOTONE_DIRECTIONS)
@@ -39,11 +40,16 @@ MONOTONE_FEATURES = list(MONOTONE_DIRECTIONS)
 # calendar months encoded as YYYYMM integers
 
 
+def _is_ym(ym):
+    """Whether ``ym``, an int or elementwise an int array, is YYYYMM with year 1..9999 and month 1..12."""
+    month = ym % 100
+    return (ym >= 101) & (ym <= LAST_YM) & (month >= 1) & (month <= 12)
+
+
 def validate_ym(ym: int) -> int:
     ym = int(ym)
-    month = ym % 100
-    if ym < 100 or not 1 <= month <= 12:
-        raise DomainError(f"invalid year-month {ym}; expected YYYYMM with month 1..12")
+    if not _is_ym(ym):
+        raise DomainError(f"invalid year-month {ym}; expected YYYYMM with year 1..9999 and month 1..12")
     return ym
 
 
@@ -189,8 +195,8 @@ def _each_distinct(cells, read, dtype) -> np.ndarray:
 
 def _read_months(cells) -> np.ndarray:
     months = _each_distinct(cells, int, np.int64)
-    if np.any((months < 100) | (months % 100 < 1) | (months % 100 > 12)):
-        raise ValueError("expected YYYYMM with month 1..12")
+    if not np.all(_is_ym(months)):
+        raise ValueError("expected YYYYMM with year 1..9999 and month 1..12")
     return months
 
 

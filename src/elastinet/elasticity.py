@@ -62,20 +62,6 @@ class ElasticityReport:
     def elasticities(self) -> dict[str, float]:
         return {e.item_id: e.elasticity for e in self.valid_entries()}
 
-    def summary(self) -> dict:
-        valid = self.valid_entries()
-        out = {
-            "items": len(self.entries),
-            "valid": len(valid),
-            "skipped": len(self.entries) - len(valid),
-        }
-        if valid:
-            vals = np.array([e.elasticity for e in valid])
-            out["mean_elasticity"] = float(vals.mean())
-            out["min_elasticity"] = float(vals.min())
-            out["max_elasticity"] = float(vals.max())
-        return out
-
     def write_csv(self, path) -> None:
         """Write the entries as elasticity.csv; a None or NaN value is a blank cell."""
         table = {
@@ -129,6 +115,36 @@ def evaluate_elasticities(model, inference, dp_fraction=DEFAULT_DP_FRACTION) -> 
         report.entries.append(entry)
     report.entries.sort(key=lambda e: e.item_id)
     return report
+
+
+def summarize_report(report, skipped, as_of_month, truths=()) -> tuple[dict, dict[str, float]]:
+    """Add an entry per skipped (item_id, reason) to ``report`` and sort its
+    entries by item; return elasticity_summary.json's payload and the truth
+    arcs of ``truths`` (see truth_arcs), whose MAE and coverage the payload
+    holds when there are any."""
+    for item_id, reason in skipped:
+        report.entries.append(ElasticityEntry(item_id, None, None, None, None, None, reason))
+    report.entries.sort(key=lambda e: e.item_id)
+    valid = [e.elasticity for e in report.valid_entries()]
+    summary = {"items": len(report.entries), "valid": len(valid), "skipped": len(report.entries) - len(valid)}
+    summary["as_of_month"] = as_of_month
+    if valid:
+        summary.update(
+            mean_elasticity=float(np.mean(valid)), min_elasticity=float(np.min(valid)), max_elasticity=float(np.max(valid))
+        )
+    truth_arcs = report.truth_arcs(truths)
+    if truth_arcs:
+        summary["mae_vs_truth"], summary["truth_coverage"] = mae_elasticity(truth_arcs, report.elasticities())
+    return summary, truth_arcs
+
+
+def holdout_metrics(model, ds) -> dict:
+    """metrics.json's payload: the WMAPE and row count of each non-empty held-out split of ``ds``."""
+    metrics = {}
+    for name, pairs in (("validation", ds.validation), ("out_of_time", ds.out_of_time)):
+        if len(pairs):
+            metrics[name] = {"wmape_pct": wmape(pairs.target, model.predict_batch(pairs)), "rows": len(pairs)}
+    return metrics
 
 
 def wmape(actuals, predictions) -> float:

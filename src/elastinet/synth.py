@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Transactions, _read_csv, _row_lines, _write_csv, month_of_year, validate_ym, ym_add
+from .data import LAST_YM, Transactions, _read_csv, _row_lines, _write_csv, month_of_year, validate_ym, ym_add
 from .elasticity import arc_elasticity
 from .errors import ConfigError, DegenerateDemandError, DomainError, ParseError
 
@@ -64,6 +64,8 @@ class SyntheticWorld:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_items < 1 or self.n_months < 1:
             raise ConfigError("need at least one item and one month")
+        if ym_add(self.start_month, self.n_months - 1) > LAST_YM:
+            raise ConfigError(f"start_month {self.start_month} and n_months {self.n_months} run past {LAST_YM}")
         if not 0 <= self.stockout_rate < 1:
             raise ConfigError(f"stockout rate must be in [0, 1), got {self.stockout_rate}")
         lo, hi = self.kink_drop_range

@@ -5,10 +5,10 @@ import zlib
 import numpy as np
 import pytest
 
-from elastinet import data as dt
 from elastinet.model import ArchConfig
+from elastinet.scenario import run_scenario
 from elastinet.synth import SyntheticWorld, generate
-from elastinet.training import TrainConfig, prepare_model, train
+from elastinet.training import TrainConfig, prepare_model
 
 SMALL_ARCH = ArchConfig(trunk_widths=(24, 12), injection_width=16, post_widths=(8,), encoder_width=4)
 
@@ -21,9 +21,13 @@ def small_world():
 
 
 @pytest.fixture(scope="session")
-def small_split(small_world):
-    _, tx, _ = small_world
-    return dt.split(dt.build_pairs(tx), seed=101)
+def small_run(small_world):
+    return run_scenario(small_world[0], SMALL_ARCH, TrainConfig(epochs=6, seed=101))
+
+
+@pytest.fixture(scope="session")
+def small_split(small_run):
+    return small_run.split
 
 
 @pytest.fixture(scope="session")
@@ -32,10 +36,8 @@ def untrained_model(small_split):
 
 
 @pytest.fixture(scope="session")
-def trained_model(small_split):
-    model = prepare_model(small_split, SMALL_ARCH, seed=101)
-    report = train(model, small_split, TrainConfig(epochs=6, seed=101))
-    return model, report
+def trained_model(small_run):
+    return small_run.model, small_run.train_report
 
 
 @pytest.fixture()

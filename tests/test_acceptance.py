@@ -1,8 +1,10 @@
 """Acceptance suite: one test per release criterion, each printing a verdict.
 
 The quantitative recovery checks run the full pinned-scale scenario
-(200 items x 27 months, 25 epochs, batch 128, lr 0.01) and take a few
-minutes; everything else is fast. Run with `pytest tests/test_acceptance.py -v -s`.
+(200 items x 27 months, 25 epochs, batch 128, lr 0.01) through
+run_scenario, so they read the MAE and WMAPE that `elasticity` and
+`evaluate` would write; they take about a minute, everything else is
+fast. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import time
@@ -12,10 +14,11 @@ import pytest
 
 from elastinet import data as dt
 from elastinet.cli import main
-from elastinet.elasticity import evaluate_elasticities, loglog_baseline, mae_elasticity, wmape
+from elastinet.elasticity import evaluate_elasticities, loglog_baseline, mae_elasticity
 from elastinet.gradcheck import check_demand_model
 from elastinet.model import ArchConfig, load_model, save_model
 from elastinet.monodense import bounded_activation
+from elastinet.scenario import run_scenario
 from elastinet.synth import SyntheticWorld, generate
 from elastinet.tensor import ACTIVATIONS
 from elastinet.training import TrainConfig, prepare_model, train
@@ -83,53 +86,28 @@ def monotonicity_run(probe_world):
     return model, tx, violations, elapsed
 
 
+def pinned_run(**knobs):
+    """The pinned quantitative scenario, through the CLI's chain in one process."""
+    world = SyntheticWorld(
+        n_items=200, n_months=27, seed=RECOVERY_SEED, noise_sigma=0.1, epsilon_range=(-3.0, -0.5), **knobs
+    )
+    return run_scenario(world, config=TrainConfig(seed=RECOVERY_SEED, **TRAIN_DEFAULTS))
+
+
 @pytest.fixture(scope="module")
 def recovery_run():
-    """The pinned quantitative scenario: constant-elasticity world."""
-    t0 = time.perf_counter()
-    world = SyntheticWorld(
-        n_items=200, n_months=27, seed=RECOVERY_SEED, noise_sigma=0.1, epsilon_range=(-3.0, -0.5)
-    )
-    tx, truths = generate(world)
-    split_ = dt.split(dt.build_pairs(tx), seed=RECOVERY_SEED)
-    model = prepare_model(split_, ArchConfig(), seed=RECOVERY_SEED)
-    train(model, split_, TrainConfig(seed=RECOVERY_SEED, **TRAIN_DEFAULTS))
-
-    ots_wmape = wmape(split_.out_of_time.target, model.predict_batch(split_.out_of_time))
-
-    inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
-    report = evaluate_elasticities(model, inference)
-    truth_arcs = report.truth_arcs(truths)
-    mae, coverage = mae_elasticity(truth_arcs, report.elasticities())
-    elapsed = time.perf_counter() - t0
-    return dict(mae=mae, coverage=coverage, ots_wmape=ots_wmape, elapsed=elapsed)
+    """Constant-elasticity world."""
+    return pinned_run()
 
 
 @pytest.fixture(scope="module")
 def kinked_run():
-    """Non-constant-elasticity world: model versus the log-log baseline."""
-    world = SyntheticWorld(
-        n_items=200,
-        n_months=27,
-        seed=RECOVERY_SEED,
-        noise_sigma=0.1,
-        epsilon_range=(-3.0, -0.5),
-        kinked=True,
-    )
-    tx, truths = generate(world)
-    split_ = dt.split(dt.build_pairs(tx), seed=RECOVERY_SEED)
-    model = prepare_model(split_, ArchConfig(), seed=RECOVERY_SEED)
-    train(model, split_, TrainConfig(seed=RECOVERY_SEED, **TRAIN_DEFAULTS))
-
-    inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
-    report = evaluate_elasticities(model, inference)
-    truth_arcs = report.truth_arcs(truths)
-    model_mae, _ = mae_elasticity(truth_arcs, report.elasticities())
-
-    slopes, _ = loglog_baseline(dt.PairTable.concat([split_.train, split_.validation]))
-    base_truth = {k: truth_arcs[k] for k in truth_arcs if k in slopes}
+    """Non-constant-elasticity world: model MAE and log-log baseline MAE."""
+    run = pinned_run(kinked=True)
+    slopes, _ = loglog_baseline(dt.PairTable.concat([run.split.train, run.split.validation]))
+    base_truth = {k: v for k, v in run.truth_arcs.items() if k in slopes}
     baseline_mae, _ = mae_elasticity(base_truth, {k: slopes[k] for k in base_truth})
-    return dict(model_mae=model_mae, baseline_mae=baseline_mae)
+    return run.summary["mae_vs_truth"], baseline_mae
 
 
 # ---------------------------------------------------------------------------
@@ -230,29 +208,27 @@ def test_pair_construction_oracle():
 
 
 def test_synthetic_elasticity_recovery(recovery_run):
+    mae, elapsed = recovery_run.summary["mae_vs_truth"], recovery_run.wall_time_seconds
     verdict(
         "synthetic elasticity recovery MAE <= 0.35",
-        recovery_run["mae"] <= 0.35,
-        f"MAE {recovery_run['mae']:.3f} over {recovery_run['coverage']} items, "
-        f"{recovery_run['elapsed']:.0f}s (target < 600s)",
+        mae <= 0.35,
+        f"MAE {mae:.3f} over {recovery_run.summary['truth_coverage']} items, {elapsed:.0f}s (target < 600s)",
     )
-    assert recovery_run["elapsed"] < 600
+    assert elapsed < 600
 
 
 def test_model_beats_baseline_on_kinked_world(kinked_run):
+    model_mae, baseline_mae = kinked_run
     verdict(
         "model MAE <= log-log baseline MAE on the kinked world",
-        kinked_run["model_mae"] <= kinked_run["baseline_mae"],
-        f"model {kinked_run['model_mae']:.3f} vs baseline {kinked_run['baseline_mae']:.3f}",
+        model_mae <= baseline_mae,
+        f"model {model_mae:.3f} vs baseline {baseline_mae:.3f}",
     )
 
 
 def test_synthetic_demand_accuracy(recovery_run):
-    verdict(
-        "out-of-time WMAPE <= 35%",
-        recovery_run["ots_wmape"] <= 35.0,
-        f"WMAPE {recovery_run['ots_wmape']:.2f}%",
-    )
+    oot_wmape = recovery_run.metrics["out_of_time"]["wmape_pct"]
+    verdict("out-of-time WMAPE <= 35%", oot_wmape <= 35.0, f"WMAPE {oot_wmape:.2f}%")
 
 
 def test_pipeline_determinism(tmp_path):

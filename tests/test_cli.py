@@ -17,32 +17,38 @@ from elastinet import synth
 from elastinet.cli import main
 from elastinet.data import TRANSACTIONS_COLUMNS
 from elastinet.errors import ElastinetError
+from elastinet.model import save_model
+from elastinet.scenario import run_scenario
+from elastinet.training import TrainConfig
+
+
+def _cli_pipeline(root, seed, epochs, *synth_args):
+    """synth, build and train at ``seed`` into the data, ds and run directories under ``root``."""
+    data, ds, run = root / "data", root / "ds", root / "run"
+    assert main(["synth", *synth_args, "--seed", str(seed), "--out", str(data)]) == 0
+    assert main(["build", "--transactions", str(data / "transactions.csv"), "--seed", str(seed), "--out", str(ds)]) == 0
+    assert main(["train", "--dataset", str(ds), "--epochs", str(epochs), "--seed", str(seed), "--out", str(run)]) == 0
+    return root
 
 
 @pytest.fixture(scope="module")
 def pipeline_dirs(tmp_path_factory):
     """One small end-to-end pipeline run shared by the read-only CLI tests."""
-    root = tmp_path_factory.mktemp("pipeline")
-    data, ds, run = root / "data", root / "ds", root / "run"
-    assert main(["synth", "--items", "12", "--months", "16", "--seed", "5", "--out", str(data)]) == 0
-    assert main(["build", "--transactions", str(data / "transactions.csv"), "--seed", "5", "--out", str(ds)]) == 0
-    assert (
-        main(
-            [
-                "train",
-                "--dataset",
-                str(ds),
-                "--epochs",
-                "2",
-                "--seed",
-                "5",
-                "--out",
-                str(run),
-            ]
-        )
-        == 0
-    )
-    return root
+    return _cli_pipeline(tmp_path_factory.mktemp("pipeline"), 5, 2, "--items", "12", "--months", "16")
+
+
+@pytest.fixture(scope="module")
+def scenario_runs(pipeline_dirs, tmp_path_factory):
+    """(CLI pipeline directory, run_scenario of the same world and seeds) for
+    pipeline_dirs's world and a kinked one."""
+    kinked_args = ("--items", "30", "--months", "16", "--world", "kinked")
+    kinked = _cli_pipeline(tmp_path_factory.mktemp("kinked"), 24, 3, *kinked_args)
+    constant_world = synth.SyntheticWorld(n_items=12, n_months=16, seed=5)
+    kinked_world = synth.SyntheticWorld(n_items=30, n_months=16, seed=24, kinked=True)
+    return [
+        (pipeline_dirs, run_scenario(constant_world, config=TrainConfig(epochs=2, seed=5))),
+        (kinked, run_scenario(kinked_world, config=TrainConfig(epochs=3, seed=24))),
+    ]
 
 
 class TestSynth:
@@ -162,22 +168,17 @@ class TestTrain:
 
 
 class TestEvaluate:
-    def test_metrics_json(self, pipeline_dirs, tmp_path):
-        out = tmp_path / "eval"
-        rc = main(
-            [
-                "evaluate",
-                "--dataset",
-                str(pipeline_dirs / "ds"),
-                "--model",
-                str(pipeline_dirs / "run" / "model.mdnm"),
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 0
-        metrics = json.loads((out / "metrics.json").read_text())
-        assert "out_of_time" in metrics and metrics["out_of_time"]["wmape_pct"] >= 0
+    def test_metrics_json(self, scenario_runs, tmp_path):
+        for k, (root, run) in enumerate(scenario_runs):
+            out = tmp_path / f"eval{k}"
+            argv = ["evaluate", "--dataset", str(root / "ds"), "--model", str(root / "run" / "model.mdnm")]
+            assert main(argv + ["--out", str(out)]) == 0
+            metrics = json.loads((out / "metrics.json").read_text())
+            assert "out_of_time" in metrics and metrics["out_of_time"]["wmape_pct"] >= 0
+            # run_scenario is the CLI chain in one process: the same model, the same metrics
+            save_model(run.model, out / "scenario.mdnm")
+            assert (out / "scenario.mdnm").read_bytes() == (root / "run" / "model.mdnm").read_bytes()
+            assert run.metrics == metrics
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_predictions_exit_4(self, pipeline_dirs, tmp_path, edit_model_file, capsys):
@@ -667,6 +668,12 @@ def test_model_stats_naming_other_features_exit_3(pipeline_dirs, tmp_path, edit_
             + ["--epsilon-min", "-300", "--epsilon-max", "-299"],
             "epsilon range (-300.0, -299.0) gives a demand law that overflows",
         ),
+        (["synth", "--start-month", "99999999999999999912"], "invalid year-month 99999999999999999912"),
+        (["synth", "--start-month", "999901", "--months", "13"], "start_month 999901 and n_months 13 run past 999912"),
+        (
+            ["elasticity", "--transactions", "{tx}", "--model", "{model}", "--as-of", "99999999999999999912"],
+            "invalid year-month 99999999999999999912",
+        ),
     ],
 )
 def test_unusable_values_exit_2(pipeline_dirs, tmp_path, capsys, argv, message):
@@ -710,31 +717,22 @@ class TestElasticity:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_report_and_summary(self, pipeline_dirs, tmp_path):
-        out = tmp_path / "elast"
-        rc = main(
-            [
-                "elasticity",
-                "--transactions",
-                str(pipeline_dirs / "data" / "transactions.csv"),
-                "--model",
-                str(pipeline_dirs / "run" / "model.mdnm"),
-                "--truth",
-                str(pipeline_dirs / "data" / "truth.csv"),
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 0
-        with open(out / "elasticity.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows
-        for row in rows:
-            if row["status"] == "ok":
-                assert float(row["elasticity"]) <= 0.0
-        summary = json.loads((out / "elasticity_summary.json").read_text())
-        assert summary["valid"] > 0
-        assert "mae_vs_truth" in summary
+    def test_report_and_summary(self, scenario_runs, tmp_path):
+        for k, (root, run) in enumerate(scenario_runs):
+            out = tmp_path / f"elast{k}"
+            argv = ["elasticity", "--transactions", str(root / "data" / "transactions.csv")]
+            argv += ["--model", str(root / "run" / "model.mdnm"), "--truth", str(root / "data" / "truth.csv")]
+            assert main(argv + ["--out", str(out)]) == 0
+            with open(out / "elasticity.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows
+            for row in rows:
+                if row["status"] == "ok":
+                    assert float(row["elasticity"]) <= 0.0
+            summary = json.loads((out / "elasticity_summary.json").read_text())
+            assert summary["valid"] > 0
+            assert "mae_vs_truth" in summary
+            assert run.summary == summary  # the summary elasticity writes, from run_scenario
 
     def test_dp_pct_flag_controls_query(self, pipeline_dirs, tmp_path):
         out = tmp_path / "elast10"

@@ -94,6 +94,16 @@ class TestMonths:
         with pytest.raises(DomainError):
             dt.validate_ym(202313)
 
+    @pytest.mark.parametrize("ym", [100, 1000001, 99999999999999999912])
+    def test_year_is_1_to_9999_in_arguments_and_files(self, tmp_path, ym):
+        assert dt.validate_ym(101) == 101 and dt.validate_ym(999912) == 999912
+        with pytest.raises(DomainError, match="year 1..9999"):
+            dt.validate_ym(ym)
+        f = tmp_path / "t.csv"
+        write_csv(f, ["a,999912,3.5,5,20,0,3,100,,false,,b1,M,c1,s1", f"b,{ym},3.5,5,20,0,3,100,,false,,b1,M,c1,s1"])
+        with pytest.raises(ParseError, match=f"line 3: bad year_month '{ym}'"):
+            dt.ingest(f)
+
 
 class TestIngest:
     def test_three_valid_rows(self, tmp_path):

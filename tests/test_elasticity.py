@@ -13,11 +13,13 @@ from elastinet.elasticity import (
     evaluate_elasticities,
     loglog_baseline,
     mae_elasticity,
+    summarize_report,
     wmape,
 )
 from elastinet.errors import DegenerateDemandError, DomainError, MetricError
+from elastinet.scenario import run_scenario
 from elastinet.synth import SyntheticWorld, generate, true_arc_elasticity
-from elastinet.training import TrainConfig, prepare_model, train
+from elastinet.training import TrainConfig
 
 from conftest import SMALL_ARCH
 
@@ -217,17 +219,10 @@ class TestEvaluateElasticities:
             season_amplitude=0.05,
             epsilon_range=(-1.0 - 1e-9, -1.0),
         )
-        tx, truths = generate(world)
-        split_ = dt.split(dt.build_pairs(tx), seed=33)
-        model = prepare_model(split_, SMALL_ARCH, seed=33)
-        train(model, split_, TrainConfig(epochs=30, seed=33))
-        inference, _ = dt.build_inference_set(tx, int(tx.year_month.max()))
-        report = evaluate_elasticities(model, inference)
-        truth_arcs = report.truth_arcs(truths)
-        predicted = report.elasticities()
-        assert len(truth_arcs) == len(report.valid_entries())
-        close = sum(abs(predicted[k] - arc) <= 0.2 for k, arc in truth_arcs.items())
-        assert close >= 0.8 * len(report.valid_entries())
+        run = run_scenario(world, SMALL_ARCH, TrainConfig(epochs=30, seed=33))
+        assert len(run.truth_arcs) == run.summary["valid"]
+        close = sum(abs(run.elasticities[k] - arc) <= 0.2 for k, arc in run.truth_arcs.items())
+        assert close >= 0.8 * run.summary["valid"]
 
     def test_truth_arcs_at_each_valid_entry_own_price(self):
         _, truths = generate(SyntheticWorld(n_items=3, n_months=4, seed=5))
@@ -255,7 +250,7 @@ class TestEvaluateElasticities:
         assert len(rows) == len(report.entries)
         assert set(rows[0]) == {"item_id", "p", "dp", "y_base", "y_pert", "elasticity", "status"}
         assert [float(r["elasticity"]) for r in rows if r["status"] == "ok"] == list(report.elasticities().values())
-        summary = report.summary()
+        summary, _ = summarize_report(report, [], int(tx.year_month.max()))
         assert summary["valid"] == len(report.valid_entries())
         assert summary["items"] == len(rows)
 

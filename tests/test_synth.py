@@ -154,6 +154,7 @@ class TestWorldValidation:
             (dict(start_month=202313), "invalid year-month 202313"),
             (dict(base_price_range=(-8.0, 40.0)), "base demand and price ranges must be positive and finite"),
             (dict(base_demand_range=(800.0, float("inf"))), "base demand and price ranges must be positive and finite"),
+            (dict(start_month=999901, n_months=13), "start_month 999901 and n_months 13 run past 999912"),
         ],
     )
     def test_non_finite_or_invalid_values_rejected(self, kw, message):

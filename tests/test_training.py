@@ -8,6 +8,8 @@ from elastinet import data as dt
 from elastinet.errors import ConfigError, NumericError
 from elastinet.gradcheck import gradcheck
 from elastinet.model import ArchConfig
+from elastinet.scenario import run_scenario
+from elastinet.synth import SyntheticWorld
 from elastinet.tensor import Parameter, Tensor, mse_loss, sum_sq
 from elastinet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, TrainConfig, fit_stats, prepare_model, train
 
@@ -140,15 +142,19 @@ class TestTrainLoop:
         assert report.val_losses[0] == report.val_losses[1]
 
     def test_loss_decreases_on_noiseless_world(self):
-        from elastinet.synth import SyntheticWorld, generate
-
         world = SyntheticWorld(n_items=12, n_months=16, seed=21, noise_sigma=0.0, season_amplitude=0.0)
-        tx, _ = generate(world)
-        split_ = dt.split(dt.build_pairs(tx), seed=21)
-        model = prepare_model(split_, SMALL_ARCH, seed=21)
-        report = train(model, split_, TrainConfig(epochs=5, seed=21))
+        report = run_scenario(world, SMALL_ARCH, TrainConfig(epochs=5, seed=21)).train_report
         for a, b in zip(report.train_losses, report.train_losses[1:]):
             assert b < a  # strictly decreasing over the first 5 epochs
+
+    def test_run_scenario_seeds_the_split_by_world_and_the_model_by_config(self):
+        world = SyntheticWorld(n_items=12, n_months=16, seed=21)
+        runs = [run_scenario(world, SMALL_ARCH, TrainConfig(epochs=1, seed=seed)) for seed in (1, 2)]
+        for name in ("train", "validation", "out_of_time"):
+            a, b = (getattr(run.split, name) for run in runs)
+            assert np.array_equal(a.lag, b.lag) and np.array_equal(a.lead, b.lead)
+        weights = [np.concatenate([p.data.ravel() for p in run.model.parameters()]) for run in runs]
+        assert not np.array_equal(*weights)
 
     def test_same_seed_identical_report(self, small_split):
         reports = []
