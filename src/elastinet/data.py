@@ -20,7 +20,7 @@ import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -259,13 +259,13 @@ def _write_events(flags, event_names) -> np.ndarray:
 
 
 def _blank_nan(col) -> list:
-    """``col`` as Python floats, with an empty cell where it is NaN."""
+    """The cells of float column ``col``, with an empty cell where it is NaN."""
     out = col.astype(object)
     out[np.isnan(col)] = ""
-    return out.tolist()
+    return list(map(str, out.tolist()))
 
 
-# cell codecs by column kind: cells -> column, and column -> cells; a kind
+# cell codecs by column kind: cells -> column, and column -> str cells; a kind
 # ending in "?" allows a blank cell and parses the others stripped. A reader
 # raises ValueError or OverflowError for a cell it cannot parse and
 # _RuleError for a value its column does not allow
@@ -279,13 +279,15 @@ _READ = {
     "price": lambda cells: _read_floats(cells, positive=True),
     "price?": lambda cells: _read_floats(cells, positive=True, optional=True),
     "bool": lambda cells: _each_distinct(cells, _read_bool, bool),
-    "split": lambda cells: np.array(SPLITS)[_each_distinct(cells, SPLITS.index, np.int64)],
+    "split": lambda cells: _each_distinct(cells, SPLITS.index, np.int8),  # each label's index into SPLITS
 }
 _WRITE = {
-    # csv writes a float as its repr
-    **dict.fromkeys(("str", "count", "days", "month", "float", "price", "split"), lambda col: col.tolist()),
+    # a number's cell is its str, which for a float is its repr
+    "str": lambda col: col.tolist(),
+    **dict.fromkeys(("count", "days", "month", "float", "price"), lambda col: list(map(str, col.tolist()))),
     **dict.fromkeys(("float?", "price?"), _blank_nan),
     "bool": lambda col: np.where(col, "true", "false").tolist(),
+    "split": lambda col: np.array(SPLITS, dtype=object)[col].tolist(),
 }
 
 # a transactions column's cells are non-negative integers unless listed here
@@ -303,28 +305,49 @@ _TRANSACTION_COLUMNS = [(name, _CELL_KINDS.get(name, "count")) for name in TRANS
 _LABEL_COLUMNS = [("split", "split")]
 
 # a CSV file is written this many rows at a time, so the Python objects that
-# csv formats exist for one chunk at once, not for the whole table
+# format its cells exist for one chunk at once, not for the whole table
 _CSV_CHUNK_ROWS = 4096
 
 
 def _write_csv(path, columns, table) -> None:
     """Write ``table``, a dict of equal-length columns named as in ``columns``,
     under one header row, creating the file's directory. The first listed
-    column gives the row count."""
+    column gives the row count.
+
+    Every file is in csv's default dialect. A chunk of rows none of whose
+    cells needs quoting is joined with str.join (see _plain_rows); any other
+    chunk is written by csv, which writes the same bytes for a plain one.
+    """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([name for name, _ in columns])
         for lo in range(0, len(table[columns[0][0]]), _CSV_CHUNK_ROWS):
             chunk = {name: col[lo : lo + _CSV_CHUNK_ROWS] for name, col in table.items()}
-            writer.writerows(zip(*(_WRITE[kind](chunk[name]) for name, kind in columns)))
+            cells = [_WRITE[kind](chunk[name]) for name, kind in columns]
+            text = _plain_rows(cells)
+            if text is None:
+                writer.writerows(zip(*cells))
+            else:
+                fh.write(text)
+
+
+def _plain_rows(cells) -> str | None:
+    """The rows whose columns of str cells are ``cells`` as CSV text joined
+    with str.join, or None when csv would quote a cell: one holding ``,``,
+    ``"``, CR or LF, or the empty cell of a one-column row."""
+    every_cell = "".join(map("".join, cells))
+    if any(c in every_cell for c in ',"\r\n') or (len(cells) == 1 and "" in cells[0]):
+        return None
+    lines = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+    return "\r\n".join(lines) + "\r\n"
 
 
 @contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector, and restore it as it was on exit.
 
-    A whole-file read holds one list per row: each gen-0 collection walks
+    A read through csv holds one list per row: each gen-0 collection walks
     the young rows and each full one every row, so reading costs time in
     proportion to rows times collections. The rows hold only str cells,
     which cannot form reference cycles, so pausing the collector leaks
@@ -343,6 +366,10 @@ def _read_csv(path, columns) -> dict:
     """Read a CSV file written by _write_csv into a dict of its columns,
     named as in ``columns``; blank lines are skipped.
 
+    Text that csv would read as plain lines of comma-separated cells is
+    split with str.split (see _split_csv); any other file is read by csv.
+    Either way each column is parsed by its kind's reader.
+
     A cell that does not fit its column's kind, a NUL byte (numpy's str
     arrays would drop it from the end of a cell), or a byte that is not
     UTF-8 raises ParseError naming the file and line; a row whose quoted
@@ -352,7 +379,7 @@ def _read_csv(path, columns) -> dict:
     path = Path(path)
     raw = path.read_bytes()
     try:
-        raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         byte = f"byte {raw[exc.start]:#04x}"
         raise ParseError(f"{path.name} line {_line_of(raw, exc.start)}: {byte} is not UTF-8") from None
@@ -360,8 +387,13 @@ def _read_csv(path, columns) -> dict:
     if nul >= 0:
         raise ParseError(f"{path.name} line {_line_of(raw, nul)}: NUL byte")
     del raw  # freed before the rows are read
+    names = [name for name, _ in columns]
     with _gc_paused():
-        return _parse_csv(path, columns)
+        cells = _split_csv(text, names)
+        del text  # freed before csv reads the file, when it must
+        if cells is None:
+            cells = _csv_cells(path, names)
+        return _parse_cells(path, columns, cells)
 
 
 def _line_of(raw: bytes, offset: int) -> int:
@@ -384,8 +416,35 @@ def _row_lines(path) -> list[int]:
     return lines
 
 
-def _parse_csv(path: Path, columns) -> dict:
-    names = [name for name, _ in columns]
+def _split_csv(text: str, names) -> dict | None:
+    """The cells of each column of CSV ``text`` whose header is ``names``,
+    split with str.split, or None unless csv.reader would read the same
+    cells: the text has no ``"``, its lines all end in LF or all in CRLF, no
+    line is longer than csv's field limit, the header is ``names`` and every
+    non-blank row has one cell per name. Blank rows are skipped."""
+    if '"' in text:
+        return None
+    crs = text.count("\r")
+    rows = text.split("\r\n" if crs else "\n")
+    if crs and not crs == len(rows) - 1 == text.count("\n"):  # a CR or LF outside a CRLF
+        return None
+    if max(map(len, rows)) > csv.field_size_limit():
+        return None
+    if rows.pop(0).split(",") != names:
+        return None
+    rows = list(filter(None, rows))
+    n = len(names)
+    if n == 1:
+        return {names[0]: rows} if "," not in text else None
+    if set(map(str.count, rows, repeat(","))) - {n - 1}:
+        return None
+    cells = ",".join(rows).split(",") if rows else []
+    return {name: cells[i::n] for i, name in enumerate(names)}
+
+
+def _csv_cells(path: Path, names) -> dict:
+    """The cells of each column of the CSV file ``path`` whose header is
+    ``names``, read by csv; blank rows are skipped."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -395,10 +454,14 @@ def _parse_csv(path: Path, columns) -> dict:
             raise ParseError(f"{path.name} line {reader.line_num}: {exc}") from None
     if header != names:
         raise ParseError(f"{path.name}: unexpected header {header}; expected {names}")
-    if set(map(len, rows)) - {len(columns)}:
-        i = next(i for i, row in enumerate(rows) if len(row) != len(columns))
-        raise ParseError(f"{path.name} line {_row_lines(path)[i]}: expected {len(columns)} fields, got {len(rows[i])}")
-    cells = dict(zip(names, zip(*rows))) or dict.fromkeys(names, ())
+    if set(map(len, rows)) - {len(names)}:
+        i = next(i for i, row in enumerate(rows) if len(row) != len(names))
+        raise ParseError(f"{path.name} line {_row_lines(path)[i]}: expected {len(names)} fields, got {len(rows[i])}")
+    return dict(zip(names, zip(*rows))) or dict.fromkeys(names, ())
+
+
+def _parse_cells(path: Path, columns, cells) -> dict:
+    """Each column of ``columns`` parsed from its ``cells`` by its kind's reader."""
     out = {}
     for name, kind in columns:
         try:
@@ -618,6 +681,8 @@ def feature_column(table: PairTable, name: str) -> np.ndarray:
 # splits
 
 SPLITS = ("train", "validation", "out_of_time")
+# a pair's split label is its index into SPLITS, an int8
+_TRAIN, _VALIDATION, _OUT_OF_TIME = range(len(SPLITS))
 
 
 @dataclass
@@ -651,13 +716,13 @@ def _boundary_month(pairs: PairTable) -> int:
 
 
 def _draw_labels(pairs: PairTable, seed: int, by_item: bool) -> np.ndarray:
-    """The split label of each pair: out_of_time from the boundary month on,
+    """The split label code of each pair: out_of_time from the boundary month on,
     else a seeded 80/20 draw of train and validation over pairs, or over
     items with ``by_item``."""
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    labels = np.where(pairs.lead_month >= _boundary_month(pairs), "out_of_time", "validation")
-    rest = np.flatnonzero(labels == "validation")  # the train/validation pool, in pair order
+    labels = np.where(pairs.lead_month >= _boundary_month(pairs), _OUT_OF_TIME, _VALIDATION).astype(np.int8)
+    rest = np.flatnonzero(labels == _VALIDATION)  # the train/validation pool, in pair order
     rng = np.random.default_rng(seed)
     if by_item:
         item_id = pairs.item_id[rest]
@@ -666,16 +731,16 @@ def _draw_labels(pairs: PairTable, seed: int, by_item: bool) -> np.ndarray:
         train = rest[np.isin(item_id, chosen)]
     else:
         train = rest[rng.permutation(len(rest))[: (len(rest) * 4) // 5]]
-    labels[train] = "train"
+    labels[train] = _TRAIN
     return labels
 
 
 def _take_parts(pairs: PairTable, labels: np.ndarray, seed, split_mode) -> DatasetSplit:
-    """The pairs parted by their ``labels``. Only the events that occur in
-    some pair are in the feature names."""
+    """The pairs parted by their ``labels``, indices into SPLITS. Only the
+    events that occur in some pair are in the feature names."""
     flags = pairs.tx.event_flags
     present = flags[pairs.lag].any(axis=0) | flags[pairs.lead].any(axis=0)
-    parts = {name: pairs.take(labels == name) for name in SPLITS}
+    parts = {name: pairs.take(labels == code) for code, name in enumerate(SPLITS)}
     names = feature_names(e for e, keep in zip(pairs.event_names, present) if keep)
     return DatasetSplit(**parts, names=names, seed=seed, split_mode=split_mode, boundary_month=_boundary_month(pairs))
 
@@ -769,7 +834,8 @@ def save_dataset(ds: DatasetSplit, transactions, out_dir) -> None:
     raw = Path(transactions).read_bytes()
     (out / "transactions.csv").write_bytes(raw)
     parts = [getattr(ds, name) for name in SPLITS]
-    labels = np.repeat(SPLITS, [len(part) for part in parts])[_pair_order(PairTable.concat(parts))]
+    codes = np.arange(len(SPLITS), dtype=np.int8)
+    labels = np.repeat(codes, [len(part) for part in parts])[_pair_order(PairTable.concat(parts))]
     _write_csv(out / "pairs.csv", _LABEL_COLUMNS, {"split": labels})
     write_json(out / "manifest.json", _manifest(ds, hashlib.sha256(raw).hexdigest()))
 
@@ -799,11 +865,12 @@ def load_dataset(in_dir) -> DatasetSplit:
         raise SchemaMismatchError(f"pairs.csv has {len(labels)} labels; transactions.csv has {len(pairs)} pairs")
     ds = _take_parts(pairs, labels, manifest.get("seed"), manifest.get("split_mode"))
     boundary = ds.boundary_month
-    wrong = (labels == "out_of_time") != (pairs.lead_month >= boundary)
+    wrong = (labels == _OUT_OF_TIME) != (pairs.lead_month >= boundary)
     if wrong.any():
         i = int(np.argmax(wrong))
         line_no = _row_lines(src / "pairs.csv")[i]
-        raise SchemaMismatchError(f"pairs.csv line {line_no}: {labels[i]} crosses the boundary month {boundary}")
+        label = SPLITS[labels[i]]
+        raise SchemaMismatchError(f"pairs.csv line {line_no}: {label} crosses the boundary month {boundary}")
     if type(ds.seed) is not int or ds.seed < 0:
         raise SchemaMismatchError(f"manifest seed is {ds.seed!r}; expected a non-negative integer")
     if ds.split_mode not in ("pair", "item"):

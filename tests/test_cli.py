@@ -765,7 +765,7 @@ class TestBaselineCommand:
         assert len(lines) > 1
 
     @pytest.mark.parametrize("prefix", ["item_", 'it,em "'], ids=["plain", "needs-quotes"])
-    def test_item_ids_read_back(self, tmp_path, prefix):
+    def test_item_ids_read_back(self, tmp_path, monkeypatch, prefix):
         from elastinet import data as dt
         from elastinet.elasticity import loglog_baseline
 
@@ -774,7 +774,18 @@ class TestBaselineCommand:
         dt.write_transactions(tx, tmp_path / "transactions.csv")
         assert main(["build", "--transactions", str(tmp_path / "transactions.csv"), "--out", str(tmp_path / "ds")]) == 0
         assert main(["baseline", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "base")]) == 0
+        calls = []
+        reader = dt.csv.reader
+
+        def counting_reader(*args, **kwargs):
+            calls.append(args)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(dt.csv, "reader", counting_reader)
         ds = dt.load_dataset(tmp_path / "ds")
+        monkeypatch.undo()
+        # a plain dataset is split, never read by csv; quoted ids send the transactions copy, not pairs.csv, to csv
+        assert len(calls) == (0 if prefix == "item_" else 1)
         slopes, _ = loglog_baseline(dt.PairTable.concat([ds.train, ds.validation]))
         assert len(slopes) == 5 and all(item.startswith(prefix) for item in slopes)
         with open(tmp_path / "base" / "baseline.csv", newline="", encoding="utf-8") as fh:

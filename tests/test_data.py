@@ -1,8 +1,11 @@
 import contextlib
+import csv
 import dataclasses
 import gc
 import hashlib
+import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -747,6 +750,60 @@ class TestReadCsv:
             gc.callbacks.remove(count)
         assert len(columns["item_id"]) == 20_000
         assert collections == []
+
+    def test_split_cells_equal_csv_readers(self):
+        """Whenever _split_csv accepts a text, csv.reader reads the same header and cells."""
+        rng = random.Random(27)
+        alphabet = ["a", "1", "é", ",", '"', " ", "\r", "\n", "\r\n", "\x0b", "\x1c"]
+        accepted = 0
+        for _ in range(50_000):
+            names = ["a", "1", "é"][: rng.randint(1, 3)]
+            text = ",".join(names) + "".join(rng.choices(alphabet, k=rng.randint(0, 30)))
+            cells = dt._split_csv(text, names)
+            if cells is None:
+                continue
+            accepted += 1
+            header, *rows = csv.reader(io.StringIO(text, newline=""))
+            rows = [row for row in rows if row]
+            assert header == names and all(len(row) == len(names) for row in rows), repr(text)
+            assert cells == {name: [row[i] for row in rows] for i, name in enumerate(names)}, repr(text)
+        assert accepted > 1500
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a\r\nb\nc", "a\nb\r\nc\n", "a\rb\r", "a\r\nb\rc\r\n", 'a\n"b"\n', "a\n1,2\n", "b\n1\n"],
+        ids=["crlf-then-lf", "lf-then-crlf", "cr", "lone-cr", "quote", "fields", "header"],
+    )
+    def test_text_csv_might_read_otherwise_is_not_split(self, text):
+        assert dt._split_csv(text, ["a"]) is None
+
+    def test_a_line_past_the_field_limit_is_left_to_csv(self, tmp_path):
+        limit = csv.field_size_limit()
+        csv.field_size_limit(8)
+        try:
+            assert dt._split_csv("a,b\r\n1234,567\r\n", ["a", "b"]) == {"a": ["1234"], "b": ["567"]}
+            assert dt._split_csv("a,b\r\n1234,5678\r\n", ["a", "b"]) is None  # the gate is on lines, not cells
+            path = tmp_path / "pairs.csv"
+            path.write_text("split\ntrain\nvalidation\n")
+            with pytest.raises(ParseError, match="^pairs.csv line 3: field larger than field limit"):
+                dt._read_csv(path, dt._LABEL_COLUMNS)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_writes_the_bytes_of_csv_writer(self, tmp_path, monkeypatch):
+        """Chunks joined with str.join and chunks csv writes, side by side, give csv's bytes."""
+        monkeypatch.setattr(dt, "_CSV_CHUNK_ROWS", 2)
+        rng = random.Random(27)
+        alphabet = ["a", "é", "", ",", '"', " ", "\r", "\n", "\x0b", "1.5"]
+        path = tmp_path / "out.csv"
+        for _ in range(2000):
+            columns = [(name, "str") for name in ["a", "b", "c"][: rng.randint(1, 3)]]
+            rows = [[rng.choice(alphabet) for _ in columns] for _ in range(rng.randint(0, 5))]
+            table = {name: np.array([row[i] for row in rows], dtype=object) for i, (name, _) in enumerate(columns)}
+            dt._write_csv(path, columns, table)
+            expected = io.StringIO(newline="")
+            csv.writer(expected).writerows([[name for name, _ in columns], *rows])
+            assert path.read_bytes() == expected.getvalue().encode(), rows
 
 
 class TestFeatureView:

@@ -1,4 +1,5 @@
-"""Seeded edits to every file the CLI reads: each command must exit 0, 2, 3 or 4.
+"""Seeded edits to every file the CLI reads: each command must exit 0, 2, 3 or 4,
+and exit and print the same when every CSV file is read by csv.
 
 A 6-item, 8-month world is built, split and trained once. Each case applies
 one seeded edit to one file: the input transactions, the dataset's copy of
@@ -6,19 +7,22 @@ them, pairs.csv, manifest.json, the model container, truth.csv or a
 ``train --config`` file. It then runs one command that reads the file
 through ``cli.main``. Hashes and checksums are re-sealed where the case
 says so, so that the edit reaches the parsers instead of the integrity
-checks. An exception that escapes ``main``, or an exit code outside
-{0, 2, 3, 4}, fails the test and names the case seed.
+checks. An exception that escapes ``main``, an exit code outside
+{0, 2, 3, 4}, or a run through csv that differs, fails the test and names
+the case seed.
 """
 
 import hashlib
 import json
 import random
+import re
 import shutil
 import struct
 import zlib
 
 import pytest
 
+from elastinet import data as dt
 from elastinet.cli import main
 
 CASES = 1000
@@ -168,18 +172,32 @@ def _case(world, work, seed):
     return rng.choice(commands) + ["--out", str(work / "out")]
 
 
+def _run(argv, out, capsys):
+    """``main(argv)``'s exit code and stderr, with train's wall time masked; its ``out`` directory is removed."""
+    code = main(argv)
+    shutil.rmtree(out, ignore_errors=True)
+    return code, re.sub(r"\([0-9.]+s\)$", "(…s)", capsys.readouterr().err, flags=re.M)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # a huge edited learning rate, which exits 4
-def test_edited_inputs_exit_with_a_documented_code(world, tmp_path, capsys):
+def test_edited_inputs_exit_with_a_documented_code(world, tmp_path, capsys, monkeypatch):
+    """Each case also runs with every CSV file read by csv: the split path
+    must give the same exit code and stderr."""
     failures = []
     for seed in range(CASES):
         argv = _case(world, tmp_path, seed)
         try:
-            code = main(argv)
+            code, err = _run(argv, tmp_path / "out", capsys)
+            with monkeypatch.context() as m:
+                m.setattr(dt, "_split_csv", lambda text, names: None)
+                by_csv = _run(argv, tmp_path / "out", capsys)
         except Exception as exc:  # noqa: BLE001 - any escape is the finding
             failures.append(f"case seed {seed}: `{argv[0]}` raised {type(exc).__name__}: {exc}")
         else:
             if code not in ALLOWED_EXITS:
                 failures.append(f"case seed {seed}: `{argv[0]}` exited {code}")
+            if (code, err) != by_csv:
+                failures.append(f"case seed {seed}: `{argv[0]}` gave {(code, err)}, through csv {by_csv}")
         shutil.rmtree(tmp_path / "out", ignore_errors=True)
         capsys.readouterr()
     assert not failures, f"{len(failures)} of {CASES} cases failed:\n" + "\n".join(failures[:20])
