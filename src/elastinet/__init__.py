@@ -9,7 +9,7 @@ from .data import PairTable, Transactions, build_inference_set, build_pairs, ing
 from .elasticity import arc_elasticity, evaluate_elasticities, loglog_baseline, mae_elasticity, wmape
 from .model import ArchConfig, DemandModel, load_model, save_model
 from .scenario import run_scenario
-from .synth import SyntheticWorld, generate, true_arc_elasticity
+from .synth import SyntheticWorld, generate
 from .training import TrainConfig, TrainReport, fit_stats, prepare_model, train
 
 __version__ = "0.1.0"
@@ -37,6 +37,5 @@ __all__ = [
     "save_model",
     "split",
     "train",
-    "true_arc_elasticity",
     "wmape",
 ]

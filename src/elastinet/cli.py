@@ -87,7 +87,8 @@ def cmd_build(args) -> None:
     ds = dt.split(pairs, seed=args.seed, by_item=args.by_item)
     out = Path(args.out)
     dt.save_dataset(ds, args.transactions, out)
-    print(f"pairs: train={len(ds.train)} validation={len(ds.validation)} out_of_time={len(ds.out_of_time)}")
+    counts = np.bincount(ds.labels, minlength=len(dt.SPLITS))
+    print("pairs: " + " ".join(f"{name}={n}" for name, n in zip(dt.SPLITS, counts)))
 
 
 def cmd_train(args) -> None:
@@ -153,7 +154,9 @@ def cmd_elasticity(args) -> None:
 
 def cmd_baseline(args) -> None:
     ds = dt.load_dataset(args.dataset)
-    slopes, skipped = loglog_baseline(dt.PairTable.concat([ds.train, ds.validation]))
+    # train pairs, then validation pairs: out_of_time has the largest label code
+    pool = np.argsort(ds.labels, kind="stable")[: np.count_nonzero(ds.labels != dt._OUT_OF_TIME)]
+    slopes, skipped = loglog_baseline(ds.pairs.take(pool))
     items = sorted(slopes)
     table = {"item_id": np.array(items, dtype=object), "elasticity": np.array([slopes[i] for i in items])}
     dt._write_csv(Path(args.out) / "baseline.csv", _BASELINE_COLUMNS, table)

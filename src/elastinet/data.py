@@ -156,24 +156,9 @@ class PairTable:
     def event_names(self) -> tuple[str, ...]:
         return self.tx.event_names
 
-    def _pair_columns(self) -> list:
-        """The per-pair arrays: every field after ``tx``."""
-        return [getattr(self, f.name) for f in fields(self)[1:]]
-
     def take(self, idx) -> PairTable:
         """The pairs picked by ``idx`` (indices or a boolean mask), in that order."""
-        return PairTable(self.tx, *(col[idx] for col in self._pair_columns()))
-
-    @staticmethod
-    def concat(tables) -> PairTable:
-        """The pairs of ``tables`` one after another; they must share one ``tx``."""
-        tables = list(tables)
-        if not tables:
-            raise ConfigError("cannot concatenate an empty list of pair tables")
-        if any(t.tx is not tables[0].tx for t in tables):
-            raise ConfigError("cannot concatenate pair tables over different transactions")
-        columns = zip(*(t._pair_columns() for t in tables))
-        return PairTable(tables[0].tx, *map(np.concatenate, columns))
+        return PairTable(self.tx, *(getattr(self, f.name)[idx] for f in fields(self)[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -685,21 +670,30 @@ SPLITS = ("train", "validation", "out_of_time")
 _TRAIN, _VALIDATION, _OUT_OF_TIME = range(len(SPLITS))
 
 
-@dataclass
+@dataclass(eq=False)
 class DatasetSplit:
-    train: PairTable
-    validation: PairTable
-    out_of_time: PairTable
+    """``pairs`` in build_pairs order, pair i in part SPLITS[labels[i]].
+    Each part is a read-only property that takes its pairs, in pair order,
+    on every read."""
+
+    pairs: PairTable
+    labels: np.ndarray  # int8, one index into SPLITS per pair
     names: FeatureNames
     seed: int
     split_mode: str  # "pair" or "item": what the 80/20 draw is over
     boundary_month: int
 
+    @property
+    def train(self) -> PairTable:
+        return self.pairs.take(self.labels == _TRAIN)
 
-def _pair_order(table: PairTable) -> np.ndarray:
-    """Indices sorting ``table``'s pairs by (item_id, lag_month, lead_month),
-    which is their (lag, lead) row order (see PairTable)."""
-    return np.lexsort((table.lead, table.lag))
+    @property
+    def validation(self) -> PairTable:
+        return self.pairs.take(self.labels == _VALIDATION)
+
+    @property
+    def out_of_time(self) -> PairTable:
+        return self.pairs.take(self.labels == _OUT_OF_TIME)
 
 
 def _boundary_month(pairs: PairTable) -> int:
@@ -735,25 +729,23 @@ def _draw_labels(pairs: PairTable, seed: int, by_item: bool) -> np.ndarray:
     return labels
 
 
-def _take_parts(pairs: PairTable, labels: np.ndarray, seed, split_mode) -> DatasetSplit:
-    """The pairs parted by their ``labels``, indices into SPLITS. Only the
-    events that occur in some pair are in the feature names."""
+def _present_events(pairs: PairTable) -> list[str]:
+    """The events that occur in some pair; only these are in the feature names."""
     flags = pairs.tx.event_flags
-    present = flags[pairs.lag].any(axis=0) | flags[pairs.lead].any(axis=0)
-    parts = {name: pairs.take(labels == code) for code, name in enumerate(SPLITS)}
-    names = feature_names(e for e, keep in zip(pairs.event_names, present) if keep)
-    return DatasetSplit(**parts, names=names, seed=seed, split_mode=split_mode, boundary_month=_boundary_month(pairs))
+    return list(compress(pairs.event_names, flags[pairs.lag].any(axis=0) | flags[pairs.lead].any(axis=0)))
 
 
 def split(pairs: PairTable, seed: int, by_item: bool = False) -> DatasetSplit:
     """Chronological out-of-time holdout plus a seeded 80/20 shuffle split.
 
-    Each part keeps (item_id, lag, lead) order; only the events that occur
-    in some pair are in the feature names.
+    The pairs are sorted by (item_id, lag, lead), their (lag, lead) row
+    order (see PairTable); only the events that occur in some pair are in
+    the feature names.
     """
-    pairs = pairs.take(_pair_order(pairs))
+    pairs = pairs.take(np.lexsort((pairs.lead, pairs.lag)))
     labels = _draw_labels(pairs, seed, by_item)
-    return _take_parts(pairs, labels, seed, "item" if by_item else "pair")
+    names = feature_names(_present_events(pairs))
+    return DatasetSplit(pairs, labels, names, seed, "item" if by_item else "pair", _boundary_month(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +812,7 @@ def _manifest(ds: DatasetSplit, transactions_sha256: str) -> dict:
     return {
         "boundary_month": ds.boundary_month,
         "event_names": list(ds.names.event_names),
-        "row_counts": {name: len(getattr(ds, name)) for name in SPLITS},
+        "row_counts": dict(zip(SPLITS, np.bincount(ds.labels, minlength=len(SPLITS)).tolist())),
         "seed": ds.seed,
         "split_mode": ds.split_mode,
         "transactions_sha256": transactions_sha256,
@@ -833,10 +825,7 @@ def save_dataset(ds: DatasetSplit, transactions, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     raw = Path(transactions).read_bytes()
     (out / "transactions.csv").write_bytes(raw)
-    parts = [getattr(ds, name) for name in SPLITS]
-    codes = np.arange(len(SPLITS), dtype=np.int8)
-    labels = np.repeat(codes, [len(part) for part in parts])[_pair_order(PairTable.concat(parts))]
-    _write_csv(out / "pairs.csv", _LABEL_COLUMNS, {"split": labels})
+    _write_csv(out / "pairs.csv", _LABEL_COLUMNS, {"split": ds.labels})
     write_json(out / "manifest.json", _manifest(ds, hashlib.sha256(raw).hexdigest()))
 
 
@@ -844,8 +833,8 @@ def load_dataset(in_dir) -> DatasetSplit:
     """Rebuild the dataset that save_dataset wrote into ``in_dir``.
 
     The transactions copy must have the manifest's SHA-256. Its pairs are
-    rebuilt and parted by the labels in pairs.csv, one per pair in
-    build_pairs order, with out_of_time labels from the boundary month on.
+    rebuilt and labelled by pairs.csv, one label per pair in build_pairs
+    order, with out_of_time labels from the boundary month on.
     The manifest must then be the rebuilt dataset's, key for key; its
     seed and split mode, which cannot be recomputed, must be a non-negative
     integer and "pair" or "item". A mismatch raises SchemaMismatchError; a
@@ -863,8 +852,9 @@ def load_dataset(in_dir) -> DatasetSplit:
     labels = _read_csv(src / "pairs.csv", _LABEL_COLUMNS)["split"]
     if len(labels) != len(pairs):
         raise SchemaMismatchError(f"pairs.csv has {len(labels)} labels; transactions.csv has {len(pairs)} pairs")
-    ds = _take_parts(pairs, labels, manifest.get("seed"), manifest.get("split_mode"))
-    boundary = ds.boundary_month
+    boundary = _boundary_month(pairs)
+    names = feature_names(_present_events(pairs))
+    ds = DatasetSplit(pairs, labels, names, manifest.get("seed"), manifest.get("split_mode"), boundary)
     wrong = (labels == _OUT_OF_TIME) != (pairs.lead_month >= boundary)
     if wrong.any():
         i = int(np.argmax(wrong))

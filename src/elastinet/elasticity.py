@@ -23,8 +23,8 @@ def arc_elasticity(y_base: float, y_pert: float, p: float, dp: float) -> float:
     """Arc elasticity from demand at p (y_base) and at p+dp (y_pert)."""
     if p <= 0:
         raise DomainError(f"base price must be positive, got {p}")
-    if dp == 0:
-        raise DomainError("price delta must be non-zero")
+    if p + dp == p:
+        raise DomainError(f"price delta {dp} is zero or rounds away at price {p}")
     if p + dp <= 0:
         raise DomainError(f"perturbed price must be positive, got {p + dp}")
     if not (np.isfinite(y_base) and np.isfinite(y_pert)):
@@ -93,7 +93,7 @@ def evaluate_elasticities(model, inference, dp_fraction=DEFAULT_DP_FRACTION) -> 
     p = inference.lead_price
     dp = frac * p
     with np.errstate(invalid="ignore"):  # inf + -inf is NaN, and NaN is masked
-        ok = np.isfinite(p) & np.isfinite(dp) & (p > 0) & (dp != 0) & (p + dp > 0)
+        ok = np.isfinite(p) & np.isfinite(dp) & (p > 0) & (p + dp != p) & (p + dp > 0)
     y_base = np.full(len(inference), np.nan)
     y_pert = np.full(len(inference), np.nan)
     if ok.any():

@@ -153,17 +153,6 @@ class ItemTruth:
             raise DomainError(f"demand law of {self.item_id} at p={p}, dp={dp}: {exc}") from None
 
 
-def true_arc_elasticity(epsilon: float, p: float, dp: float) -> float:
-    """Arc elasticity of a pure power law: ((p+dp)^e - p^e)/p^e * p/dp."""
-    if p <= 0:
-        raise DomainError(f"base price must be positive, got {p}")
-    if dp == 0:
-        raise DomainError("price delta must be non-zero")
-    if p + dp <= 0:
-        raise DomainError(f"perturbed price must be positive, got {p + dp}")
-    return ((p + dp) ** epsilon - p**epsilon) / p**epsilon * p / dp
-
-
 def generate(world: SyntheticWorld) -> tuple[Transactions, list[ItemTruth]]:
     """Emit monthly transactions and the per-item truth table, reproducibly.
 

@@ -4,8 +4,11 @@ The tape is implicit: every op returns a new Tensor holding references to its
 parents and a vector-Jacobian closure. `backward` replays reachable nodes in
 reverse creation order (ops are created after their inputs, so that order is
 a valid reverse topological order) and accumulates adjoints into Parameter
-gradients. Intermediate adjoints live only for the duration of one backward
-pass; Parameter.grad accumulates across passes until zeroed.
+gradients. A vector-Jacobian closure returns one adjoint array per parent,
+in parent order, so every reachable node has its adjoint by its turn; a
+node left without one makes `backward` raise KeyError. Intermediate
+adjoints live only for the duration of one backward pass; Parameter.grad
+accumulates across passes until zeroed.
 
 A whole layer is one node: `dense` and `column_dense` fold the weight
 reparameterization, the product, the bias add and the activation into one
@@ -153,17 +156,13 @@ def backward(loss: Tensor) -> None:
 
     adjoints = {id(loss): np.ones((1, 1))}
     for n in nodes:
-        g = adjoints.pop(id(n), None)
-        if g is None:
-            continue  # not on a path that influences the loss
+        g = adjoints.pop(id(n))
         if isinstance(n, Parameter):
             n.grad += g
             continue
         if n._vjp is None:
             continue  # constant leaf
         for parent, pg in zip(n._parents, n._vjp(g)):
-            if pg is None:
-                continue
             key = id(parent)
             if key in adjoints:
                 adjoints[key] = adjoints[key] + pg

@@ -11,9 +11,10 @@ and on every parameter gradient; ``reference_forward`` is the whole
 encoding as it was before it was factorized per transaction row: one
 ``np.unique`` over the string levels of every pair.
 
-``effective_weight``, ``concave_activation``, ``category_column`` and
-``parameter_count`` are scalar or readable forms of library code that only
-the tests call.
+``effective_weight``, ``concave_activation``, ``category_column``,
+``parameter_count`` and ``baseline_pool`` are scalar or readable forms of
+library code that only the tests call; ``true_arc_elasticity`` is the
+closed-form arc of a pure power law.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from elastinet import data as dt
 from elastinet import model as md
-from elastinet.errors import DimensionError, EmbeddingIndexError
+from elastinet.errors import DimensionError, DomainError, EmbeddingIndexError
 from elastinet.tensor import Parameter, Tensor, activation_pair, concat_cols
 from elastinet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
@@ -227,3 +228,19 @@ def category_column(table, name) -> np.ndarray:
 def parameter_count(model) -> int:
     """The number of values in ``model``'s parameters."""
     return sum(p.data.size for p in model.parameters())
+
+
+def baseline_pool(ds) -> dt.PairTable:
+    """The log-log baseline's pool: the train pairs of a DatasetSplit, then its validation pairs."""
+    return ds.pairs.take(np.concatenate([np.flatnonzero(ds.labels == code) for code in (dt._TRAIN, dt._VALIDATION)]))
+
+
+def true_arc_elasticity(epsilon: float, p: float, dp: float) -> float:
+    """Arc elasticity of a pure power law: ((p+dp)^e - p^e)/p^e * p/dp."""
+    if p <= 0:
+        raise DomainError(f"base price must be positive, got {p}")
+    if dp == 0:
+        raise DomainError("price delta must be non-zero")
+    if p + dp <= 0:
+        raise DomainError(f"perturbed price must be positive, got {p + dp}")
+    return ((p + dp) ** epsilon - p**epsilon) / p**epsilon * p / dp

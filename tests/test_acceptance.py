@@ -22,7 +22,7 @@ from elastinet.scenario import run_scenario
 from elastinet.synth import SyntheticWorld, generate
 from elastinet.tensor import ACTIVATIONS
 from elastinet.training import TrainConfig, prepare_model, train
-from reference_ops import concave_activation
+from reference_ops import baseline_pool, concave_activation
 
 RECOVERY_SEED = 24  # pinned scenario seed; see the acceptance notes in README
 TRAIN_DEFAULTS = dict(epochs=25, batch_size=128, learning_rate=0.01)
@@ -58,7 +58,7 @@ def monotonicity_run(probe_world):
     """
     _, tx, split_, arch = probe_world
     rng = np.random.default_rng(7)
-    pool = dt.PairTable.concat([split_.train, split_.validation])
+    pool = baseline_pool(split_)
     rows = pool.take(rng.integers(0, len(pool), size=1000))
     grid = np.linspace(0.5, 1.5, 50)
     violations = {"count": 0, "checkpoints": 0}
@@ -104,7 +104,7 @@ def recovery_run():
 def kinked_run():
     """Non-constant-elasticity world: model MAE and log-log baseline MAE."""
     run = pinned_run(kinked=True)
-    slopes, _ = loglog_baseline(dt.PairTable.concat([run.split.train, run.split.validation]))
+    slopes, _ = loglog_baseline(baseline_pool(run.split))
     base_truth = {k: v for k, v in run.truth_arcs.items() if k in slopes}
     baseline_mae, _ = mae_elasticity(base_truth, {k: slopes[k] for k in base_truth})
     return run.summary["mae_vs_truth"], baseline_mae

@@ -754,6 +754,18 @@ class TestElasticity:
             row = next(r for r in csv.DictReader(fh) if r["status"] == "ok")
         assert float(row["dp"]) == pytest.approx(-0.10 * float(row["p"]))
 
+    @pytest.mark.parametrize("dp_pct", ["1e-300", "1e-17"])
+    def test_price_change_that_rounds_away_is_an_invalid_query(self, pipeline_dirs, tmp_path, dp_pct):
+        out = tmp_path / "elast"
+        argv = ["elasticity", "--transactions", str(pipeline_dirs / "data" / "transactions.csv")]
+        argv += ["--model", str(pipeline_dirs / "run" / "model.mdnm"), "--dp-pct", dp_pct, "--out", str(out)]
+        assert main(argv) == 0
+        with open(out / "elasticity.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["status"].startswith("invalid query") for row in rows)
+        summary = json.loads((out / "elasticity_summary.json").read_text())
+        assert summary["valid"] == 0 and "mean_elasticity" not in summary
+
 
 class TestBaselineCommand:
     def test_writes_per_item_slopes(self, pipeline_dirs, tmp_path):
@@ -768,6 +780,7 @@ class TestBaselineCommand:
     def test_item_ids_read_back(self, tmp_path, monkeypatch, prefix):
         from elastinet import data as dt
         from elastinet.elasticity import loglog_baseline
+        from reference_ops import baseline_pool
 
         tx, _ = synth.generate(synth.SyntheticWorld(n_items=5, seed=3))
         tx = dataclasses.replace(tx, item_id=np.char.replace(tx.item_id, "item_", prefix))
@@ -786,7 +799,7 @@ class TestBaselineCommand:
         monkeypatch.undo()
         # a plain dataset is split, never read by csv; quoted ids send the transactions copy, not pairs.csv, to csv
         assert len(calls) == (0 if prefix == "item_" else 1)
-        slopes, _ = loglog_baseline(dt.PairTable.concat([ds.train, ds.validation]))
+        slopes, _ = loglog_baseline(baseline_pool(ds))
         assert len(slopes) == 5 and all(item.startswith(prefix) for item in slopes)
         with open(tmp_path / "base" / "baseline.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))

@@ -366,24 +366,6 @@ def grid_rows(n_items=3, n_months=27, seed=0):
     return rows
 
 
-class TestConcat:
-    def test_pairs_one_after_another(self):
-        pairs = dt.build_pairs(make_tx(grid_rows()))
-        both = dt.PairTable.concat([pairs.take([2, 0]), pairs.take([1])])
-        assert both.tx is pairs.tx
-        assert tables_equal(both, pairs.take([2, 0, 1]))
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ConfigError, match="empty list"):
-            dt.PairTable.concat([])
-
-    def test_tables_over_different_transactions_rejected(self):
-        rows = grid_rows()
-        a, b = dt.build_pairs(make_tx(rows)), dt.build_pairs(make_tx(rows))
-        with pytest.raises(ConfigError, match="different transactions"):
-            dt.PairTable.concat([a, b])
-
-
 class TestSplit:
     def test_out_of_time_is_last_three_lead_months(self):
         pairs = dt.build_pairs(make_tx(grid_rows()))
@@ -392,7 +374,7 @@ class TestSplit:
         boundary = dt.ym_add(last, -2)
         assert ds.boundary_month == boundary
         assert np.all(ds.out_of_time.lead_month >= boundary)
-        assert np.all(dt.PairTable.concat([ds.train, ds.validation]).lead_month < boundary)
+        assert np.all(ds.pairs.lead_month[ds.labels != dt._OUT_OF_TIME] < boundary)
 
     def test_same_seed_identical_membership(self):
         pairs = dt.build_pairs(make_tx(grid_rows()))
@@ -415,9 +397,9 @@ class TestSplit:
 
     def test_exactly_100_pairs_split_80_20(self):
         full = dt.split(dt.build_pairs(make_tx(grid_rows())), seed=1)
-        rest = dt.PairTable.concat([full.train, full.validation])
-        subset = dt.PairTable.concat([rest.take(np.arange(100)), full.out_of_time])
-        ds = dt.split(subset, seed=1)
+        keep = full.labels == dt._OUT_OF_TIME
+        keep[np.flatnonzero(~keep)[:100]] = True
+        ds = dt.split(full.pairs.take(keep), seed=1)
         assert (len(ds.train), len(ds.validation)) == (80, 20)
 
     def test_no_leakage_between_splits(self):
@@ -507,6 +489,19 @@ class TestDatasetIO:
         assert tables_equal(loaded.train, ds.train)
         assert tables_equal(loaded.validation, ds.validation)
         assert tables_equal(loaded.out_of_time, ds.out_of_time)
+
+    @pytest.mark.parametrize("by_item", [False, True], ids=["pair", "item"])
+    def test_round_trip_keeps_pairs_and_int8_labels(self, tmp_path, by_item):
+        ds, path = save(tmp_path, grid_rows(n_items=6), seed=9, by_item=by_item)
+        loaded = dt.load_dataset(path)
+        assert loaded.labels.dtype == ds.labels.dtype == np.int8
+        assert np.array_equal(loaded.labels, ds.labels) and tables_equal(loaded.pairs, ds.pairs)
+        assert pair_keys(ds.pairs) == sorted(pair_keys(ds.pairs))
+        for code, name in enumerate(dt.SPLITS):
+            part = ds.pairs.take(ds.labels == code)
+            assert len(part) and tables_equal(getattr(ds, name), part) and tables_equal(getattr(loaded, name), part)
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["row_counts"] == dict(zip(dt.SPLITS, np.bincount(ds.labels).tolist()))
 
     def test_round_trip_with_events_and_absent_values(self, tmp_path):
         rows = grid_rows()
@@ -992,10 +987,10 @@ def test_pair_table_reads_the_reference_columns(world):
 
 
 def test_pair_order_is_the_item_lag_lead_string_order():
-    """Pairs sorted by their (lag, lead) row indices are in (item_id,
-    lag_month, lead_month) order with item ids compared as strings ("i10"
-    before "i2"), on a shuffled take, on parts concatenated out of order and
-    on an inference table."""
+    """split's pairs, sorted by their (lag, lead) row indices, are in
+    (item_id, lag_month, lead_month) order with item ids compared as strings
+    ("i10" before "i2"), from a shuffled take and from the parts taken out
+    of order; an inference table is built in that order."""
     tx = make_tx(grid_rows(n_items=12))
     pairs = dt.build_pairs(tx)
     ds = dt.split(pairs, seed=0)
@@ -1003,11 +998,13 @@ def test_pair_order_is_the_item_lag_lead_string_order():
     rng = np.random.default_rng(0)
     tables = [
         pairs.take(rng.permutation(len(pairs))),
-        dt.PairTable.concat([ds.out_of_time, ds.train, ds.validation]),
-        inference.take(rng.permutation(len(inference))),
+        ds.pairs.take(np.argsort(-ds.labels, kind="stable")),  # out_of_time, validation, then train
     ]
     for table in tables:
-        expected = reference_pair_order(table.item_id, table.lag_month, table.lead_month)
-        assert np.array_equal(dt._pair_order(table), expected)
-    items = dict.fromkeys(tables[0].take(dt._pair_order(tables[0])).item_id.tolist())
+        expected = table.take(reference_pair_order(table.item_id, table.lag_month, table.lead_month))
+        assert tables_equal(dt.split(table, seed=0).pairs, expected)
+    assert np.array_equal(
+        reference_pair_order(inference.item_id, inference.lag_month, inference.lead_month), np.arange(len(inference))
+    )
+    items = dict.fromkeys(ds.pairs.item_id.tolist())
     assert list(items) == sorted(f"i{i}" for i in range(12)) != [f"i{i}" for i in range(12)]

@@ -18,10 +18,11 @@ from elastinet.elasticity import (
 )
 from elastinet.errors import DegenerateDemandError, DomainError, MetricError
 from elastinet.scenario import run_scenario
-from elastinet.synth import SyntheticWorld, generate, true_arc_elasticity
+from elastinet.synth import SyntheticWorld, generate
 from elastinet.training import TrainConfig
 
 from conftest import SMALL_ARCH
+from reference_ops import true_arc_elasticity
 
 
 class TestArcElasticity:
@@ -59,6 +60,8 @@ class TestArcElasticity:
             arc_elasticity(10.0, 9.0, 10.0, 0.0)
         with pytest.raises(DomainError):
             arc_elasticity(10.0, 9.0, 10.0, -10.0)
+        with pytest.raises(DomainError, match="rounds away"):  # p + dp == p: y_pert would equal y_base
+            arc_elasticity(5.0, 5.0, 10.0, 1e-300)
 
 
 class TestWmape:

@@ -237,7 +237,7 @@ class TestPredict:
     def test_price_monotonicity_over_random_draws(self, trained_model, small_split):
         model, _ = trained_model
         rng = np.random.default_rng(5)
-        pool = dt.PairTable.concat([small_split.validation, small_split.train])
+        pool = small_split.pairs.take(small_split.labels != dt._OUT_OF_TIME)
         pairs = pool.take(rng.integers(0, len(pool), size=1000))
         p1 = rng.uniform(2.0, 60.0, size=1000)
         p2 = p1 + rng.uniform(0.01, 20.0, size=1000)
@@ -308,7 +308,7 @@ class TestSaveLoad:
         save_model(model, path)
         loaded = load_model(path)
         rng = np.random.default_rng(8)
-        pool = dt.PairTable.concat([small_split.train, small_split.validation])
+        pool = small_split.pairs.take(small_split.labels != dt._OUT_OF_TIME)
         pairs = pool.take(rng.integers(0, len(pool), size=100))
         a = model.predict_batch(pairs)
         b = loaded.predict_batch(pairs)

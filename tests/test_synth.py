@@ -13,10 +13,10 @@ from elastinet.synth import (
     SyntheticWorld,
     generate,
     read_truth,
-    true_arc_elasticity,
     write_truth,
 )
 
+from reference_ops import true_arc_elasticity
 from test_data import tables_equal
 
 
