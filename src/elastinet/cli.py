@@ -154,9 +154,7 @@ def cmd_elasticity(args) -> None:
 
 def cmd_baseline(args) -> None:
     ds = dt.load_dataset(args.dataset)
-    # train pairs, then validation pairs: out_of_time has the largest label code
-    pool = np.argsort(ds.labels, kind="stable")[: np.count_nonzero(ds.labels != dt._OUT_OF_TIME)]
-    slopes, skipped = loglog_baseline(ds.pairs.take(pool))
+    slopes, skipped = loglog_baseline(ds.fit_pool)
     items = sorted(slopes)
     table = {"item_id": np.array(items, dtype=object), "elasticity": np.array([slopes[i] for i in items])}
     dt._write_csv(Path(args.out) / "baseline.csv", _BASELINE_COLUMNS, table)

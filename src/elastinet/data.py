@@ -19,7 +19,7 @@ import gc
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import compress, repeat
 from pathlib import Path
 
@@ -673,15 +673,22 @@ _TRAIN, _VALIDATION, _OUT_OF_TIME = range(len(SPLITS))
 @dataclass(eq=False)
 class DatasetSplit:
     """``pairs`` in build_pairs order, pair i in part SPLITS[labels[i]].
-    Each part is a read-only property that takes its pairs, in pair order,
-    on every read."""
+    Building it derives the feature ``names``, which hold only the events
+    that occur in some pair, and the ``boundary_month``. Each part, and the
+    fit pool, takes its pairs anew on every read."""
 
     pairs: PairTable
     labels: np.ndarray  # int8, one index into SPLITS per pair
-    names: FeatureNames
     seed: int
     split_mode: str  # "pair" or "item": what the 80/20 draw is over
-    boundary_month: int
+    names: FeatureNames = field(init=False)
+    boundary_month: int = field(init=False)
+
+    def __post_init__(self):
+        pairs, flags = self.pairs, self.pairs.tx.event_flags
+        self.boundary_month = _boundary_month(pairs)
+        present = flags[pairs.lag].any(axis=0) | flags[pairs.lead].any(axis=0)
+        self.names = feature_names(compress(pairs.event_names, present))
 
     @property
     def train(self) -> PairTable:
@@ -695,6 +702,12 @@ class DatasetSplit:
     def out_of_time(self) -> PairTable:
         return self.pairs.take(self.labels == _OUT_OF_TIME)
 
+    @property
+    def fit_pool(self) -> PairTable:
+        """The train pairs, then the validation pairs, each in pair order."""
+        order = np.argsort(self.labels, kind="stable")  # out_of_time has the largest label code
+        return self.pairs.take(order[: np.count_nonzero(self.labels != _OUT_OF_TIME)])
+
 
 def _boundary_month(pairs: PairTable) -> int:
     """The first out-of-time month: pairs leading into the last
@@ -703,9 +716,7 @@ def _boundary_month(pairs: PairTable) -> int:
         raise ConfigError("no pairs to split")
     first, last = int(pairs.lag_month.min()), int(pairs.lead_month.max())
     if month_gap(first, last) + 1 < OUT_OF_TIME_MONTHS + 1:
-        raise ConfigError(
-            f"data spans {month_gap(first, last) + 1} months; need at least {OUT_OF_TIME_MONTHS + 1}"
-        )
+        raise ConfigError(f"data spans {month_gap(first, last) + 1} months; need at least {OUT_OF_TIME_MONTHS + 1}")
     return ym_add(last, -(OUT_OF_TIME_MONTHS - 1))
 
 
@@ -729,23 +740,14 @@ def _draw_labels(pairs: PairTable, seed: int, by_item: bool) -> np.ndarray:
     return labels
 
 
-def _present_events(pairs: PairTable) -> list[str]:
-    """The events that occur in some pair; only these are in the feature names."""
-    flags = pairs.tx.event_flags
-    return list(compress(pairs.event_names, flags[pairs.lag].any(axis=0) | flags[pairs.lead].any(axis=0)))
-
-
 def split(pairs: PairTable, seed: int, by_item: bool = False) -> DatasetSplit:
     """Chronological out-of-time holdout plus a seeded 80/20 shuffle split.
 
     The pairs are sorted by (item_id, lag, lead), their (lag, lead) row
-    order (see PairTable); only the events that occur in some pair are in
-    the feature names.
+    order (see PairTable).
     """
     pairs = pairs.take(np.lexsort((pairs.lead, pairs.lag)))
-    labels = _draw_labels(pairs, seed, by_item)
-    names = feature_names(_present_events(pairs))
-    return DatasetSplit(pairs, labels, names, seed, "item" if by_item else "pair", _boundary_month(pairs))
+    return DatasetSplit(pairs, _draw_labels(pairs, seed, by_item), seed, "item" if by_item else "pair")
 
 
 # ---------------------------------------------------------------------------
@@ -852,15 +854,13 @@ def load_dataset(in_dir) -> DatasetSplit:
     labels = _read_csv(src / "pairs.csv", _LABEL_COLUMNS)["split"]
     if len(labels) != len(pairs):
         raise SchemaMismatchError(f"pairs.csv has {len(labels)} labels; transactions.csv has {len(pairs)} pairs")
-    boundary = _boundary_month(pairs)
-    names = feature_names(_present_events(pairs))
-    ds = DatasetSplit(pairs, labels, names, manifest.get("seed"), manifest.get("split_mode"), boundary)
-    wrong = (labels == _OUT_OF_TIME) != (pairs.lead_month >= boundary)
+    ds = DatasetSplit(pairs, labels, manifest.get("seed"), manifest.get("split_mode"))
+    wrong = (labels == _OUT_OF_TIME) != (pairs.lead_month >= ds.boundary_month)
     if wrong.any():
         i = int(np.argmax(wrong))
         line_no = _row_lines(src / "pairs.csv")[i]
         label = SPLITS[labels[i]]
-        raise SchemaMismatchError(f"pairs.csv line {line_no}: {label} crosses the boundary month {boundary}")
+        raise SchemaMismatchError(f"pairs.csv line {line_no}: {label} crosses the boundary month {ds.boundary_month}")
     if type(ds.seed) is not int or ds.seed < 0:
         raise SchemaMismatchError(f"manifest seed is {ds.seed!r}; expected a non-negative integer")
     if ds.split_mode not in ("pair", "item"):

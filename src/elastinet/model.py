@@ -452,7 +452,7 @@ def load_model(path) -> DemandModel:
         if p is None:
             raise ModelIOError(f"unexpected or repeated parameter blob {name!r}")
         if (rows, cols) != p.shape:
-            raise ModelIOError(f"parameter {name!r} shape mismatch: file {rows}x{cols}, model {p.shape}")
+            raise ModelIOError(f"parameter {name!r} shape mismatch: file {rows}x{cols}, model {p.shape[0]}x{p.shape[1]}")
         values = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
         if not np.all(np.isfinite(values)):
             raise ModelIOError(f"parameter {name!r} has non-finite values")

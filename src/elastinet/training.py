@@ -142,10 +142,15 @@ def prepare_model(
 ) -> DemandModel:
     """An untrained model of a dataset: its feature names, and the vocabs and
     standardization stats of its train split."""
-    names = split.names
-    vocabs = build_vocabs(split.train, names.categorical, seed=seed)
-    stats = fit_stats(split.train, names.continuous, names.monotone)
+    names, train = split.names, split.train
+    vocabs = build_vocabs(train, names.categorical, seed=seed)
+    stats = fit_stats(train, names.continuous, names.monotone)
     return DemandModel(names, vocabs, stats, arch or ArchConfig(), seed=seed)
+
+
+def _encoded(model: DemandModel, table: dt.PairTable) -> tuple[tuple, np.ndarray]:
+    """The model inputs of ``table``'s rows and their scaled targets, a column."""
+    return model.encode(table), model.stats.scale_target(table.target[:, None])
 
 
 def _validation_loss(model: DemandModel, inputs, target) -> float:
@@ -169,14 +174,11 @@ def train(
     model)`` runs after each epoch, e.g. for monotonicity probes.
     """
     config = config or TrainConfig()
-    if not len(split.validation):
-        raise ConfigError("the dataset has no validation pairs to report a validation loss on")
     t0 = time.perf_counter()
-
-    cat_tr, cont_tr, mono_tr = model.encode(split.train)
-    y_tr = model.stats.scale_target(split.train.target[:, None])
-    val_inputs = model.encode(split.validation)
-    y_val = model.stats.scale_target(split.validation.target[:, None])
+    (cat_tr, cont_tr, mono_tr), y_tr = _encoded(model, split.train)
+    val_inputs, y_val = _encoded(model, split.validation)  # each part is taken once, so checked once encoded
+    if not y_val.shape[0]:
+        raise ConfigError("the dataset has no validation pairs to report a validation loss on")
 
     params = model.parameters()
     decayed = model.decayed_parameters()

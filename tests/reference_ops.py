@@ -11,10 +11,11 @@ and on every parameter gradient; ``reference_forward`` is the whole
 encoding as it was before it was factorized per transaction row: one
 ``np.unique`` over the string levels of every pair.
 
-``effective_weight``, ``concave_activation``, ``category_column``,
-``parameter_count`` and ``baseline_pool`` are scalar or readable forms of
-library code that only the tests call; ``true_arc_elasticity`` is the
-closed-form arc of a pure power law.
+``effective_weight``, ``concave_activation``, ``category_column`` and
+``parameter_count`` are scalar or readable forms of library code that only
+the tests call; ``baseline_pool`` is a readable form of
+``DatasetSplit.fit_pool``; ``true_arc_elasticity`` is the closed-form arc
+of a pure power law.
 """
 
 from __future__ import annotations

@@ -167,6 +167,17 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
 
+    def test_dataset_with_every_pair_out_of_time_exits_2(self, tmp_path, capsys):
+        # a four-month world leads every pair into the last three months
+        data, ds = tmp_path / "data", tmp_path / "ds"
+        assert main(["synth", "--items", "3", "--months", "4", "--out", str(data)]) == 0
+        assert main(["build", "--transactions", str(data / "transactions.csv"), "--out", str(ds)]) == 0
+        assert "pairs: train=0 validation=0 out_of_time=18" in capsys.readouterr().out
+        assert main(["train", "--dataset", str(ds), "--epochs", "1", "--out", str(tmp_path / "run")]) == 2
+        assert "error: cannot fit standardization stats on an empty split" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 class TestEvaluate:
     def test_metrics_json(self, scenario_runs, tmp_path):
         for k, (root, run) in enumerate(scenario_runs):
@@ -524,6 +535,56 @@ def test_non_utf8_blob_name_exits_3(pipeline_dirs, tmp_path, capsys):
     argv = ["evaluate", "--dataset", str(pipeline_dirs / "ds"), "--model", str(model), "--out", str(tmp_path / "e")]
     assert main(argv) == 3
     assert "unexpected or repeated parameter blob '\\\\xff" in capsys.readouterr().err
+
+
+def _resealed(edit):
+    """A model-file forgery: ``edit`` the bytes before the trailer, then reseal the trailer CRC."""
+
+    def forge(src, dst, edit_model_file):
+        body = edit(src.read_bytes()[:-4])
+        dst.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+    return forge
+
+
+def _edited(edit):
+    """A model-file forgery that edits the parsed container; every checksum is resealed."""
+    return lambda src, dst, edit_model_file: edit_model_file(src, dst, edit)
+
+
+def _repeat_first_blob(container):
+    container["blobs"].append(container["blobs"][0])
+
+
+def _transpose_item_embedding(container):
+    blob = next(blob for blob in container["blobs"] if blob[0] == "emb.item_id")
+    blob[1] = blob[1].T
+
+
+@pytest.mark.parametrize(
+    "forge, code, message",
+    [
+        (_resealed(lambda body: body[:4]), 3, "model file truncated"),
+        (_resealed(lambda body: b"MDNX" + body[4:]), 3, "bad magic bytes"),
+        (_edited(_repeat_first_blob), 3, "parameter count mismatch: file has 20, model expects 19"),
+        (_edited(_transpose_item_embedding), 3, "parameter 'emb.item_id' shape mismatch: file 4x13, model 13x4"),
+        (None, 2, "no pairs to split"),
+    ],
+    ids=["short-file", "magic", "blob-count", "blob-shape", "one-month-world"],
+)
+def test_rejection_reaches_its_check(pipeline_dirs, tmp_path, capsys, edit_model_file, forge, code, message):
+    if forge is None:  # one month per item makes no pair
+        data = tmp_path / "data"
+        assert main(["synth", "--items", "3", "--months", "1", "--out", str(data)]) == 0
+        argv = ["build", "--transactions", str(data / "transactions.csv")]
+    else:
+        model = tmp_path / "forged.mdnm"
+        forge(pipeline_dirs / "run" / "model.mdnm", model, edit_model_file)
+        argv = ["evaluate", "--dataset", str(pipeline_dirs / "ds"), "--model", str(model)]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == code
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("target", ["manifest", "model metadata", "config"])

@@ -12,7 +12,7 @@ import pytest
 
 from elastinet import data as dt
 from elastinet.errors import ConfigError, DomainError, IntegrityError, ParseError, SchemaMismatchError
-from reference_ops import category_column
+from reference_ops import baseline_pool, category_column
 
 HEADER = ",".join(dt.TRANSACTIONS_COLUMNS)
 
@@ -426,6 +426,12 @@ class TestSplit:
         assert ds.names.event_names == ("promo",)
         assert ds.train.event_names == ds.out_of_time.event_names == ("clearance", "promo")  # the transactions' events
 
+    def test_built_from_pairs_and_labels_alone(self):
+        ds = dt.split(dt.build_pairs(make_tx(grid_rows())), seed=4, by_item=True)
+        assert splits_equal(dt.DatasetSplit(ds.pairs, ds.labels, 4, "item"), ds)
+        with pytest.raises(ConfigError, match="^no pairs to split$"):
+            dt.DatasetSplit(ds.pairs.take(ds.labels[:0]), ds.labels[:0], 4, "item")
+
     def test_too_short_span_rejected(self):
         rows = [tx_row(ym=m) for m in (202301, 202302, 202303)]
         with pytest.raises(ConfigError):
@@ -502,6 +508,14 @@ class TestDatasetIO:
             assert len(part) and tables_equal(getattr(ds, name), part) and tables_equal(getattr(loaded, name), part)
         manifest = json.loads((path / "manifest.json").read_text())
         assert manifest["row_counts"] == dict(zip(dt.SPLITS, np.bincount(ds.labels).tolist()))
+
+    @pytest.mark.parametrize("by_item", [False, True], ids=["pair", "item"])
+    def test_fit_pool_is_train_then_validation_before_and_after_a_round_trip(self, tmp_path, by_item):
+        ds, path = save(tmp_path, grid_rows(n_items=6), seed=9, by_item=by_item)
+        for split_ in (ds, dt.load_dataset(path)):
+            pool = split_.fit_pool
+            assert len(pool) == len(split_.train) + len(split_.validation) > 0
+            assert tables_equal(pool, baseline_pool(split_)) and tables_equal(pool, baseline_pool(ds))
 
     def test_round_trip_with_events_and_absent_values(self, tmp_path):
         rows = grid_rows()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -155,6 +156,27 @@ class TestTrainLoop:
             assert np.array_equal(a.lag, b.lag) and np.array_equal(a.lead, b.lead)
         weights = [np.concatenate([p.data.ravel() for p in run.model.parameters()]) for run in runs]
         assert not np.array_equal(*weights)
+
+    def test_prepare_and_train_take_each_part_once_and_hold_none(self, small_split, monkeypatch):
+        """prepare_model takes the train part, train the validation and train
+        parts; no taken part outlives its encoding into the epoch loop."""
+        taken = []
+        take = dt.PairTable.take
+
+        def counting_take(table, idx):
+            part = take(table, idx)
+            taken.append(weakref.ref(part))
+            return part
+
+        monkeypatch.setattr(dt.PairTable, "take", counting_take)
+        model = prepare_model(small_split, SMALL_ARCH, seed=3)
+        alive = []
+
+        def count_alive(epoch, m):
+            alive.append(sum(ref() is not None for ref in taken))
+
+        train(model, small_split, TrainConfig(epochs=2, seed=3), count_alive)
+        assert len(taken) == 3 and alive == [0, 0]
 
     def test_same_seed_identical_report(self, small_split):
         reports = []
